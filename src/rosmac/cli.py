@@ -330,12 +330,15 @@ def _cmd_simulate_ode(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
     try:
+        tail_fraction = float(options["tail_fraction"])
+        if not (0.0 < tail_fraction <= 0.5):
+            raise ValueError(f"--tail-fraction must lie in (0, 0.5], got {tail_fraction!r}")
         traj = integrate(params, x0, float(options["T"]), float(options["dt"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     verdict = None
     if len(traj) >= 1000:
-        verdict = detect_asymptotics(traj, float(options["tail_fraction"]))
+        verdict = detect_asymptotics(traj, tail_fraction)
         print(f"long-run verdict: {verdict.kind.value} {verdict.diagnostics}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
@@ -463,8 +466,9 @@ def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
 def _cmd_ensemble(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    runs = int(options["runs"])
     try:
+        runs = int(options["runs"])
+        save_paths = int(options["save_paths"])
         cfg = SimConfig(
             t_end=float(options["T"]),
             m_steps=int(options["M"]),
@@ -509,7 +513,7 @@ def _cmd_ensemble(options: dict[str, Any]) -> int:
                 stats.band_upper_p,
             ),
         )
-        for stream in range(int(options["save_paths"])):
+        for stream in range(save_paths):
             path = simulate_path(params, x0, cfg, stream_index=stream)
             _write_csv(
                 out_dir / f"path_{stream:04d}.csv",

@@ -7,20 +7,21 @@ Estimators follow the plain Monte Carlo forms
 
 with half-width bands mean +/- sqrt(var)/2.  Sums over runs are reduced with
 an explicit pairwise tree whose shape depends only on the run count, and path
-j always uses noise stream j, so results are bit-identical no matter how the
-work is scheduled.
+j always uses noise stream j, so results are bit-identical for any number of
+worker threads.  The reductions are per time column, so each chunk of
+recorded states is reduced as the driver yields it: memory is
+O(runs x chunk), with no runs x recorded tensor and no ceiling on either.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import ModelParams, State
-from .sde import SamplePath, SimConfig, _simulate_block
+from .sde import SamplePath, SimConfig, _ensemble_chunks
 
 __all__ = [
     "EnsembleStats",
@@ -31,15 +32,6 @@ __all__ = [
     "run_ensemble",
     "stats_from_states",
 ]
-
-# Streams simulated per vectorized block; capped so increment buffers stay
-# modest even at fine grids.  Has no effect on results, only on memory.
-_BLOCK_TARGET = 20_000_000
-
-# Hard ceiling on recorded floats; past this the caller must thin with a
-# stride instead of materializing the ensemble.
-_MAX_RECORDED = 600_000_000
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -59,18 +51,9 @@ class EnsembleStats:
     clamp_events_total: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "times",
-            "mean_n",
-            "var_n",
-            "band_lower_n",
-            "band_upper_n",
-            "mean_p",
-            "var_p",
-            "band_lower_p",
-            "band_upper_p",
-        ):
-            getattr(self, name).flags.writeable = False
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -99,47 +82,29 @@ def _pairwise_sum(values: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-def _block_ranges(runs: int, m_steps: int) -> list[range]:
-    per_block = max(16, min(256, _BLOCK_TARGET // max(1, m_steps)))
-    return [range(start, min(start + per_block, runs)) for start in range(0, runs, per_block)]
+def _mean_var(rows: np.ndarray) -> np.ndarray:
+    """(times, 2, runs) states -> (4, times): mean and variance of n, then of p."""
+    runs = rows.shape[2]
+    out = []
+    for component in (rows[:, 0].T, rows[:, 1].T):
+        mean = _pairwise_sum(component) / runs
+        out += [mean, _pairwise_sum((component - mean) ** 2) / runs]
+    return np.array(out)
 
 
-def _collect_states(
-    params: ModelParams,
-    x0: State,
-    cfg: SimConfig,
-    runs: int,
-    stride: int,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All recorded states, assembled by stream index regardless of schedule."""
-    if runs < 2:
-        raise ValueError(f"need at least 2 runs, got {runs}")
-    if stride < 1 or cfg.m_steps % stride != 0:
-        raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
-    recorded = cfg.m_steps // stride + 1
-    if runs * recorded * 2 > _MAX_RECORDED:
-        raise ValueError(
-            f"ensemble would materialize {runs * recorded * 2} floats; "
-            "increase the stride to thin the recording"
-        )
-    states = np.empty((runs, recorded, 2))
-    clamps = np.empty(runs, dtype=np.int64)
-    blocks = _block_ranges(runs, cfg.m_steps)
-
-    def fill(block: range) -> None:
-        block_states, block_clamps = _simulate_block(params, x0, cfg, block, stride)
-        states[block.start : block.stop] = block_states
-        clamps[block.start : block.stop] = block_clamps
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
-    times = np.arange(recorded) * (cfg.delta * stride)
-    return times, states, clamps
+def _ensemble_stats(
+    times: np.ndarray, moments: np.ndarray, runs: int, seed: int, clamp_events_total: int
+) -> EnsembleStats:
+    mean_n, var_n, mean_p, var_p = moments
+    half_n, half_p = 0.5 * np.sqrt(var_n), 0.5 * np.sqrt(var_p)
+    return EnsembleStats(
+        np.asarray(times, dtype=float).copy(),
+        *(mean_n, var_n, mean_n - half_n, mean_n + half_n),
+        *(mean_p, var_p, mean_p - half_p, mean_p + half_p),
+        runs,
+        seed,
+        clamp_events_total,
+    )
 
 
 def stats_from_states(
@@ -149,24 +114,12 @@ def stats_from_states(
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[2] != 2 or states.shape[0] < 2:
         raise ValueError(f"states must have shape (runs >= 2, times, 2), got {states.shape}")
-    runs = states.shape[0]
-    series = {}
-    for axis, tag in ((0, "n"), (1, "p")):
-        component = states[:, :, axis]
-        mean = _pairwise_sum(component) / runs
-        var = _pairwise_sum((component - mean) ** 2) / runs
-        half = 0.5 * np.sqrt(var)
-        series[f"mean_{tag}"] = mean
-        series[f"var_{tag}"] = var
-        series[f"band_lower_{tag}"] = mean - half
-        series[f"band_upper_{tag}"] = mean + half
-    return EnsembleStats(
-        times=np.asarray(times, dtype=float).copy(),
-        runs=runs,
-        seed=seed,
-        clamp_events_total=clamp_events_total,
-        **series,
-    )
+    moments = _mean_var(states.transpose(1, 2, 0))
+    return _ensemble_stats(times, moments, states.shape[0], seed, clamp_events_total)
+
+
+def _recorded_times(cfg: SimConfig, stride: int) -> np.ndarray:
+    return np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
 
 
 def run_ensemble(
@@ -179,8 +132,11 @@ def run_ensemble(
     workers: int = 1,
 ) -> EnsembleStats:
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
-    times, states, clamps = _collect_states(params, x0, cfg, runs, stride, workers)
-    return stats_from_states(times, states, cfg.seed, int(clamps.sum()))
+    parts = []
+    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
+        parts.append(_mean_var(rows))
+    times = _recorded_times(cfg, stride)
+    return _ensemble_stats(times, np.concatenate(parts, axis=1), runs, cfg.seed, int(clamps.sum()))
 
 
 def moment_series(paths: Sequence[SamplePath], p: float) -> MomentSeries:
@@ -236,13 +192,22 @@ def ensemble_moments(
             raise ValueError(f"moment orders must be > 0, got {p!r}")
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
-    times, states, _ = _collect_states(params, x0, cfg, runs, stride, workers)
-    norms = np.hypot(states[:, :, 0], states[:, :, 1])
+    times = _recorded_times(cfg, stride)
+    sums = []
+    proxies = np.full(runs, -np.inf)
+    row = 0
+    for rows, _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
+        norms = np.hypot(rows[:, 0], rows[:, 1])
+        sums.append([_pairwise_sum(norms.T ** float(p)) / runs for p in p_values])
+        chunk_times = times[row : row + len(rows)]
+        row += len(rows)
+        mask = chunk_times >= t_min
+        if mask.any():
+            with np.errstate(divide="ignore"):
+                rates = np.log(norms[mask]) / chunk_times[mask, None]
+            np.maximum(proxies, rates.max(axis=0), out=proxies)
     series = [
-        MomentSeries(p=float(p), times=times.copy(), values=_pairwise_sum(norms ** float(p)) / runs)
-        for p in p_values
+        MomentSeries(p=float(p), times=times.copy(), values=np.concatenate(values))
+        for p, values in zip(p_values, zip(*sums))
     ]
-    mask = times >= t_min
-    with np.errstate(divide="ignore"):
-        rates = np.log(norms[:, mask]) / times[mask]
-    return series, rates.max(axis=1)
+    return series, proxies

@@ -15,8 +15,11 @@ path can be regenerated in isolation and ensembles are schedule-independent.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +42,10 @@ FINE_STEPS = 40_000
 DESK_STEPS = 4_000
 
 _MAX_SEED = 2**64
+
+# Steps per chunk of the ensemble driver: noise is drawn and recorded rows are
+# handed over one chunk at a time.  Sets memory (runs x chunk), not results.
+_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -181,52 +188,79 @@ def simulate_path(
     )
 
 
-def _simulate_block(
-    params: ModelParams,
-    x0: State,
-    cfg: SimConfig,
-    stream_indices: range,
-    stride: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized paths for a block of streams, recorded every `stride` steps.
+def _ensemble_chunks(
+    params: ModelParams, x0: State, cfg: SimConfig, runs: int, stride: int, workers: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Advance the paths on streams 0..runs-1 together, one step at a time.
 
-    Returns (states, clamp_counts) with states of shape
-    (len(stream_indices), m_steps // stride + 1, 2).  Elementwise arithmetic
-    matches simulate_path bit for bit.
+    Yields (rows, clamps) per chunk of steps: rows is the (recorded, 2, runs)
+    states of every `stride`-th step, x0 leading the first chunk; clamps the
+    per-path projection counts so far.  Both buffers are reused.  One
+    generator per stream makes chunked draws equal a single draw; `workers`
+    threads split the draws by stream.  Matches simulate_path bit for bit.
     """
-    steps = cfg.m_steps
-    delta = cfg.delta
-    count = len(stream_indices)
-    if cfg.zero_noise:
-        increments = np.zeros((count, steps, 2))
-    else:
-        increments = np.empty((count, steps, 2))
-        for row, stream in enumerate(stream_indices):
-            increments[row] = NoiseStream(cfg.seed, stream).increments(steps, delta)
+    if runs < 2:
+        raise ValueError(f"need at least 2 runs, got {runs}")
+    if stride < 1 or cfg.m_steps % stride != 0:
+        raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
-    n = np.full(count, float(x0[0]))
-    p = np.full(count, float(x0[1]))
-    recorded = steps // stride + 1
-    states = np.empty((count, recorded, 2))
-    states[:, 0, 0] = n
-    states[:, 0, 1] = p
-    clamps = np.zeros(count, dtype=np.int64)
-    row = 1
-    for i in range(steps):
-        n, p = _em_update(m, c, k, n, p, delta, increments[:, i, 0], increments[:, i, 1])
-        neg_n = n < 0.0
-        neg_p = p < 0.0
-        if neg_n.any():
-            clamps += neg_n
-            n[neg_n] = 0.0
-        if neg_p.any():
-            clamps += neg_p
-            p[neg_p] = 0.0
-        if (i + 1) % stride == 0:
-            states[:, row, 0] = n
-            states[:, row, 1] = p
-            row += 1
-    return states, clamps
+    chunk = min(_CHUNK_STEPS, steps)
+    x = np.repeat(np.array([[float(x0[0])], [float(x0[1])]]), runs, axis=1)
+    drift, var = np.empty((2, runs)), np.empty((2, runs))
+    inter, one_n, n_k = np.empty(runs), np.empty(runs), np.empty(runs)
+    (n, p), (dn, dp), (v1, v2) = x, drift, var
+    clamps = np.zeros(runs, dtype=np.int64)
+    noise = np.zeros((chunk, 2, runs))
+    rows = np.empty((chunk // stride + 1, 2, runs))
+    rows[0] = x
+    recorded = 1
+    if not cfg.zero_noise:
+        generators = [NoiseStream(cfg.seed, j)._generator() for j in range(runs)]
+        draws = np.empty((runs, chunk, 2))
+
+    def draw(streams: range, size: int) -> None:
+        for j in streams:
+            generators[j].standard_normal(out=draws[j, :size])
+        part = slice(streams.start, streams.stop)
+        np.multiply(draws[part, :size], math.sqrt(delta), out=noise[:size].transpose(2, 0, 1)[part])
+
+    parts = min(workers, runs, os.cpu_count() or 1)
+    slices = [range(runs * i // parts, runs * (i + 1) // parts) for i in range(parts)]
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        for start in range(0, steps, chunk):
+            size = min(chunk, steps - start)
+            if not cfg.zero_noise:
+                list(pool.map(draw, slices, [size] * parts))
+            for i in range(size):
+                # Shared terms once per step: m n p / (1 + n) and n / k.
+                np.multiply(np.multiply(n, m, out=inter), p, out=inter)
+                inter /= np.add(n, 1.0, out=one_n)
+                np.divide(n, k, out=n_k)
+                # Drift and variances, operand for operand as in _em_update.
+                np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
+                dn -= inter
+                np.add(np.multiply(p, -c, out=dp), inter, out=dp)
+                np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
+                v1 += inter
+                np.add(np.multiply(p, c, out=v2), inter, out=v2)
+                drift *= delta
+                drift += x
+                np.sqrt(var, out=var)
+                var *= noise[i]
+                np.add(drift, var, out=x)
+                # fmin skips NaN, so a NaN path cannot hide another's negative.
+                if np.fmin.reduce(x, axis=None) < 0.0:
+                    negative = x < 0.0
+                    clamps += negative.sum(axis=0)
+                    x[negative] = 0.0
+                if (start + i + 1) % stride == 0:
+                    rows[recorded] = x
+                    recorded += 1
+            yield rows[:recorded], clamps
+            recorded = 0
 
 
 def strong_self_convergence(

@@ -77,6 +77,32 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert "error:" in capsys.readouterr().err
 
 
+def test_ensemble_rejects_nonpositive_workers(capsys):
+    for workers in ("0", "-3"):
+        argv = ["ensemble", *CYCLE_FLAGS, "-M", "100", "--runs", "4", "--workers", workers]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers" in err and err.count("\n") == 1
+    assert main(["verify", *CYCLE_FLAGS, "--res", "4", "-M", "100", "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_simulate_ode_rejects_tail_fraction_outside_range(capsys):
+    for fraction in ("0.9", "0", "-0.1"):
+        argv = ["simulate-ode", *CYCLE_FLAGS, "-T", "20", "--dt", "0.01", "--tail-fraction", fraction]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tail-fraction" in err and err.count("\n") == 1
+
+
+def test_config_with_non_numeric_runs_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runs": "abc"}))
+    assert main(["ensemble", *CYCLE_FLAGS, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "abc" in err and err.count("\n") == 1
+
+
 def test_simulate_ode_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,11 +116,16 @@ def test_stride_thins_the_same_ensemble():
 
 
 def test_worker_count_does_not_change_results():
-    # 600 streams at this grid split into three blocks, so the threaded
-    # path genuinely interleaves; stream-addressed noise keeps it exact.
+    # Worker threads split each chunk's noise draws by stream; a short switch
+    # interval makes them interleave, and stream-addressed noise keeps it exact.
     cfg = SimConfig(t_end=1.0, m_steps=500, seed=17)
     serial = run_ensemble(CYCLE_PARAMS, START, cfg, runs=600)
-    threaded = run_ensemble(CYCLE_PARAMS, START, cfg, runs=600, workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_ensemble(CYCLE_PARAMS, START, cfg, runs=600, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(serial.mean_n, threaded.mean_n)
     assert np.array_equal(serial.var_n, threaded.var_n)
     assert np.array_equal(serial.mean_p, threaded.mean_p)
@@ -129,9 +137,27 @@ def test_ensemble_validation():
     cfg = SimConfig(t_end=1.0, m_steps=100, seed=0)
     with pytest.raises(ValueError):
         run_ensemble(CYCLE_PARAMS, START, cfg, runs=1)
-    big = SimConfig(t_end=1.0, m_steps=4000, seed=0)
-    with pytest.raises(ValueError):
-        run_ensemble(CYCLE_PARAMS, START, big, runs=100_000)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(CYCLE_PARAMS, START, cfg, runs=4, workers=workers)
+
+
+def test_ensemble_memory_does_not_grow_with_steps():
+    # Chunks are reduced as they are produced, so only the O(m_steps) outputs
+    # grow with the grid; a (runs, recorded, 2) tensor would add 16 bytes per
+    # run per step.
+    runs, grids = 256, (1_000, 10_000)
+    peaks = []
+    for m_steps in grids:
+        cfg = SimConfig(t_end=10.0, m_steps=m_steps, seed=3)
+        tracemalloc.start()
+        try:
+            run_ensemble(CYCLE_PARAMS, START, cfg, runs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    states_growth = runs * (grids[1] - grids[0]) * 2 * 8
+    assert peaks[1] - peaks[0] < states_growth / 10
 
 
 def test_noisy_ensemble_records_boundary_hits():
@@ -192,3 +218,66 @@ def test_ensemble_moments_validation():
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0, -1.0))
     with pytest.raises(ValueError):
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), t_min=5.0)
+    with pytest.raises(ValueError, match="workers"):
+        ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), workers=0)
+
+
+# Both grids span several chunks of the driver, and stride 7 divides neither
+# chunk.  The coarse one clamps more than once per path on average.
+STREAMING_CONFIGS = {
+    "zero_noise": SimConfig(t_end=10.0, m_steps=700, seed=21, zero_noise=True),
+    "high_clamp": SimConfig(t_end=100.0, m_steps=1001, seed=21),
+}
+
+
+@functools.lru_cache(maxsize=len(STREAMING_CONFIGS))
+def _materialised(name):
+    """simulate_path states of streams 0..1024 as (1025, m_steps + 1, 2), and clamps."""
+    cfg = STREAMING_CONFIGS[name]
+    paths = [simulate_path(CYCLE_PARAMS, START, cfg, stream_index=j) for j in range(1025)]
+    return np.stack([path.states for path in paths]), np.array([path.clamp_events for path in paths])
+
+
+def _reference(name, runs, stride):
+    cfg = STREAMING_CONFIGS[name]
+    states, clamps = _materialised(name)
+    times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
+    return times, states[:runs, ::stride], int(clamps[:runs].sum())
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("runs", [2, 3, 17, 1025])
+@pytest.mark.parametrize("name", sorted(STREAMING_CONFIGS))
+def test_streaming_ensemble_matches_materialised_states(name, runs, stride, workers):
+    cfg = STREAMING_CONFIGS[name]
+    times, states, clamps = _reference(name, runs, stride)
+    expected = stats_from_states(times, states, cfg.seed, clamps)
+    stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs, stride=stride, workers=workers)
+    for field in ("times", "mean_n", "var_n", "band_lower_n", "band_upper_n",
+                  "mean_p", "var_p", "band_lower_p", "band_upper_p"):
+        assert np.array_equal(getattr(stats, field), getattr(expected, field)), field
+    assert stats.clamp_events_total == clamps
+    if name == "high_clamp":
+        assert clamps > runs
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("runs", [2, 3, 17, 1025])
+@pytest.mark.parametrize("name", sorted(STREAMING_CONFIGS))
+def test_streaming_moments_match_materialised_paths(name, runs, stride, workers):
+    cfg = STREAMING_CONFIGS[name]
+    times, states, _ = _reference(name, runs, stride)
+    paths = [SamplePath(times=times, states=states[j], clamp_events=0, seed=cfg.seed, stream_index=j)
+             for j in range(runs)]
+    orders = (1.0, 2.5)
+    series, proxies = ensemble_moments(
+        CYCLE_PARAMS, START, cfg, runs, orders, t_min=3.0, stride=stride, workers=workers
+    )
+    for got, p in zip(series, orders):
+        expected = moment_series(paths, p)
+        assert got.p == p
+        assert np.array_equal(got.times, expected.times)
+        assert np.array_equal(got.values, expected.values)
+    assert np.array_equal(proxies, [lyapunov_exponent_proxy(path, t_min=3.0) for path in paths])

@@ -14,7 +14,7 @@ from rosmac import (
     simulate_path,
     strong_self_convergence,
 )
-from rosmac.sde import _simulate_block
+from rosmac.sde import _ensemble_chunks
 
 from conftest import CYCLE_PARAMS, START
 
@@ -123,19 +123,26 @@ def test_zero_noise_path_is_plain_euler():
     assert path.clamp_events == 0
 
 
+def _driver_states(cfg, runs, stride):
+    """Concatenate the driver's chunks into (runs, recorded, 2) plus clamps."""
+    chunks = [(rows.copy(), clamps.copy()) for rows, clamps in
+              _ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1)]
+    return np.concatenate([rows for rows, _ in chunks]).transpose(2, 0, 1), chunks[-1][1]
+
+
 def test_block_simulation_matches_scalar_bitwise():
     cfg = SimConfig(t_end=2.0, m_steps=500, seed=7)
-    states, clamps = _simulate_block(CYCLE_PARAMS, START, cfg, range(3, 6), stride=1)
-    for row, stream in enumerate(range(3, 6)):
+    states, clamps = _driver_states(cfg, runs=6, stride=1)
+    for stream in range(3, 6):
         single = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=stream)
-        assert np.array_equal(states[row], single.states)
-        assert clamps[row] == single.clamp_events
+        assert np.array_equal(states[stream], single.states)
+        assert clamps[stream] == single.clamp_events
 
 
 def test_block_simulation_stride_subsamples_the_same_path():
     cfg = SimConfig(t_end=2.0, m_steps=500, seed=7)
-    full, _ = _simulate_block(CYCLE_PARAMS, START, cfg, range(2), stride=1)
-    coarse, _ = _simulate_block(CYCLE_PARAMS, START, cfg, range(2), stride=10)
+    full, _ = _driver_states(cfg, runs=2, stride=1)
+    coarse, _ = _driver_states(cfg, runs=2, stride=10)
     assert coarse.shape == (2, 51, 2)
     assert np.array_equal(coarse, full[:, ::10])
 
