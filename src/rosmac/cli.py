@@ -8,10 +8,15 @@ Subcommands
     ensemble        Monte Carlo mean/variance/bands -> CSV (+ SVG)
     verify          growth-bound certification -> JSON, exit 1 on failure
 
-Every file-writing run drops a manifest.json echoing the resolved options;
-feeding it back through --config replays the run byte-for-byte (the manifest
-itself differs only in its timestamp).  Exit codes: 0 success, 1 failed
-verification, 2 usage or validation error.
+Every option is one row of OPTIONS: its config key, flag, type, default, help
+and the subcommands that take it.  The row drives the argparse flag, the
+--config merge (the same names, strict JSON types), the one coercion step in
+_resolve_options and the manifest.  Every file-writing run drops a
+manifest.json echoing the subcommand's resolved options; feeding it back
+through --config replays the run byte-for-byte (the manifest itself differs
+only in its timestamp), and config keys the subcommand does not take are
+ignored.  Exit codes: 0 success, 1 failed verification (verify only), 2 usage
+or validation error, reported as a single "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -35,8 +41,8 @@ from .equilibria import (
     hopf_threshold,
     trace_identity_check,
 )
-from .model import ModelParams, State
-from .ode import detect_asymptotics, integrate, vector_field_grid
+from .model import ModelParams, State, checked_state
+from .ode import BlowupError, detect_asymptotics, integrate, vector_field_grid
 from .sde import DESK_STEPS, SimConfig, simulate_path
 from .svgplot import line_chart, phase_portrait
 from .verification import (
@@ -53,71 +59,101 @@ from .verification import (
 
 SEED_ENV_VAR = "RM_SEED"
 
-_COMMON_DEFAULTS: dict[str, Any] = {
-    "m": None,
-    "c": None,
-    "k": None,
-    "x0": "1,0.6",
-    "T": 10.0,
-    "M": DESK_STEPS,
-    "runs": 2000,
-    "seed": None,
-    "dt": 1e-3,
-    "alpha": 3.0,
-    "grid": None,
-    "res": None,
-    "out": None,
-    "svg": False,
-    "stride": 1,
-    "zero_noise": False,
-    "workers": 1,
-    "stream": 0,
-    "save_paths": 0,
-    "p_orders": "1,2,4",
-    "t_min": 1.0,
-    "c_override": None,
-    "tail_fraction": 0.25,
-}
+
+@dataclass(frozen=True)
+class Option:
+    """One option: config key (dest), flag, type, default, help, subcommands."""
+
+    dest: str
+    flag: str
+    type: type
+    default: Any
+    help: str
+    commands: tuple[str, ...]
 
 
-class UsageError(Exception):
-    """Bad flags or invalid values; maps to exit code 2."""
+_ALL = ("analyze", "simulate-ode", "phase-portrait", "simulate-sde", "ensemble", "verify")
+_FROM_X0 = _ALL[1:]
+_CHARTS = ("simulate-ode", "phase-portrait", "simulate-sde", "ensemble")
+_NOISY = ("simulate-sde", "ensemble", "verify")
+_ENSEMBLE = ("ensemble", "verify")
+_GRID = ("phase-portrait", "verify")
+
+OPTIONS = (
+    Option("m", "-m", float, None, "interaction strength (required)", _ALL),
+    Option("c", "-c", float, None, "predator death rate (required)", _ALL),
+    Option("k", "-k", float, None, "prey capacity (required)", _ALL),
+    Option("out", "--out", str, None, "output directory", _ALL),
+    Option("x0", "--x0", str, "1,0.6", "initial state 'N,P'", _FROM_X0),
+    Option("T", "-T", float, 10.0, "end time", _FROM_X0),
+    Option("dt", "--dt", float, 1e-3, "integration step", ("simulate-ode", "phase-portrait")),
+    Option("tail_fraction", "--tail-fraction", float, 0.25,
+           "trailing fraction inspected for the long-run verdict", ("simulate-ode",)),
+    Option("grid", "--grid", str, None, "bounds 'NMIN,NMAX,PMIN,PMAX'", _GRID),
+    Option("res", "--res", int, None, "grid resolution per axis (20; verify 200)", _GRID),
+    Option("M", "-M", int, DESK_STEPS, "number of steps", _NOISY),
+    Option("runs", "--runs", int, 2000, "number of paths", _ENSEMBLE),
+    Option("seed", "--seed", int, None, f"noise seed (env {SEED_ENV_VAR}, else 0)", _NOISY),
+    Option("stream", "--stream", int, 0, "noise stream index", ("simulate-sde",)),
+    Option("stride", "--stride", int, 1, "record every stride-th step", _ENSEMBLE),
+    Option("workers", "--workers", int, 1, "worker threads (no effect on results)", _ENSEMBLE),
+    Option("save_paths", "--save-paths", int, 0, "also write the first K individual paths",
+           ("ensemble",)),
+    Option("zero_noise", "--zero-noise", bool, False, "suppress noise (debug hook)", _NOISY),
+    Option("alpha", "--alpha", float, 3.0, "test-function exponent (> 2)", ("verify",)),
+    Option("p_orders", "--p", str, "1,2,4", "comma-separated moment orders to check", ("verify",)),
+    Option("t_min", "--t-min", float, 1.0, "left end of the growth-proxy window", ("verify",)),
+    Option("c_override", "--c-override", float, None,
+           "substitute constant for the grid checks (testing hook)", ("verify",)),
+    Option("svg", "--svg", bool, False, "emit SVG plots", _CHARTS),
+)
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _options_of(subcommand: str) -> list[Option]:
+    return [option for option in OPTIONS if subcommand in option.commands]
+
+
+def _coerce(option: Option, value: Any) -> Any:
+    """`value` as the option's type; null only where the default is null."""
+    kind = option.type
+    if value is None and option.default is None:
+        return None
+    if kind is bool or isinstance(value, bool):  # JSON true is no number, 1 no switch
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ValueError(f"{option.flag} expects {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _parse_floats(flag: str, text: str, count: int) -> list[float]:
+    parts = text.split(",")
+    if len(parts) == count:
+        try:
+            return [float(part) for part in parts]
+        except ValueError:
+            pass
+    raise ValueError(f"{flag} expects {count} comma-separated numbers, got {text!r}")
 
 
 def _parse_x0(text: str) -> State:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--x0 expects 'N,P', got {text!r}")
-    try:
-        n, p = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"--x0 expects numbers, got {text!r}") from exc
-    if n < 0.0 or p < 0.0:
-        raise UsageError(f"--x0 must lie in the closed quadrant, got {text!r}")
-    return State(n, p)
-
-
-def _parse_grid(text: str, resolution: int) -> GridSpec:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"--grid expects 'NMIN,NMAX,PMIN,PMAX', got {text!r}")
-    try:
-        n_min, n_max, p_min, p_max = (float(part) for part in parts)
-    except ValueError as exc:
-        raise UsageError(f"--grid expects numbers, got {text!r}") from exc
-    try:
-        return GridSpec(n_min, n_max, p_min, p_max, resolution)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return checked_state(_parse_floats("--x0", text, 2), "--x0")
 
 
 def _parse_orders(text: str) -> list[float]:
     try:
         orders = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise UsageError(f"--p expects comma-separated numbers, got {text!r}") from exc
-    if not orders or any(order <= 0.0 for order in orders):
-        raise UsageError(f"--p expects positive orders, got {text!r}")
+        raise ValueError(f"--p expects comma-separated numbers, got {text!r}") from exc
+    if not orders or not all(0.0 < order < math.inf for order in orders):
+        raise ValueError(f"--p expects finite positive orders, got {text!r}")
     return orders
 
 
@@ -131,6 +167,22 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_value(cell) for cell in row])
+
+
+def _write_states(path: Path, times, states) -> None:
+    _write_csv(path, ("t", "N", "P"), zip(times, states[:, 0], states[:, 1]))
+
+
+def _density_chart(times, states, title: str) -> str:
+    return line_chart(
+        times,
+        [
+            {"y": states[:, 0], "label": "prey n", "color": "#1f77b4"},
+            {"y": states[:, 1], "label": "predator p", "color": "#d62728"},
+        ],
+        title=title,
+        y_label="density",
+    )
 
 
 def _report_dict(report: VerificationReport) -> dict[str, Any]:
@@ -147,129 +199,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rosmac {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sub: argparse.ArgumentParser, *, needs_params: bool = True) -> None:
-        sub.add_argument("--config", type=str, default=None, help="JSON file of option defaults (flags win)")
-        if needs_params:
-            sub.add_argument("-m", type=float, default=None, help="interaction strength")
-            sub.add_argument("-c", type=float, default=None, help="predator death rate")
-            sub.add_argument("-k", type=float, default=None, help="prey capacity")
-        sub.add_argument("--out", type=str, default=None, help="output directory")
-
-    sub = subparsers.add_parser("analyze", help="equilibria, stability, extinction verdict")
-    add_common(sub)
-
-    sub = subparsers.add_parser("simulate-ode", help="deterministic trajectory")
-    add_common(sub)
-    sub.add_argument("--x0", type=str, default=None, help="initial state 'N,P'")
-    sub.add_argument("--dt", type=float, default=None, help="integration step")
-    sub.add_argument("-T", type=float, default=None, help="end time")
-    sub.add_argument("--tail-fraction", type=float, default=None, dest="tail_fraction",
-                     help="trailing fraction inspected for the long-run verdict")
-    sub.add_argument("--svg", action="store_const", const=True, default=None, help="emit SVG plots")
-
-    sub = subparsers.add_parser("phase-portrait", help="vector field plus trajectory")
-    add_common(sub)
-    sub.add_argument("--x0", type=str, default=None, help="initial state 'N,P'")
-    sub.add_argument("--dt", type=float, default=None, help="integration step")
-    sub.add_argument("-T", type=float, default=None, help="end time")
-    sub.add_argument("--grid", type=str, default=None, help="bounds 'NMIN,NMAX,PMIN,PMAX'")
-    sub.add_argument("--res", type=int, default=None, help="grid resolution per axis")
-    sub.add_argument("--svg", action="store_const", const=True, default=None, help="emit SVG plots")
-
-    sub = subparsers.add_parser("simulate-sde", help="one demographic-noise path")
-    add_common(sub)
-    sub.add_argument("--x0", type=str, default=None, help="initial state 'N,P'")
-    sub.add_argument("-T", type=float, default=None, help="end time")
-    sub.add_argument("-M", type=int, default=None, help="number of steps")
-    sub.add_argument("--seed", type=int, default=None, help="noise seed (env RM_SEED as fallback)")
-    sub.add_argument("--stream", type=int, default=None, help="noise stream index")
-    sub.add_argument("--zero-noise", action="store_const", const=True, default=None,
-                     dest="zero_noise", help="suppress noise (debug hook)")
-    sub.add_argument("--svg", action="store_const", const=True, default=None, help="emit SVG plots")
-
-    sub = subparsers.add_parser("ensemble", help="Monte Carlo mean/variance bands")
-    add_common(sub)
-    sub.add_argument("--x0", type=str, default=None, help="initial state 'N,P'")
-    sub.add_argument("-T", type=float, default=None, help="end time")
-    sub.add_argument("-M", type=int, default=None, help="number of steps")
-    sub.add_argument("--runs", type=int, default=None, help="number of paths")
-    sub.add_argument("--seed", type=int, default=None, help="noise seed (env RM_SEED as fallback)")
-    sub.add_argument("--stride", type=int, default=None, help="record every stride-th step")
-    sub.add_argument("--workers", type=int, default=None, help="worker threads (no effect on results)")
-    sub.add_argument("--save-paths", type=int, default=None, dest="save_paths",
-                     help="also write the first K individual paths")
-    sub.add_argument("--zero-noise", action="store_const", const=True, default=None,
-                     dest="zero_noise", help="suppress noise (debug hook)")
-    sub.add_argument("--svg", action="store_const", const=True, default=None, help="emit SVG plots")
-
-    sub = subparsers.add_parser("verify", help="certify growth bounds; exit 1 on failure")
-    add_common(sub)
-    sub.add_argument("--x0", type=str, default=None, help="initial state 'N,P'")
-    sub.add_argument("--alpha", type=float, default=None, help="test-function exponent (> 2)")
-    sub.add_argument("--grid", type=str, default=None, help="bounds 'NMIN,NMAX,PMIN,PMAX'")
-    sub.add_argument("--res", type=int, default=None, help="grid resolution per axis")
-    sub.add_argument("-T", type=float, default=None, help="ensemble end time")
-    sub.add_argument("-M", type=int, default=None, help="ensemble steps")
-    sub.add_argument("--runs", type=int, default=None, help="ensemble paths")
-    sub.add_argument("--seed", type=int, default=None, help="noise seed (env RM_SEED as fallback)")
-    sub.add_argument("--stride", type=int, default=None, help="record every stride-th step")
-    sub.add_argument("--workers", type=int, default=None, help="worker threads (no effect on results)")
-    sub.add_argument("--p", type=str, default=None, dest="p_orders",
-                     help="comma-separated moment orders to check")
-    sub.add_argument("--t-min", type=float, default=None, dest="t_min",
-                     help="left end of the growth-proxy window")
-    sub.add_argument("--c-override", type=float, default=None, dest="c_override",
-                     help="substitute constant for the grid checks (testing hook)")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="JSON file of option values (flags win)")
+        for option in _options_of(name):
+            if option.type is bool:
+                sub.add_argument(option.flag, dest=option.dest, action="store_const", const=True,
+                                 help=option.help)
+            else:
+                sub.add_argument(option.flag, dest=option.dest, type=option.type, help=option.help)
     return parser
 
 
+def _read_config(path: str) -> dict[str, Any]:
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
+    source = loaded.get("options", loaded) if isinstance(loaded, dict) else loaded
+    if not isinstance(source, dict):
+        raise ValueError(f"config {path!r} must hold a JSON object")
+    return source
+
+
 def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
-    """Layer defaults < config file < explicit flags; resolve the seed."""
-    options = dict(_COMMON_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    """Layer defaults < config file < explicit flags, coerce each value; resolve the seed."""
+    config = _read_config(args.config) if args.config else {}
+    options = {}
+    for option in _options_of(args.subcommand):
+        value = getattr(args, option.dest)
+        if value is None:
+            value = config.get(option.dest, option.default)
+        options[option.dest] = _coerce(option, value)
+    if "seed" in options and options["seed"] is None:
+        env_seed = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path!r}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config {config_path!r} must hold a JSON object")
-        source = loaded.get("options", loaded)
-        for key, value in source.items():
-            if key in options:
-                options[key] = value
-    for key in options:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    if options["seed"] is None:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                options["seed"] = int(env_seed)
-            except ValueError as exc:
-                raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-        else:
-            options["seed"] = 0
+            options["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     return options
 
 
 def _require_params(options: dict[str, Any]) -> ModelParams:
     missing = [flag for flag in ("m", "c", "k") if options[flag] is None]
     if missing:
-        raise UsageError(f"missing required parameter flags: {', '.join('-' + f for f in missing)}")
-    try:
-        return ModelParams(m=float(options["m"]), c=float(options["c"]), k=float(options["k"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"missing required parameter flags: {', '.join('-' + f for f in missing)}")
+    return ModelParams(m=options["m"], c=options["c"], k=options["k"])
+
+
+def _sim_config(options: dict[str, Any]) -> SimConfig:
+    return SimConfig(
+        t_end=options["T"],
+        m_steps=options["M"],
+        seed=options["seed"],
+        zero_noise=options["zero_noise"],
+    )
 
 
 def _prepare_out(options: dict[str, Any]) -> Path | None:
     if options["out"] is None:
         return None
     out_dir = Path(options["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use --out {options['out']!r}: {exc.strerror}") from exc
     return out_dir
 
 
@@ -277,8 +271,8 @@ def _write_manifest(out_dir: Path, subcommand: str, options: dict[str, Any]) -> 
     manifest = {
         "subcommand": subcommand,
         "params": {"m": options["m"], "c": options["c"], "k": options["k"]},
-        "options": {key: options[key] for key in sorted(options)},
-        "seed": options["seed"],
+        "options": options,
+        "seed": options.get("seed"),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -329,35 +323,19 @@ def _cmd_analyze(options: dict[str, Any]) -> int:
 def _cmd_simulate_ode(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    try:
-        tail_fraction = float(options["tail_fraction"])
-        if not (0.0 < tail_fraction <= 0.5):
-            raise ValueError(f"--tail-fraction must lie in (0, 0.5], got {tail_fraction!r}")
-        traj = integrate(params, x0, float(options["T"]), float(options["dt"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    verdict = None
+    tail_fraction = options["tail_fraction"]
+    if not (0.0 < tail_fraction <= 0.5):
+        raise ValueError(f"--tail-fraction must lie in (0, 0.5], got {tail_fraction!r}")
+    traj = integrate(params, x0, options["T"], options["dt"])
     if len(traj) >= 1000:
         verdict = detect_asymptotics(traj, tail_fraction)
         print(f"long-run verdict: {verdict.kind.value} {verdict.diagnostics}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
-        _write_csv(
-            out_dir / "trajectory.csv",
-            ("t", "N", "P"),
-            zip(traj.times, traj.states[:, 0], traj.states[:, 1]),
-        )
+        _write_states(out_dir / "trajectory.csv", traj.times, traj.states)
         if options["svg"]:
-            chart = line_chart(
-                traj.times,
-                [
-                    {"y": traj.states[:, 0], "label": "prey n", "color": "#1f77b4"},
-                    {"y": traj.states[:, 1], "label": "predator p", "color": "#d62728"},
-                ],
-                title=f"m={params.m:g} c={params.c:g} k={params.k:g}",
-                y_label="density",
-            )
-            (out_dir / "trajectory.svg").write_text(chart)
+            title = f"m={params.m:g} c={params.c:g} k={params.k:g}"
+            (out_dir / "trajectory.svg").write_text(_density_chart(traj.times, traj.states, title))
         _write_manifest(out_dir, "simulate-ode", options)
     return 0
 
@@ -365,19 +343,16 @@ def _cmd_simulate_ode(options: dict[str, Any]) -> int:
 def _cmd_phase_portrait(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    resolution = int(options["res"]) if options["res"] is not None else 20
+    resolution = 20 if options["res"] is None else options["res"]
     if options["grid"] is not None:
-        spec = _parse_grid(options["grid"], resolution)
+        spec = GridSpec(*_parse_floats("--grid", options["grid"], 4), resolution)
     else:
         reach = 1.5 * max(params.k, 1.0)
         spec = GridSpec(0.0, reach, 0.0, reach, resolution)
-    try:
-        samples = vector_field_grid(
-            params, spec.n_min, spec.n_max, spec.p_min, spec.p_max, spec.resolution
-        )
-        traj = integrate(params, x0, float(options["T"]), float(options["dt"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    samples = vector_field_grid(
+        params, spec.n_min, spec.n_max, spec.p_min, spec.p_max, spec.resolution
+    )
+    traj = integrate(params, x0, options["T"], options["dt"])
     out_dir = _prepare_out(options)
     if out_dir is not None:
         _write_csv(
@@ -385,11 +360,7 @@ def _cmd_phase_portrait(options: dict[str, Any]) -> int:
             ("N", "P", "dN", "dP"),
             ((x.n, x.p, d.dn, d.dp) for x, d in samples),
         )
-        _write_csv(
-            out_dir / "trajectory.csv",
-            ("t", "N", "P"),
-            zip(traj.times, traj.states[:, 0], traj.states[:, 1]),
-        )
+        _write_states(out_dir / "trajectory.csv", traj.times, traj.states)
         if options["svg"]:
             markers = []
             glyph_by_class = {"sink": "disc", "source": "circle"}
@@ -411,35 +382,15 @@ def _cmd_phase_portrait(options: dict[str, Any]) -> int:
 def _cmd_simulate_sde(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    try:
-        cfg = SimConfig(
-            t_end=float(options["T"]),
-            m_steps=int(options["M"]),
-            seed=int(options["seed"]),
-            zero_noise=bool(options["zero_noise"]),
-        )
-        path = simulate_path(params, x0, cfg, stream_index=int(options["stream"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _sim_config(options)
+    path = simulate_path(params, x0, cfg, stream_index=options["stream"])
     print(f"clamp events: {path.clamp_events}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
-        _write_csv(
-            out_dir / "path.csv",
-            ("t", "N", "P"),
-            zip(path.times, path.states[:, 0], path.states[:, 1]),
-        )
+        _write_states(out_dir / "path.csv", path.times, path.states)
         if options["svg"]:
-            chart = line_chart(
-                path.times,
-                [
-                    {"y": path.states[:, 0], "label": "prey n", "color": "#1f77b4"},
-                    {"y": path.states[:, 1], "label": "predator p", "color": "#d62728"},
-                ],
-                title=f"seed={cfg.seed} stream={path.stream_index}",
-                y_label="density",
-            )
-            (out_dir / "path.svg").write_text(chart)
+            title = f"seed={cfg.seed} stream={path.stream_index}"
+            (out_dir / "path.svg").write_text(_density_chart(path.times, path.states, title))
         _write_manifest(out_dir, "simulate-sde", options)
     return 0
 
@@ -466,26 +417,13 @@ def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
 def _cmd_ensemble(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    try:
-        runs = int(options["runs"])
-        save_paths = int(options["save_paths"])
-        cfg = SimConfig(
-            t_end=float(options["T"]),
-            m_steps=int(options["M"]),
-            seed=int(options["seed"]),
-            zero_noise=bool(options["zero_noise"]),
-        )
-        stats = run_ensemble(
-            params,
-            x0,
-            cfg,
-            runs,
-            stride=int(options["stride"]),
-            workers=int(options["workers"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(f"runs: {runs}  clamp events: {stats.clamp_events_total}")
+    if options["save_paths"] < 0:
+        raise ValueError(f"--save-paths must be >= 0, got {options['save_paths']}")
+    cfg = _sim_config(options)
+    stats = run_ensemble(
+        params, x0, cfg, options["runs"], stride=options["stride"], workers=options["workers"]
+    )
+    print(f"runs: {options['runs']}  clamp events: {stats.clamp_events_total}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
         _write_csv(
@@ -513,13 +451,9 @@ def _cmd_ensemble(options: dict[str, Any]) -> int:
                 stats.band_upper_p,
             ),
         )
-        for stream in range(save_paths):
+        for stream in range(options["save_paths"]):
             path = simulate_path(params, x0, cfg, stream_index=stream)
-            _write_csv(
-                out_dir / f"path_{stream:04d}.csv",
-                ("t", "N", "P"),
-                zip(path.times, path.states[:, 0], path.states[:, 1]),
-            )
+            _write_states(out_dir / f"path_{stream:04d}.csv", path.times, path.states)
         if options["svg"]:
             _ensemble_charts(stats, out_dir)
         _write_manifest(out_dir, "ensemble", options)
@@ -529,52 +463,31 @@ def _cmd_ensemble(options: dict[str, Any]) -> int:
 def _cmd_verify(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    alpha = float(options["alpha"])
+    alpha = options["alpha"]
     orders = _parse_orders(options["p_orders"])
-    resolution = int(options["res"]) if options["res"] is not None else 200
+    resolution = 200 if options["res"] is None else options["res"]
     if options["grid"] is not None:
-        generator_grid = _parse_grid(options["grid"], resolution)
+        generator_grid = GridSpec(*_parse_floats("--grid", options["grid"], 4), resolution)
         monotonicity_grid = generator_grid
     else:
-        generator_grid = GridSpec(
-            DEFAULT_GENERATOR_GRID.n_min,
-            DEFAULT_GENERATOR_GRID.n_max,
-            DEFAULT_GENERATOR_GRID.p_min,
-            DEFAULT_GENERATOR_GRID.p_max,
-            resolution,
-        )
-        monotonicity_grid = GridSpec(
-            DEFAULT_MONOTONICITY_GRID.n_min,
-            DEFAULT_MONOTONICITY_GRID.n_max,
-            DEFAULT_MONOTONICITY_GRID.p_min,
-            DEFAULT_MONOTONICITY_GRID.p_max,
-            resolution,
-        )
+        generator_grid = replace(DEFAULT_GENERATOR_GRID, resolution=resolution)
+        monotonicity_grid = replace(DEFAULT_MONOTONICITY_GRID, resolution=resolution)
     override = options["c_override"]
-    try:
-        reports = [
-            check_generator_inequality(params, alpha, generator_grid, c_override=override),
-            check_monotonicity(params, monotonicity_grid, c_override=override),
-        ]
-        cfg = SimConfig(
-            t_end=float(options["T"]),
-            m_steps=int(options["M"]),
-            seed=int(options["seed"]),
-            zero_noise=bool(options["zero_noise"]),
-        )
-        series_list, proxies = ensemble_moments(
-            params,
-            x0,
-            cfg,
-            int(options["runs"]),
-            orders,
-            t_min=float(options["t_min"]),
-            stride=int(options["stride"]),
-            workers=int(options["workers"]),
-        )
-        reports.extend(check_moment_bound(series, params, x0, series.p) for series in series_list)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    reports = [
+        check_generator_inequality(params, alpha, generator_grid, c_override=override),
+        check_monotonicity(params, monotonicity_grid, c_override=override),
+    ]
+    series_list, proxies = ensemble_moments(
+        params,
+        x0,
+        _sim_config(options),
+        options["runs"],
+        orders,
+        t_min=options["t_min"],
+        stride=options["stride"],
+        workers=options["workers"],
+    )
+    reports.extend(check_moment_bound(series, params, x0, series.p) for series in series_list)
     proxy_bound = monotonicity_constant(params)
     worst_proxy = float(proxies.max())
     proxy_passed = bool(worst_proxy <= proxy_bound)
@@ -616,22 +529,20 @@ def _cmd_verify(options: dict[str, Any]) -> int:
 
 
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "simulate-ode": _cmd_simulate_ode,
-    "phase-portrait": _cmd_phase_portrait,
-    "simulate-sde": _cmd_simulate_sde,
-    "ensemble": _cmd_ensemble,
-    "verify": _cmd_verify,
+    "analyze": (_cmd_analyze, "equilibria, stability, extinction verdict"),
+    "simulate-ode": (_cmd_simulate_ode, "deterministic trajectory"),
+    "phase-portrait": (_cmd_phase_portrait, "vector field plus trajectory"),
+    "simulate-sde": (_cmd_simulate_sde, "one demographic-noise path"),
+    "ensemble": (_cmd_ensemble, "Monte Carlo mean/variance bands"),
+    "verify": (_cmd_verify, "certify growth bounds; exit 1 on failure"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        options = _resolve_options(args)
-        return _COMMANDS[args.subcommand](options)
-    except UsageError as exc:
+        return _COMMANDS[args.subcommand][0](_resolve_options(args))
+    except (ValueError, BlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ conversions) of each species.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,6 +40,7 @@ __all__ = [
     "Scales",
     "ScalarField",
     "State",
+    "checked_state",
     "diffusion",
     "drift",
     "generator_apply",
@@ -55,6 +57,14 @@ class State(NamedTuple):
 
     def interior(self) -> bool:
         return self.n > 0.0 and self.p > 0.0
+
+
+def checked_state(x, what: str = "x0") -> State:
+    """x as a float State; ValueError unless both components are finite and >= 0."""
+    n, p = float(x[0]), float(x[1])
+    if not (0.0 <= n < math.inf and 0.0 <= p < math.inf):
+        raise ValueError(f"{what} must be a finite point of the closed quadrant, got {x!r}")
+    return State(n, p)
 
 
 class Drift(NamedTuple):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Drift, ModelParams, State, drift
+from .model import Drift, ModelParams, State, checked_state, drift
 
 __all__ = [
     "AsymptoticKind",
@@ -116,8 +116,10 @@ def _rk4_update(m, c, k, n, p, h):
 def _step_count(t_end: float, dt: float) -> int:
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if not (t_end >= dt):
-        raise ValueError(f"t_end must be at least one step, got t_end={t_end!r}, dt={dt!r}")
+    if not (t_end >= dt and math.isfinite(t_end / dt)):
+        raise ValueError(
+            f"t_end must be a finite number of steps >= 1, got t_end={t_end!r}, dt={dt!r}"
+        )
     return max(1, round(t_end / dt))
 
 
@@ -129,9 +131,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     to zero and counted; for interior starts at sane steps the count stays 0.
     A non-finite state aborts with BlowupError carrying the last good index.
     """
-    n, p = float(x0[0]), float(x0[1])
-    if n < 0.0 or p < 0.0:
-        raise ValueError(f"x0 must lie in the closed quadrant, got {x0!r}")
+    n, p = checked_state(x0)
     steps = _step_count(t_end, dt)
     m, c, k = params.m, params.c, params.k
     out = np.empty((steps + 1, 2))
@@ -169,8 +169,8 @@ def integrate_batch(
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != 2:
         raise ValueError(f"x0s must have shape (batch, 2), got {x0s.shape}")
-    if (x0s < 0.0).any():
-        raise ValueError("all starts must lie in the closed quadrant")
+    for x0 in x0s:
+        checked_state(x0, "every start")
     steps = _step_count(t_end, dt)
     m, c, k = params.m, params.c, params.k
     n = x0s[:, 0].copy()
@@ -208,9 +208,9 @@ def vector_field_grid(
     p_max: float,
     resolution: int,
 ) -> list[tuple[State, Drift]]:
-    """Drift sampled on a uniform grid, endpoints included, row-major in n."""
-    if not (n_min <= n_max and p_min <= p_max):
-        raise ValueError("grid bounds must be ordered")
+    """Drift on a uniform grid in the closed quadrant, endpoints included, row-major in n."""
+    if not (0.0 <= n_min <= n_max < math.inf and 0.0 <= p_min <= p_max < math.inf):
+        raise ValueError("grid bounds must be finite, ordered and >= 0")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     ns = np.linspace(n_min, n_max, resolution)

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, _diffusion_variances, _drift_terms
+from .model import ModelParams, State, _diffusion_variances, _drift_terms, checked_state
 
 __all__ = [
     "DESK_STEPS",
@@ -55,7 +55,6 @@ class SimConfig:
     t_end: float
     m_steps: int = DESK_STEPS
     seed: int = 0
-    clamp_policy: str = "project-to-zero"
     zero_noise: bool = False
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class SimConfig:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
         if not (0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.clamp_policy != "project-to-zero":
-            raise ValueError(f"unsupported clamp_policy {self.clamp_policy!r}")
 
     @cached_property
     def delta(self) -> float:
@@ -136,14 +133,12 @@ def em_step(
     params: ModelParams, x: State, delta: float, dw1: float, dw2: float
 ) -> tuple[State, bool]:
     """Advance one step from x; returns the new state and a clamp flag."""
-    n, p = x
-    if n < 0.0 or p < 0.0:
-        raise ValueError(f"state must lie in the closed quadrant, got {x!r}")
+    n, p = checked_state(x, "state")
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not (math.isfinite(dw1) and math.isfinite(dw2)):
         raise ValueError(f"increments must be finite, got {(dw1, dw2)!r}")
-    n_new, p_new = _em_update(params.m, params.c, params.k, float(n), float(p), delta, dw1, dw2)
+    n_new, p_new = _em_update(params.m, params.c, params.k, n, p, delta, dw1, dw2)
     clamped = False
     if n_new < 0.0:
         n_new = 0.0
@@ -158,9 +153,7 @@ def simulate_path(
     params: ModelParams, x0: State, cfg: SimConfig, stream_index: int = 0
 ) -> SamplePath:
     """Simulate one path; deterministic in (params, x0, cfg, stream_index)."""
-    n, p = float(x0[0]), float(x0[1])
-    if n < 0.0 or p < 0.0:
-        raise ValueError(f"x0 must lie in the closed quadrant, got {x0!r}")
+    n, p = checked_state(x0)
     steps = cfg.m_steps
     delta = cfg.delta
     if cfg.zero_noise:
@@ -205,10 +198,11 @@ def _ensemble_chunks(
         raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    n0, p0 = checked_state(x0)
     steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
-    x = np.repeat(np.array([[float(x0[0])], [float(x0[1])]]), runs, axis=1)
+    x = np.repeat(np.array([[n0], [p0]]), runs, axis=1)
     drift, var = np.empty((2, runs)), np.empty((2, runs))
     inter, one_n, n_k = np.empty(runs), np.empty(runs), np.empty(runs)
     (n, p), (dn, dp), (v1, v2) = x, drift, var

@@ -63,8 +63,11 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self) -> None:
-        if not (self.n_min <= self.n_max and self.p_min <= self.p_max):
-            raise ValueError("grid bounds must be ordered")
+        if not (
+            -math.inf < self.n_min <= self.n_max < math.inf
+            and -math.inf < self.p_min <= self.p_max < math.inf
+        ):
+            raise ValueError("grid bounds must be finite and ordered")
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
 

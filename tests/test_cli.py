@@ -63,6 +63,9 @@ def test_version_flag(capsys):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
+    a_file = tmp_path / "afile"
+    a_file.write_text("")
+    small = ["-T", "1", "-M", "10"]
     cases = [
         ["simulate-ode", *CYCLE_FLAGS, "--x0", "1"],
         ["simulate-ode", *CYCLE_FLAGS, "--x0=-1,0.5"],
@@ -71,10 +74,26 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["verify", *CYCLE_FLAGS, "--p", "0"],
         ["analyze", "-m", "-3", "-c", "1", "-k", "3"],
         ["analyze", *CYCLE_FLAGS, "--config", str(tmp_path / "missing.json")],
+        # Starts outside the closed quadrant or not finite.
+        ["simulate-ode", *CYCLE_FLAGS, "--x0", "inf,1"],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--x0", "nan,1"],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--x0=1,-inf"],
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--x0", "nan,1",
+         "--out", str(tmp_path / "d")],
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--x0=-1,0.6"],
+        ["verify", *CYCLE_FLAGS, *small, "--res", "4", "--x0", "nan,1"],
+        # Library errors: a bad grid, an ODE blow-up, an unusable output directory.
+        ["verify", *CYCLE_FLAGS, "--res", "0"],
+        ["simulate-ode", *CYCLE_FLAGS, "--x0", "1e200,1", "-T", "1"],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--out", str(a_file / "sub")],
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--save-paths", "-2"],
+        ["simulate-ode", *CYCLE_FLAGS, "-T", "1", "--dt", "nan"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "d").exists()
 
 
 def test_ensemble_rejects_nonpositive_workers(capsys):
@@ -95,12 +114,41 @@ def test_simulate_ode_rejects_tail_fraction_outside_range(capsys):
         assert err.startswith("error:") and "tail-fraction" in err and err.count("\n") == 1
 
 
-def test_config_with_non_numeric_runs_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry, shown",
+    [({"runs": "abc"}, "abc"), ({"runs": 2.7}, "2.7"), ({"svg": "false"}, "false")],
+    ids=["runs-abc", "runs-2.7", "svg-false"],
+)
+def test_config_with_non_numeric_runs_exits_2(tmp_path, capsys, entry, shown):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"runs": "abc"}))
-    assert main(["ensemble", *CYCLE_FLAGS, "--config", str(config)]) == 2
+    config.write_text(json.dumps(entry))
+    argv = ["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--config", str(config)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "abc" in err and err.count("\n") == 1
+    assert err.startswith("error:") and shown in err and err.count("\n") == 1
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    # A manifest of an older version listed every option for every subcommand.
+    legacy = {
+        "M": 100, "T": 1.0, "alpha": 3.0, "c": 1.0, "c_override": None, "dt": 0.001,
+        "grid": None, "k": 3.0, "m": 3.0, "out": None, "p_orders": "1,2,4", "res": None,
+        "runs": 2000, "save_paths": 0, "seed": 3, "stream": 2, "stride": 1, "svg": False,
+        "t_min": 1.0, "tail_fraction": 0.25, "workers": 1, "x0": "1,0.6", "zero_noise": False,
+    }
+    config = tmp_path / "manifest.json"
+    config.write_text(json.dumps({"subcommand": "simulate-sde", "options": legacy}))
+    out = tmp_path / "run"
+    assert main(["simulate-sde", "--config", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["options"]) == sorted(
+        ["M", "T", "c", "k", "m", "out", "seed", "stream", "svg", "x0", "zero_noise"]
+    )
+    assert manifest["options"]["stream"] == 2 and manifest["seed"] == 3
+    cfg = SimConfig(t_end=1.0, m_steps=100, seed=3)
+    path = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=2)
+    _, rows = _read_csv(out / "path.csv")
+    assert float(rows[-1][1]) == path.states[-1, 0]
 
 
 def test_simulate_ode_outputs(tmp_path, capsys):

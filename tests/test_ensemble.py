@@ -11,6 +11,7 @@ import pytest
 from rosmac import (
     SamplePath,
     SimConfig,
+    State,
     ensemble_moments,
     lyapunov_exponent_proxy,
     moment_series,
@@ -133,6 +134,9 @@ def test_worker_count_does_not_change_results():
     assert serial.clamp_events_total == threaded.clamp_events_total
 
 
+BAD_STARTS = (State(-1.0, 0.6), State(math.nan, 0.6), State(1.0, math.inf))
+
+
 def test_ensemble_validation():
     cfg = SimConfig(t_end=1.0, m_steps=100, seed=0)
     with pytest.raises(ValueError):
@@ -140,6 +144,9 @@ def test_ensemble_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             run_ensemble(CYCLE_PARAMS, START, cfg, runs=4, workers=workers)
+    for x0 in BAD_STARTS:
+        with pytest.raises(ValueError, match="x0"):
+            run_ensemble(CYCLE_PARAMS, x0, cfg, runs=4)
 
 
 def test_ensemble_memory_does_not_grow_with_steps():
@@ -220,6 +227,9 @@ def test_ensemble_moments_validation():
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), t_min=5.0)
     with pytest.raises(ValueError, match="workers"):
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), workers=0)
+    for x0 in BAD_STARTS:
+        with pytest.raises(ValueError, match="x0"):
+            ensemble_moments(CYCLE_PARAMS, x0, cfg, runs=4, p_values=(2.0,))
 
 
 # Both grids span several chunks of the driver, and stride 7 divides neither

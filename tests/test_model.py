@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rosmac import (
     lyapunov_candidate,
     nondimensionalize,
 )
+from rosmac.model import checked_state
 
 from conftest import CYCLE_PARAMS
 
@@ -26,6 +29,13 @@ def test_param_validation_rejects_nonpositive():
         ModelParams(m=1.0, c=-2.0, k=1.0)
     with pytest.raises(ValueError):
         RawParams(r=1.0, K=1.0, s=1.0, tau=0.0, c=1.0, d=1.0)
+
+
+def test_checked_state_accepts_finite_points_of_the_closed_quadrant_only():
+    assert checked_state((0, 2)) == State(0.0, 2.0)
+    for bad in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite point of the closed quadrant"):
+            checked_state(bad)
 
 
 def test_nondimensionalize_reference_point():

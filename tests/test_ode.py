@@ -27,8 +27,9 @@ def test_integrate_grid_and_validation():
     assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
     assert traj.states.shape == (501, 2)
     assert not traj.states.flags.writeable
-    with pytest.raises(ValueError):
-        integrate(CYCLE_PARAMS, State(-0.1, 1.0), 1.0)
+    for x0 in (State(-0.1, 1.0), State(math.nan, 1.0), State(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            integrate(CYCLE_PARAMS, x0, 1.0)
     with pytest.raises(ValueError):
         integrate(CYCLE_PARAMS, START, 1.0, dt=0.0)
     with pytest.raises(ValueError):
@@ -102,8 +103,9 @@ def test_batch_confinement_diagnostics():
     assert (summary.max_total >= starts.sum(axis=1)).all()
     # Orbits stay inside the dissipative triangle for these parameters.
     assert (summary.max_total <= 10.0 * CYCLE_PARAMS.k).all()
-    with pytest.raises(ValueError):
-        integrate_batch(CYCLE_PARAMS, np.array([[1.0, -0.5]]), 1.0)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            integrate_batch(CYCLE_PARAMS, np.array([[1.0, 0.5], [1.0, bad]]), 1.0)
     with pytest.raises(ValueError):
         integrate_batch(CYCLE_PARAMS, np.array([1.0, 0.5]), 1.0)
 
@@ -122,6 +124,8 @@ def test_vector_field_grid_layout():
         vector_field_grid(CYCLE_PARAMS, 0.0, 1.0, 0.0, 2.0, 1)
     with pytest.raises(ValueError):
         vector_field_grid(CYCLE_PARAMS, 1.0, 0.0, 0.0, 2.0, 3)
+    with pytest.raises(ValueError):
+        vector_field_grid(CYCLE_PARAMS, -1.0, 1.0, 0.0, 2.0, 3)
 
 
 def test_detect_equilibrium_for_subcritical_capacity():
