@@ -542,8 +542,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand][0](_resolve_options(args))
-    except (ValueError, BlowupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, BlowupError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

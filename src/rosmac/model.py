@@ -137,14 +137,16 @@ class ModelParams:
 class ScalarField:
     """A twice-differentiable scalar function on the quadrant.
 
-    value:    (n, p) -> float
-    gradient: (n, p) -> (d/dn, d/dp)
-    hessian:  (n, p) -> 2x2 symmetric ndarray
+    value:        (n, p) -> f
+    gradient:     (n, p) -> (f_n, f_p)
+    hessian_diag: (n, p) -> (f_nn, f_pp); the diffusion is diagonal, so L
+                  never needs the mixed derivative
+    n and p may be floats or broadcastable arrays.
     """
 
-    value: Callable[[float, float], float]
-    gradient: Callable[[float, float], tuple[float, float]]
-    hessian: Callable[[float, float], np.ndarray]
+    value: Callable
+    gradient: Callable
+    hessian_diag: Callable
 
 
 def nondimensionalize(raw: RawParams) -> tuple[ModelParams, Scales]:
@@ -192,20 +194,20 @@ def diffusion(params: ModelParams, x: State) -> Diffusion:
     return Diffusion(float(np.sqrt(v1)), float(np.sqrt(v2)))
 
 
-def generator_apply(params: ModelParams, field: ScalarField, x: State) -> float:
-    """Apply the diffusion generator L to a scalar field at an interior point.
+def generator_apply(params: ModelParams, field: ScalarField, x):
+    """Apply the diffusion generator L to a scalar field at interior points.
 
-    L f = mu . grad f + (1/2) (g11^2 f_nn + g22^2 f_pp); the mixed second
-    derivative never enters because the diffusion matrix is diagonal.
+    L f = mu . grad f + (1/2) (g11^2 f_nn + g22^2 f_pp).  x = (n, p) holds
+    floats or broadcastable arrays; the result has their broadcast shape.
     """
     n, p = x
-    if not (n > 0.0 and p > 0.0):
-        raise ValueError(f"generator_apply requires an interior point, got {x!r}")
+    if not (np.all(n > 0.0) and np.all(p > 0.0)):
+        raise ValueError(f"generator_apply requires interior points, got {x!r}")
     dn, dp = _drift_terms(params.m, params.c, params.k, n, p)
     v1, v2 = _diffusion_variances(params.m, params.c, params.k, n, p)
     grad_n, grad_p = field.gradient(n, p)
-    hess = field.hessian(n, p)
-    return float(dn * grad_n + dp * grad_p + 0.5 * (v1 * hess[0][0] + v2 * hess[1][1]))
+    f_nn, f_pp = field.hessian_diag(n, p)
+    return dn * grad_n + dp * grad_p + 0.5 * (v1 * f_nn + v2 * f_pp)
 
 
 def lyapunov_candidate(alpha: float) -> ScalarField:
@@ -215,30 +217,24 @@ def lyapunov_candidate(alpha: float) -> ScalarField:
 
         dV/dn    = 2 alpha n u**(alpha-1)
         d2V/dn2  = 2 alpha u**(alpha-1) + 4 alpha (alpha-1) n^2 u**(alpha-2)
-        d2V/dndp = 4 alpha (alpha-1) n p u**(alpha-2)
 
-    and symmetrically in p.
+    and symmetrically in p.  n and p may be floats or arrays.
     """
     if not (alpha > 2.0):
         raise ValueError(f"lyapunov_candidate requires alpha > 2, got {alpha!r}")
     a = float(alpha)
 
-    def value(n: float, p: float) -> float:
+    def value(n, p):
         return (1.0 + n * n + p * p) ** a
 
-    def gradient(n: float, p: float) -> tuple[float, float]:
+    def gradient(n, p):
         scale = 2.0 * a * (1.0 + n * n + p * p) ** (a - 1.0)
         return (scale * n, scale * p)
 
-    def hessian(n: float, p: float) -> np.ndarray:
+    def hessian_diag(n, p):
         u = 1.0 + n * n + p * p
         diag = 2.0 * a * u ** (a - 1.0)
         cross = 4.0 * a * (a - 1.0) * u ** (a - 2.0)
-        return np.array(
-            [
-                [diag + cross * n * n, cross * n * p],
-                [cross * n * p, diag + cross * p * p],
-            ]
-        )
+        return (diag + cross * n * n, diag + cross * p * p)
 
-    return ScalarField(value=value, gradient=gradient, hessian=hessian)
+    return ScalarField(value=value, gradient=gradient, hessian_diag=hessian_diag)

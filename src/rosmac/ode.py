@@ -34,11 +34,11 @@ _REQUIRED_INTERVALS = 5
 
 
 class BlowupError(RuntimeError):
-    """Integration produced a non-finite state."""
+    """A state became non-finite at `step`, time step*dt; last_good_index is step - 1."""
 
-    def __init__(self, message: str, last_good_index: int):
-        super().__init__(message)
-        self.last_good_index = last_good_index
+    def __init__(self, step: int, dt: float):
+        super().__init__(f"non-finite state at step {step} (t={step * dt}); step or start too big")
+        self.last_good_index = step - 1
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
             p = 0.0
             clamps += 1
         if not (math.isfinite(n) and math.isfinite(p)):
-            raise BlowupError(
-                f"non-finite state at step {i} (t={i * dt}); dt likely too large",
-                last_good_index=i - 1,
-            )
+            raise BlowupError(i, dt)
         out[i, 0] = n
         out[i, 1] = p
     times = np.arange(steps + 1) * dt
@@ -188,10 +185,7 @@ def integrate_batch(
             clamps += neg_p
             p[neg_p] = 0.0
         if not (np.isfinite(n).all() and np.isfinite(p).all()):
-            raise BlowupError(
-                f"non-finite state at step {i} (t={i * dt}); dt likely too large",
-                last_good_index=i - 1,
-            )
+            raise BlowupError(i, dt)
         np.maximum(max_total, n + p, out=max_total)
     return BatchSummary(
         final_states=np.stack([n, p], axis=1),

@@ -6,6 +6,7 @@ Discretization on the equidistant grid tau_i = i * delta, delta = t_end / m:
 
 Negative components produced by a step are projected back to zero; each
 projection is counted so the caller can judge how often the boundary bites.
+A state that is not finite raises BlowupError naming the first such step.
 
 Reproducibility contract: the Brownian increments for a path are a pure
 function of (seed, stream_index) through a counter-based generator, so any
@@ -24,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ModelParams, State, _diffusion_variances, _drift_terms, checked_state
+from .ode import BlowupError
 
 __all__ = [
     "DESK_STEPS",
@@ -129,6 +131,23 @@ def _em_update(m, c, k, n, p, delta, dw1, dw2):
     )
 
 
+def _em_path(m, c, k, n, p, delta, increments, out) -> int:
+    """Scalar EM from (n, p) with projection to zero; step i takes increments[i]
+    and stores its state in out[i].  Returns the number of projections."""
+    clamps = 0
+    for i in range(len(increments)):
+        n, p = _em_update(m, c, k, n, p, delta, increments[i, 0], increments[i, 1])
+        if n < 0.0:
+            n = 0.0
+            clamps += 1
+        if p < 0.0:
+            p = 0.0
+            clamps += 1
+        out[i, 0] = n
+        out[i, 1] = p
+    return clamps
+
+
 def em_step(
     params: ModelParams, x: State, delta: float, dw1: float, dw2: float
 ) -> tuple[State, bool]:
@@ -138,15 +157,9 @@ def em_step(
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not (math.isfinite(dw1) and math.isfinite(dw2)):
         raise ValueError(f"increments must be finite, got {(dw1, dw2)!r}")
-    n_new, p_new = _em_update(params.m, params.c, params.k, n, p, delta, dw1, dw2)
-    clamped = False
-    if n_new < 0.0:
-        n_new = 0.0
-        clamped = True
-    if p_new < 0.0:
-        p_new = 0.0
-        clamped = True
-    return State(float(n_new), float(p_new)), clamped
+    out = np.empty((1, 2))
+    clamps = _em_path(params.m, params.c, params.k, n, p, delta, np.array([[dw1, dw2]]), out)
+    return State(float(out[0, 0]), float(out[0, 1])), clamps > 0
 
 
 def simulate_path(
@@ -160,21 +173,13 @@ def simulate_path(
         increments = np.zeros((steps, 2))
     else:
         increments = NoiseStream(cfg.seed, stream_index).increments(steps, delta)
-    m, c, k = params.m, params.c, params.k
     out = np.empty((steps + 1, 2))
-    out[0, 0] = n
-    out[0, 1] = p
-    clamps = 0
-    for i in range(steps):
-        n, p = _em_update(m, c, k, n, p, delta, increments[i, 0], increments[i, 1])
-        if n < 0.0:
-            n = 0.0
-            clamps += 1
-        if p < 0.0:
-            p = 0.0
-            clamps += 1
-        out[i + 1, 0] = n
-        out[i + 1, 1] = p
+    out[0] = n, p
+    with np.errstate(over="ignore", invalid="ignore"):
+        clamps = _em_path(params.m, params.c, params.k, n, p, delta, increments, out[1:])
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise BlowupError(int(finite.argmin()), delta)
     times = np.arange(steps + 1) * delta
     return SamplePath(
         times=times, states=out, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
@@ -190,7 +195,8 @@ def _ensemble_chunks(
     states of every `stride`-th step, x0 leading the first chunk; clamps the
     per-path projection counts so far.  Both buffers are reused.  One
     generator per stream makes chunked draws equal a single draw; `workers`
-    threads split the draws by stream.  Matches simulate_path bit for bit.
+    threads split the draws by stream.  Matches simulate_path bit for bit,
+    also in raising BlowupError at the first step with a non-finite state.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -228,31 +234,41 @@ def _ensemble_chunks(
             size = min(chunk, steps - start)
             if not cfg.zero_noise:
                 list(pool.map(draw, slices, [size] * parts))
-            for i in range(size):
-                # Shared terms once per step: m n p / (1 + n) and n / k.
-                np.multiply(np.multiply(n, m, out=inter), p, out=inter)
-                inter /= np.add(n, 1.0, out=one_n)
-                np.divide(n, k, out=n_k)
-                # Drift and variances, operand for operand as in _em_update.
-                np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
-                dn -= inter
-                np.add(np.multiply(p, -c, out=dp), inter, out=dp)
-                np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
-                v1 += inter
-                np.add(np.multiply(p, c, out=v2), inter, out=v2)
-                drift *= delta
-                drift += x
-                np.sqrt(var, out=var)
-                var *= noise[i]
-                np.add(drift, var, out=x)
-                # fmin skips NaN, so a NaN path cannot hide another's negative.
-                if np.fmin.reduce(x, axis=None) < 0.0:
-                    negative = x < 0.0
-                    clamps += negative.sum(axis=0)
-                    x[negative] = 0.0
-                if (start + i + 1) % stride == 0:
-                    rows[recorded] = x
-                    recorded += 1
+            x_start = x.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(size):
+                    # Shared terms once per step: m n p / (1 + n) and n / k.
+                    np.multiply(np.multiply(n, m, out=inter), p, out=inter)
+                    inter /= np.add(n, 1.0, out=one_n)
+                    np.divide(n, k, out=n_k)
+                    # Drift and variances, operand for operand as in _em_update.
+                    np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
+                    dn -= inter
+                    np.add(np.multiply(p, -c, out=dp), inter, out=dp)
+                    np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
+                    v1 += inter
+                    np.add(np.multiply(p, c, out=v2), inter, out=v2)
+                    drift *= delta
+                    drift += x
+                    np.sqrt(var, out=var)
+                    var *= noise[i]
+                    np.add(drift, var, out=x)
+                    # fmin skips NaN, so a NaN path cannot hide another's negative.
+                    if np.fmin.reduce(x, axis=None) < 0.0:
+                        negative = x < 0.0
+                        clamps += negative.sum(axis=0)
+                        x[negative] = 0.0
+                    if (start + i + 1) % stride == 0:
+                        rows[recorded] = x
+                        recorded += 1
+                if not np.isfinite(x).all():
+                    # Replay the chunk from its start to name the first bad step.
+                    y = x_start
+                    for i in range(size):
+                        y = np.maximum(_em_update(m, c, k, *y, delta, *noise[i]), 0.0)
+                        if not np.isfinite(y).all():
+                            break
+                    raise BlowupError(start + i + 1, delta)
             yield rows[:recorded], clamps
             recorded = 0
 
@@ -277,6 +293,7 @@ def strong_self_convergence(
     """
     if m_base < 1:
         raise ValueError(f"m_base must be >= 1, got {m_base!r}")
+    n0, p0 = checked_state(x0)
     if n_levels < 2:
         return []
     fine_steps = m_base << (n_levels - 1)
@@ -292,21 +309,10 @@ def strong_self_convergence(
         level_steps = m_base << level
         group = fine_steps // level_steps
         level_increments = fine_increments.reshape(level_steps, group, 2).sum(axis=1)
-        delta = t_end / level_steps
-        n, p = float(x0[0]), float(x0[1])
-        for i in range(level_steps):
-            n, p = _em_update(m, c, k, n, p, delta, level_increments[i, 0], level_increments[i, 1])
-            if n < 0.0:
-                n = 0.0
-            if p < 0.0:
-                p = 0.0
-        finals.append((n, p))
-    report = []
-    for level in range(n_levels - 1):
-        delta = t_end / (m_base << level)
-        gap = math.hypot(
-            finals[level][0] - finals[level + 1][0],
-            finals[level][1] - finals[level + 1][1],
-        )
-        report.append((delta, gap))
-    return report
+        states = np.empty((level_steps, 2))
+        _em_path(m, c, k, n0, p0, t_end / level_steps, level_increments, states)
+        finals.append(states[-1])
+    return [
+        (t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))
+        for level in range(n_levels - 1)
+    ]

@@ -15,8 +15,12 @@ Three closed-form constants control the noisy system:
     c_lyap(alpha) = 3a + 5am/2 + ac/2 + a/k + a(a-1)(1 + 2/k + 2m + c)
         generator bound L V <= c_lyap V for V = (1 + ||x||^2)^alpha
 
-The checks here evaluate each inequality pointwise on a declared grid and
-report the worst slack (positive slack = violation at that point).
+The grid checks evaluate each inequality at the points of a declared box
+and report the worst slack (positive slack = violation at that point).  A
+pass covers those grid points only: not the space between them and not the
+region outside the box.  The default generator grid starts at the interior
+cut-off 1e-3, so nothing nearer the axes is checked there.  A grid too large
+for float64 (a slack that overflows) raises ValueError; `verify` exits 2.
 """
 
 from __future__ import annotations
@@ -147,6 +151,28 @@ def bound_constants(params: ModelParams, p: float = 2.0, alpha: float = 3.0) -> 
     )
 
 
+def _grid_report(name: str, grid: GridSpec, slack_of_row) -> VerificationReport:
+    """Worst slack over the grid, evaluated one n-row at a time.
+
+    slack_of_row(n, ps) returns the slack at (n, p) for every p of the grid
+    as one array.  Ties go to the first point in row-major order.  A slack
+    that is not finite anywhere raises ValueError naming the point.
+    """
+    ns, ps = grid.axes()
+    worst_slack, worst_point = -math.inf, None
+    for n in ns.tolist():
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = slack_of_row(n, ps)
+        finite = np.isfinite(slack)
+        if not finite.all():
+            point = (n, float(ps[finite.argmin()]))
+            raise ValueError(f"{name}: slack is not finite at (n, p) = {point}; grid too large")
+        j = int(slack.argmax())
+        if slack[j] > worst_slack:
+            worst_slack, worst_point = float(slack[j]), (n, float(ps[j]))
+    return VerificationReport(name, grid, worst_point, None, worst_slack, worst_slack <= 0.0)
+
+
 def check_generator_inequality(
     params: ModelParams,
     alpha: float = 3.0,
@@ -163,24 +189,11 @@ def check_generator_inequality(
         raise ValueError("generator check needs an interior grid (strictly positive bounds)")
     bound = lyapunov_constant(params, alpha) if c_override is None else float(c_override)
     field = lyapunov_candidate(alpha)
-    ns, ps = grid.axes()
-    worst_slack = -math.inf
-    worst_point = (float(ns[0]), float(ps[0]))
-    for n in ns:
-        for p in ps:
-            x = State(float(n), float(p))
-            slack = generator_apply(params, field, x) - bound * field.value(x.n, x.p)
-            if slack > worst_slack:
-                worst_slack = slack
-                worst_point = (x.n, x.p)
-    return VerificationReport(
-        inequality_name=f"generator_alpha={alpha:g}",
-        grid=grid,
-        worst_point=worst_point,
-        worst_time=None,
-        worst_slack=float(worst_slack),
-        passed=worst_slack <= 0.0,
-    )
+
+    def slack_of_row(n, ps):
+        return generator_apply(params, field, (n, ps)) - bound * field.value(n, ps)
+
+    return _grid_report(f"generator_alpha={alpha:g}", grid, slack_of_row)
 
 
 def check_monotonicity(
@@ -196,24 +209,14 @@ def check_monotonicity(
     if grid.n_min < 0.0 or grid.p_min < 0.0:
         raise ValueError("monotonicity check needs a grid in the closed quadrant")
     bound = monotonicity_constant(params) if c_override is None else float(c_override)
-    ns, ps = grid.axes()
-    n_mesh, p_mesh = np.meshgrid(ns, ps, indexing="ij")
-    dn, dp = _drift_terms(params.m, params.c, params.k, n_mesh, p_mesh)
-    v1, v2 = _diffusion_variances(params.m, params.c, params.k, n_mesh, p_mesh)
-    slack = n_mesh * dn + p_mesh * dp + 0.5 * (v1 + v2) - bound * (
-        1.0 + n_mesh * n_mesh + p_mesh * p_mesh
-    )
-    flat_index = int(np.argmax(slack))
-    worst = float(slack.flat[flat_index])
-    row, col = divmod(flat_index, grid.resolution)
-    return VerificationReport(
-        inequality_name="monotonicity",
-        grid=grid,
-        worst_point=(float(ns[row]), float(ps[col])),
-        worst_time=None,
-        worst_slack=worst,
-        passed=worst <= 0.0,
-    )
+    m, c, k = params.m, params.c, params.k
+
+    def slack_of_row(n, ps):
+        dn, dp = _drift_terms(m, c, k, n, ps)
+        v1, v2 = _diffusion_variances(m, c, k, n, ps)
+        return n * dn + ps * dp + 0.5 * (v1 + v2) - bound * (1.0 + n * n + ps * ps)
+
+    return _grid_report("monotonicity", grid, slack_of_row)
 
 
 def check_moment_bound(

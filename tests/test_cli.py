@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rosmac import SimConfig, State, integrate, simulate_path
+from rosmac import cli
 from rosmac.cli import main
 
 from conftest import CYCLE_PARAMS, START
@@ -88,12 +89,28 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["simulate-sde", *CYCLE_FLAGS, *small, "--out", str(a_file / "sub")],
         ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--save-paths", "-2"],
         ["simulate-ode", *CYCLE_FLAGS, "-T", "1", "--dt", "nan"],
+        # Too large for float64: grid slacks and SDE states that are not finite.
+        ["verify", *CYCLE_FLAGS, "--grid", "1e-3,1e60,1e-3,1e60", "--res", "3"],
+        ["verify", *CYCLE_FLAGS, "--grid", "1e-3,1e200,1e-3,1e200", "--res", "3"],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--x0", "1e300,1e300",
+         "--out", str(tmp_path / "d")],
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--x0", "1e300,1e300",
+         "--out", str(tmp_path / "d")],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
     assert not (tmp_path / "d").exists()
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def run_ensemble(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
+    assert main(["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--runs", "4"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_ensemble_rejects_nonpositive_workers(capsys):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rosmac import (
     DESK_STEPS,
+    BlowupError,
+    ModelParams,
     NoiseStream,
     SimConfig,
     State,
@@ -14,7 +17,7 @@ from rosmac import (
     simulate_path,
     strong_self_convergence,
 )
-from rosmac.sde import _ensemble_chunks
+from rosmac.sde import _CHUNK_STEPS, _ensemble_chunks
 
 from conftest import CYCLE_PARAMS, START
 
@@ -146,6 +149,39 @@ def test_block_simulation_stride_subsamples_the_same_path():
     assert np.array_equal(coarse, full[:, ::10])
 
 
+def _drain_chunks(params, x0, cfg, runs, stride):
+    for _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers=1):
+        pass
+
+
+def test_non_finite_states_raise_blowup_at_the_first_bad_step():
+    # Without predators and with k near the float64 limit, delta = 3 makes the
+    # prey grow about fourfold per step until a step overshoots past the
+    # largest float, in a later chunk of the ensemble driver.
+    params = ModelParams(m=1.0, c=1.0, k=1.5e308)
+    cfg = SimConfig(t_end=3000.0, m_steps=1000, seed=0)
+    firsts = []
+    for stream in range(3):
+        with pytest.raises(BlowupError) as info:
+            simulate_path(params, State(1.0, 0.0), cfg, stream_index=stream)
+        firsts.append(info.value.last_good_index + 1)
+    first = min(firsts)
+    assert first > _CHUNK_STEPS
+    for stride in (1, 10):
+        with pytest.raises(BlowupError, match=f"at step {first} ") as info:
+            _drain_chunks(params, State(1.0, 0.0), cfg, 3, stride)
+        assert info.value.last_good_index == first - 1
+    # A start too large for float64 fails at its first step, without warnings.
+    huge = State(1e300, 1e300)
+    cfg = SimConfig(t_end=1.0, m_steps=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError, match="at step 1 "):
+            simulate_path(CYCLE_PARAMS, huge, cfg)
+        with pytest.raises(BlowupError, match="at step 1 "):
+            _drain_chunks(CYCLE_PARAMS, huge, cfg, 4, 1)
+
+
 def test_strong_self_convergence_structure():
     report = strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0)
     assert len(report) == 3
@@ -157,6 +193,9 @@ def test_strong_self_convergence_structure():
     assert strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, n_levels=1) == []
     with pytest.raises(ValueError):
         strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, m_base=0)
+    for x0 in (State(-1.0, 0.6), State(math.nan, 0.6), State(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            strong_self_convergence(CYCLE_PARAMS, x0, 1.0, seed=0)
 
 
 def test_strong_self_convergence_zero_noise_is_first_order():

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,8 @@ from rosmac import (
     moment_constant,
     monotonicity_constant,
 )
+from rosmac.model import _diffusion_variances, _drift_terms
+from rosmac.verification import _grid_report
 
 from conftest import CYCLE_PARAMS, SINK_PARAMS, START
 
@@ -76,8 +82,6 @@ def test_monotonicity_sabotage_fails_at_interior_point():
     assert report.worst_point == (pytest.approx(2.412060301507538), 10.0)
     assert 0.0 < n < 10.0
     # Independent recomputation of the slack at the reported point.
-    from rosmac.model import _diffusion_variances, _drift_terms
-
     dn, dp = _drift_terms(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, n, p)
     v1, v2 = _diffusion_variances(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, n, p)
     slack = n * dn + p * dp + 0.5 * (v1 + v2) - 0.25 * (1.0 + n * n + p * p)
@@ -123,6 +127,73 @@ def test_worst_point_recomputes_for_default_generator_check():
 def test_degenerate_grid_reports_its_only_point():
     report = check_monotonicity(CYCLE_PARAMS, grid=GridSpec(2.0, 2.0, 3.0, 3.0, 3))
     assert report.worst_point == (2.0, 3.0)
+
+
+def _reference_worst(grid, slack_at):
+    """The per-point loop: largest slack in row-major order, first one on ties."""
+    ns, ps = grid.axes()
+    worst_slack, worst_point = -math.inf, None
+    for n in ns.tolist():
+        for p in ps.tolist():
+            slack = slack_at(n, p)
+            if slack > worst_slack:
+                worst_slack, worst_point = slack, (n, p)
+    return worst_slack, worst_point
+
+
+@pytest.mark.parametrize("params", [CYCLE_PARAMS, SINK_PARAMS], ids=["cycle", "sink"])
+@pytest.mark.parametrize("alpha", [3.0, 2.5, 4.7])
+@pytest.mark.parametrize(
+    "resolution, c_override", [(1, None), (7, None), (7, 0.25), (200, None), (200, 3.0)]
+)
+def test_grid_checks_match_per_point_reference(params, alpha, resolution, c_override):
+    m, c, k = params.m, params.c, params.k
+    field = lyapunov_candidate(alpha)
+    c_lyap = lyapunov_constant(params, alpha) if c_override is None else c_override
+    c_mono = monotonicity_constant(params) if c_override is None else c_override
+
+    def generator_slack(n, p):
+        return generator_apply(params, field, State(n, p)) - c_lyap * field.value(n, p)
+
+    def monotonicity_slack(n, p):
+        dn, dp = _drift_terms(m, c, k, n, p)
+        v1, v2 = _diffusion_variances(m, c, k, n, p)
+        return n * dn + p * dp + 0.5 * (v1 + v2) - c_mono * (1.0 + n * n + p * p)
+
+    # numpy's array power may differ from libm's pow by one ulp at non-integer alpha.
+    rel = 0.0 if alpha == 3.0 else 1e-15
+    gen_grid = dataclasses.replace(DEFAULT_GENERATOR_GRID, resolution=resolution)
+    mono_grid = dataclasses.replace(DEFAULT_MONOTONICITY_GRID, resolution=resolution)
+    for report, slack_at in (
+        (check_generator_inequality(params, alpha, gen_grid, c_override), generator_slack),
+        (check_monotonicity(params, mono_grid, c_override), monotonicity_slack),
+    ):
+        worst_slack, worst_point = _reference_worst(report.grid, slack_at)
+        assert report.worst_point == worst_point
+        assert report.worst_slack == pytest.approx(worst_slack, rel=rel, abs=0.0)
+        assert report.passed == (worst_slack <= 0.0)
+
+
+def test_grid_ties_go_to_the_first_point_in_row_major_order():
+    # Every row peaks at p = 1 with slack 0, and each row holds it once.
+    report = _grid_report("tie", GridSpec(0.0, 2.0, 0.0, 2.0, 3), lambda n, ps: -abs(ps - 1.0))
+    assert report.worst_point == (0.0, 1.0)
+    assert report.worst_slack == 0.0 and report.passed
+
+
+@pytest.mark.parametrize("top", [1e60, 1e200])
+def test_grid_checks_reject_non_finite_slack(top):
+    """V overflows float64 on these grids; a NaN slack must not read as a pass."""
+    grid = GridSpec(1e-3, top, 1e-3, top, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not finite at \(n, p\) = \(0\.001, 5e\+"):
+            check_generator_inequality(CYCLE_PARAMS, grid=grid)
+        if top == 1e60:
+            assert check_monotonicity(CYCLE_PARAMS, grid=grid).passed
+        else:
+            with pytest.raises(ValueError, match="monotonicity: slack is not finite"):
+                check_monotonicity(CYCLE_PARAMS, grid=grid)
 
 
 def test_moment_bound_established_ensemble():
