@@ -86,25 +86,29 @@ def _mean_var(rows: np.ndarray) -> np.ndarray:
     """(times, 2, runs) states -> (4, times): mean and variance of n, then of p."""
     runs = rows.shape[2]
     out = []
-    for component in (rows[:, 0].T, rows[:, 1].T):
-        mean = _pairwise_sum(component) / runs
-        out += [mean, _pairwise_sum((component - mean) ** 2) / runs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for component in (rows[:, 0].T, rows[:, 1].T):
+            mean = _pairwise_sum(component) / runs
+            out += [mean, _pairwise_sum((component - mean) ** 2) / runs]
     return np.array(out)
 
 
 def _ensemble_stats(
     times: np.ndarray, moments: np.ndarray, runs: int, seed: int, clamp_events_total: int
 ) -> EnsembleStats:
+    """Bands from (mean_n, var_n, mean_p, var_p); ValueError where a column is not finite."""
+    times = np.asarray(times, dtype=float).copy()
     mean_n, var_n, mean_p, var_p = moments
     half_n, half_p = 0.5 * np.sqrt(var_n), 0.5 * np.sqrt(var_p)
-    return EnsembleStats(
-        np.asarray(times, dtype=float).copy(),
+    columns = (
         *(mean_n, var_n, mean_n - half_n, mean_n + half_n),
         *(mean_p, var_p, mean_p - half_p, mean_p + half_p),
-        runs,
-        seed,
-        clamp_events_total,
     )
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        t = float(times[finite.argmin()])
+        raise ValueError(f"ensemble mean or variance is not finite at t={t}; states too large")
+    return EnsembleStats(times, *columns, runs, seed, clamp_events_total)
 
 
 def stats_from_states(
@@ -197,7 +201,9 @@ def ensemble_moments(
     row = 0
     for rows, _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
         norms = np.hypot(rows[:, 0], rows[:, 1])
-        sums.append([_pairwise_sum(norms.T ** float(p)) / runs for p in p_values])
+        # An overflowing moment is left inf; check_moment_bound rejects it.
+        with np.errstate(over="ignore"):
+            sums.append([_pairwise_sum(norms.T ** float(p)) / runs for p in p_values])
         chunk_times = np.arange(row, row + len(rows)) * (cfg.delta * stride)
         row += len(rows)
         mask = chunk_times >= t_min

@@ -146,14 +146,17 @@ def classify(params: ModelParams, equilibrium: Equilibrium) -> Equilibrium:
     """Fill in eigenvalues and a stability label for an equilibrium.
 
     Refuses points that do not actually null the drift (residual above
-    1e-10), so stale or hand-mangled candidates fail loudly.
+    1e-10 or NaN), so stale or hand-mangled candidates fail loudly, and
+    eigenvalues that are not finite (parameters too large for float64).
     """
-    residual = drift(params, equilibrium.point)
-    if max(abs(residual.dn), abs(residual.dp)) > _RESIDUAL_TOL:
-        raise ValueError(
-            f"not an equilibrium: drift residual {residual!r} at {equilibrium.point!r}"
-        )
-    lams = _eigenvalues_2x2(jacobian(params, equilibrium.point))
+    x = equilibrium.point
+    residual = drift(params, x)
+    if not (abs(residual.dn) <= _RESIDUAL_TOL and abs(residual.dp) <= _RESIDUAL_TOL):
+        raise ValueError(f"not an equilibrium: drift residual {residual!r} at {x!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams = _eigenvalues_2x2(jacobian(params, x))
+    if not np.isfinite(lams).all():
+        raise ValueError(f"eigenvalues at {x!r} are not finite; parameters too large")
     label = _stability_from_real_parts(lams[0].real, lams[1].real)
     return replace(equilibrium, classification=label, eigenvalues=lams)
 

@@ -166,22 +166,18 @@ def nondimensionalize(raw: RawParams) -> tuple[ModelParams, Scales]:
     return params, Scales(prey=x_scale, predator=y_scale, time=1.0 / raw.r)
 
 
-def _drift_terms(m, c, k, n, p):
-    """Reduced vector field; accepts floats or same-shape numpy arrays."""
+def _rates(m, c, k, n, p):
+    """Drift (dn, dp) and squared noise amplitudes (v1, v2); floats or arrays."""
     interaction = m * n * p / (1.0 + n)
-    return n * (1.0 - n / k) - interaction, -c * p + interaction
-
-
-def _diffusion_variances(m, c, k, n, p):
-    """Squared diffusion amplitudes (event-rate sums); floats or arrays."""
-    interaction = m * n * p / (1.0 + n)
-    return n * (1.0 + n / k) + interaction, c * p + interaction
+    n_k = n / k
+    dn, dp = n * (1.0 - n_k) - interaction, -c * p + interaction
+    return dn, dp, n * (1.0 + n_k) + interaction, c * p + interaction
 
 
 def drift(params: ModelParams, x: State) -> Drift:
     """Deterministic vector field at x; total on the closed quadrant."""
     n, p = x
-    dn, dp = _drift_terms(params.m, params.c, params.k, n, p)
+    dn, dp, _, _ = _rates(params.m, params.c, params.k, n, p)
     return Drift(float(dn), float(dp))
 
 
@@ -190,7 +186,7 @@ def diffusion(params: ModelParams, x: State) -> Diffusion:
     n, p = x
     if n < 0.0 or p < 0.0:
         raise ValueError(f"diffusion requires a state in the closed quadrant, got {x!r}")
-    v1, v2 = _diffusion_variances(params.m, params.c, params.k, n, p)
+    _, _, v1, v2 = _rates(params.m, params.c, params.k, n, p)
     return Diffusion(float(np.sqrt(v1)), float(np.sqrt(v2)))
 
 
@@ -203,8 +199,7 @@ def generator_apply(params: ModelParams, field: ScalarField, x):
     n, p = x
     if not (np.all(n > 0.0) and np.all(p > 0.0)):
         raise ValueError(f"generator_apply requires interior points, got {x!r}")
-    dn, dp = _drift_terms(params.m, params.c, params.k, n, p)
-    v1, v2 = _diffusion_variances(params.m, params.c, params.k, n, p)
+    dn, dp, v1, v2 = _rates(params.m, params.c, params.k, n, p)
     grad_n, grad_p = field.gradient(n, p)
     f_nn, f_pp = field.hessian_diag(n, p)
     return dn * grad_n + dp * grad_p + 0.5 * (v1 * f_nn + v2 * f_pp)

@@ -202,7 +202,8 @@ def vector_field_grid(
     p_max: float,
     resolution: int,
 ) -> list[tuple[State, Drift]]:
-    """Drift on a uniform grid in the closed quadrant, endpoints included, row-major in n."""
+    """Drift on a uniform grid in the closed quadrant, endpoints included, row-major in n;
+    a drift that is not finite raises ValueError naming the first such point."""
     if not (0.0 <= n_min <= n_max < math.inf and 0.0 <= p_min <= p_max < math.inf):
         raise ValueError("grid bounds must be finite, ordered and >= 0")
     if resolution < 2:
@@ -213,7 +214,10 @@ def vector_field_grid(
     for n in ns:
         for p in ps:
             x = State(float(n), float(p))
-            samples.append((x, drift(params, x)))
+            d = drift(params, x)
+            if not (math.isfinite(d.dn) and math.isfinite(d.dp)):
+                raise ValueError(f"drift is not finite at (n, p) = {tuple(x)}; grid too large")
+            samples.append((x, d))
     return samples
 
 

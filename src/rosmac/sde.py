@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, _diffusion_variances, _drift_terms, checked_state
+from .model import ModelParams, State, _rates, checked_state
 from .ode import BlowupError
 
 __all__ = [
@@ -121,22 +121,22 @@ class NoiseStream:
         return draws * math.sqrt(delta)
 
 
-def _em_update(m, c, k, n, p, delta, dw1, dw2):
-    """One Euler-Maruyama step before clamping; floats or arrays."""
-    dn, dp = _drift_terms(m, c, k, n, p)
-    v1, v2 = _diffusion_variances(m, c, k, n, p)
-    return (
-        n + dn * delta + np.sqrt(v1) * dw1,
-        p + dp * delta + np.sqrt(v2) * dw2,
-    )
+def _path_increments(cfg: SimConfig, stream_index: int) -> np.ndarray:
+    """(m_steps, 2) increments of one path: zeros without noise, else Philox."""
+    if cfg.zero_noise:
+        return np.zeros((cfg.m_steps, 2))
+    return NoiseStream(cfg.seed, stream_index).increments(cfg.m_steps, cfg.delta)
 
 
 def _em_path(m, c, k, n, p, delta, increments, out) -> int:
     """Scalar EM from (n, p) with projection to zero; step i takes increments[i]
     and stores its state in out[i].  Returns the number of projections."""
     clamps = 0
-    for i in range(len(increments)):
-        n, p = _em_update(m, c, k, n, p, delta, increments[i, 0], increments[i, 1])
+    # Python floats: the same IEEE operations as numpy scalars, several times faster.
+    for i, (dw1, dw2) in enumerate(increments.tolist()):
+        dn, dp, v1, v2 = _rates(m, c, k, n, p)
+        n = n + dn * delta + math.sqrt(v1) * dw1
+        p = p + dp * delta + math.sqrt(v2) * dw2
         if n < 0.0:
             n = 0.0
             clamps += 1
@@ -167,20 +167,15 @@ def simulate_path(
 ) -> SamplePath:
     """Simulate one path; deterministic in (params, x0, cfg, stream_index)."""
     n, p = checked_state(x0)
-    steps = cfg.m_steps
     delta = cfg.delta
-    if cfg.zero_noise:
-        increments = np.zeros((steps, 2))
-    else:
-        increments = NoiseStream(cfg.seed, stream_index).increments(steps, delta)
-    out = np.empty((steps + 1, 2))
+    increments = _path_increments(cfg, stream_index)
+    out = np.empty((cfg.m_steps + 1, 2))
     out[0] = n, p
-    with np.errstate(over="ignore", invalid="ignore"):
-        clamps = _em_path(params.m, params.c, params.k, n, p, delta, increments, out[1:])
+    clamps = _em_path(params.m, params.c, params.k, n, p, delta, increments, out[1:])
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise BlowupError(int(finite.argmin()), delta)
-    times = np.arange(steps + 1) * delta
+    times = np.arange(cfg.m_steps + 1) * delta
     return SamplePath(
         times=times, states=out, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
     )
@@ -234,14 +229,13 @@ def _ensemble_chunks(
             size = min(chunk, steps - start)
             if not cfg.zero_noise:
                 list(pool.map(draw, slices, [size] * parts))
-            x_start = x.copy()
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(size):
                     # Shared terms once per step: m n p / (1 + n) and n / k.
                     np.multiply(np.multiply(n, m, out=inter), p, out=inter)
                     inter /= np.add(n, 1.0, out=one_n)
                     np.divide(n, k, out=n_k)
-                    # Drift and variances, operand for operand as in _em_update.
+                    # Drift and variances, operand for operand as in model._rates.
                     np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
                     dn -= inter
                     np.add(np.multiply(p, -c, out=dp), inter, out=dp)
@@ -258,17 +252,12 @@ def _ensemble_chunks(
                         negative = x < 0.0
                         clamps += negative.sum(axis=0)
                         x[negative] = 0.0
+                    # False for NaN and +inf; the projection has turned -inf into 0.
+                    if not np.maximum.reduce(x, axis=None) < math.inf:
+                        raise BlowupError(start + i + 1, delta)
                     if (start + i + 1) % stride == 0:
                         rows[recorded] = x
                         recorded += 1
-                if not np.isfinite(x).all():
-                    # Replay the chunk from its start to name the first bad step.
-                    y = x_start
-                    for i in range(size):
-                        y = np.maximum(_em_update(m, c, k, *y, delta, *noise[i]), 0.0)
-                        if not np.isfinite(y).all():
-                            break
-                    raise BlowupError(start + i + 1, delta)
             yield rows[:recorded], clamps
             recorded = 0
 
@@ -297,18 +286,13 @@ def strong_self_convergence(
     if n_levels < 2:
         return []
     fine_steps = m_base << (n_levels - 1)
-    fine_delta = t_end / fine_steps
     cfg = SimConfig(t_end=t_end, m_steps=fine_steps, seed=seed, zero_noise=zero_noise)
-    if cfg.zero_noise:
-        fine_increments = np.zeros((fine_steps, 2))
-    else:
-        fine_increments = NoiseStream(seed, stream_index).increments(fine_steps, fine_delta)
+    fine_increments = _path_increments(cfg, stream_index)
     m, c, k = params.m, params.c, params.k
     finals = []
     for level in range(n_levels):
         level_steps = m_base << level
-        group = fine_steps // level_steps
-        level_increments = fine_increments.reshape(level_steps, group, 2).sum(axis=1)
+        level_increments = fine_increments.reshape(level_steps, -1, 2).sum(axis=1)
         states = np.empty((level_steps, 2))
         _em_path(m, c, k, n0, p0, t_end / level_steps, level_increments, states)
         finals.append(states[-1])

@@ -34,8 +34,7 @@ from .ensemble import MomentSeries
 from .model import (
     ModelParams,
     State,
-    _diffusion_variances,
-    _drift_terms,
+    _rates,
     generator_apply,
     lyapunov_candidate,
 )
@@ -212,8 +211,7 @@ def check_monotonicity(
     m, c, k = params.m, params.c, params.k
 
     def slack_of_row(n, ps):
-        dn, dp = _drift_terms(m, c, k, n, ps)
-        v1, v2 = _diffusion_variances(m, c, k, n, ps)
+        dn, dp, v1, v2 = _rates(m, c, k, n, ps)
         return n * dn + ps * dp + 0.5 * (v1 + v2) - bound * (1.0 + n * n + ps * ps)
 
     return _grid_report("monotonicity", grid, slack_of_row)
@@ -227,6 +225,7 @@ def check_moment_bound(
     For p >= 2 the envelope is 2^((p-2)/2) (1 + ||x0||^p) exp(p c_moment t);
     for 0 < p < 2 it is (1 + ||x0||^2)^(p/2) exp(p c_mono t).  The start is
     deterministic, so expectations of the initial norm are plain powers.
+    A gap that is NaN or +inf (the moment overflows) raises ValueError.
     """
     if not (p > 0.0):
         raise ValueError(f"moment order must be > 0, got {p!r}")
@@ -234,20 +233,23 @@ def check_moment_bound(
         raise ValueError(f"series was built for p={stats.p}, asked to check p={p}")
     norm0_sq = float(x0[0]) ** 2 + float(x0[1]) ** 2
     times = stats.times
-    if p >= 2.0:
-        rate = moment_constant(params, p)
-        envelope = 2.0 ** ((p - 2.0) / 2.0) * (1.0 + norm0_sq ** (p / 2.0)) * np.exp(p * rate * times)
-    else:
-        rate = monotonicity_constant(params)
-        envelope = (1.0 + norm0_sq) ** (p / 2.0) * np.exp(p * rate * times)
-    gaps = stats.values - envelope
+    try:
+        if p >= 2.0:
+            rate = moment_constant(params, p)
+            scale = 2.0 ** ((p - 2.0) / 2.0) * (1.0 + norm0_sq ** (p / 2.0))
+        else:
+            rate = monotonicity_constant(params)
+            scale = (1.0 + norm0_sq) ** (p / 2.0)
+    except OverflowError:  # a float power past float64's range: the envelope is inf
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = stats.values - scale * np.exp(p * rate * times)
+    name = f"moment_bound_p={p:g}"
+    # A gap of -inf (a finite moment under an overflowing envelope) still passes.
+    undecided = ~(gaps < math.inf)
+    if undecided.any():
+        t = float(times[undecided.argmax()])
+        raise ValueError(f"{name}: gap is not finite at t={t}; moment too large")
     worst_index = int(np.argmax(gaps))
     worst = float(gaps[worst_index])
-    return VerificationReport(
-        inequality_name=f"moment_bound_p={p:g}",
-        grid=None,
-        worst_point=None,
-        worst_time=float(times[worst_index]),
-        worst_slack=worst,
-        passed=worst <= 0.0,
-    )
+    return VerificationReport(name, None, None, float(times[worst_index]), worst, worst <= 0.0)

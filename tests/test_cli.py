@@ -63,6 +63,7 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("rosmac ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_usage_errors_exit_2(capsys, tmp_path):
     a_file = tmp_path / "afile"
     a_file.write_text("")
@@ -96,6 +97,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--out", str(tmp_path / "d")],
         ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--x0", "1e300,1e300",
          "--out", str(tmp_path / "d")],
+        # Finite states or parameters whose derived numbers overflow float64.
+        ["ensemble", "-m", "1", "-c", "1", "-k", "1.5e308", "--x0", "1,0", "-T", "1500",
+         "-M", "500", "--runs", "4", "--out", str(tmp_path / "d")],
+        ["verify", *CYCLE_FLAGS, "--p", "400", "--runs", "4", "-M", "100", "--res", "3"],
+        ["phase-portrait", *CYCLE_FLAGS, "--grid", "0,1e200,0,1e200", "--res", "3", "-T", "1",
+         "--out", str(tmp_path / "d")],
+        ["analyze", "-m", "3", "-c", "1", "-k", "1e308"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -70,6 +70,16 @@ def test_stats_from_states_validation():
         stats_from_states(times, np.zeros((3, 1, 3)), seed=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stats_reject_finite_states_whose_squares_overflow():
+    times = np.array([0.0, 0.5])
+    states = np.array([[[1.0, 1.0], [1.5e308, 1.0]], [[1.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="t=0.5"):
+        stats_from_states(times, states, seed=0)
+    stats = stats_from_states(times, states[:, :1], seed=0)
+    assert stats.var_n.tolist() == [0.0]
+
+
 def test_band_arrays_recompute_from_mean_and_variance():
     cfg = SimConfig(t_end=5.0, m_steps=500, seed=3)
     stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs=32)

@@ -111,6 +111,18 @@ def test_classify_rejects_non_equilibrium():
         classify(CYCLE_PARAMS, Equilibrium(State(1.0, 1.0), EquilibriumKind.COEXISTENCE))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_rejects_nan_residuals_and_non_finite_eigenvalues():
+    with pytest.raises(ValueError, match="not an equilibrium"):
+        classify(CYCLE_PARAMS, Equilibrium(State(0.5, math.nan), EquilibriumKind.COEXISTENCE))
+    # A finite prey-only point whose Jacobian entry m k / (1 + k) squares past float64.
+    huge_m = ModelParams(m=1e300, c=1.0, k=3.0)
+    with pytest.raises(ValueError, match="eigenvalues"):
+        classify(huge_m, Equilibrium(State(3.0, 0.0), EquilibriumKind.PREY_ONLY))
+    with pytest.raises(ValueError):
+        find_equilibria(ModelParams(m=3.0, c=1.0, k=1e308))
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     h = 1e-6

@@ -17,6 +17,8 @@ from rosmac import (
     integrate_batch,
     vector_field_grid,
 )
+from rosmac.model import _rates
+from rosmac.ode import _rk4_update
 
 from conftest import CYCLE_PARAMS, SINK_PARAMS, START
 
@@ -85,6 +87,32 @@ def test_blowup_raises_with_last_good_index():
     assert exc.value.last_good_index == 0
 
 
+def _classical_rk4(m, c, k, n, p, h):
+    """Textbook RK4 stages on the drift of model._rates."""
+    k1n, k1p, _, _ = _rates(m, c, k, n, p)
+    k2n, k2p, _, _ = _rates(m, c, k, n + 0.5 * h * k1n, p + 0.5 * h * k1p)
+    k3n, k3p, _, _ = _rates(m, c, k, n + 0.5 * h * k2n, p + 0.5 * h * k2p)
+    k4n, k4p, _, _ = _rates(m, c, k, n + h * k3n, p + h * k3p)
+    return (
+        n + h / 6.0 * (k1n + 2.0 * k2n + 2.0 * k3n + k4n),
+        p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+def test_rk4_update_is_classical_rk4_on_the_model_rates():
+    """The hand-expanded step equals RK4 built from _rates, bit for bit."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
+        h = float(10.0 ** rng.uniform(-4.0, 0.5))
+        n, p = rng.uniform(0.0, 5.0, size=(2, 64))
+        assert _rk4_update(m, c, k, n[0], p[0], h) == _classical_rk4(m, c, k, n[0], p[0], h)
+        for got, want in zip(_rk4_update(m, c, k, n, p, h), _classical_rk4(m, c, k, n, p, h)):
+            assert np.array_equal(got, want)
+        floats = [_rk4_update(m, c, k, a, b, h) for a, b in zip(n.tolist(), p.tolist())]
+        assert np.array_equal(np.array(floats).T, _rk4_update(m, c, k, n, p, h))
+
+
 def test_batch_matches_scalar_bitwise():
     starts = np.array([[1.0, 0.6], [0.3, 2.0], [4.0, 0.01]])
     summary = integrate_batch(CYCLE_PARAMS, starts, 10.0, dt=1e-2)
@@ -126,6 +154,8 @@ def test_vector_field_grid_layout():
         vector_field_grid(CYCLE_PARAMS, 1.0, 0.0, 0.0, 2.0, 3)
     with pytest.raises(ValueError):
         vector_field_grid(CYCLE_PARAMS, -1.0, 1.0, 0.0, 2.0, 3)
+    with pytest.raises(ValueError, match=r"\(5e\+199, 0\.0\)"):
+        vector_field_grid(CYCLE_PARAMS, 0.0, 1e200, 0.0, 1e200, 3)
 
 
 def test_detect_equilibrium_for_subcritical_capacity():

@@ -25,7 +25,7 @@ from rosmac import (
     moment_constant,
     monotonicity_constant,
 )
-from rosmac.model import _diffusion_variances, _drift_terms
+from rosmac.model import _rates
 from rosmac.verification import _grid_report
 
 from conftest import CYCLE_PARAMS, SINK_PARAMS, START
@@ -82,8 +82,7 @@ def test_monotonicity_sabotage_fails_at_interior_point():
     assert report.worst_point == (pytest.approx(2.412060301507538), 10.0)
     assert 0.0 < n < 10.0
     # Independent recomputation of the slack at the reported point.
-    dn, dp = _drift_terms(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, n, p)
-    v1, v2 = _diffusion_variances(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, n, p)
+    dn, dp, v1, v2 = _rates(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, n, p)
     slack = n * dn + p * dp + 0.5 * (v1 + v2) - 0.25 * (1.0 + n * n + p * p)
     assert report.worst_slack == pytest.approx(slack, rel=1e-12)
 
@@ -156,8 +155,7 @@ def test_grid_checks_match_per_point_reference(params, alpha, resolution, c_over
         return generator_apply(params, field, State(n, p)) - c_lyap * field.value(n, p)
 
     def monotonicity_slack(n, p):
-        dn, dp = _drift_terms(m, c, k, n, p)
-        v1, v2 = _diffusion_variances(m, c, k, n, p)
+        dn, dp, v1, v2 = _rates(m, c, k, n, p)
         return n * dn + p * dp + 0.5 * (v1 + v2) - c_mono * (1.0 + n * n + p * p)
 
     # numpy's array power may differ from libm's pow by one ulp at non-integer alpha.
@@ -234,6 +232,25 @@ def test_moment_bound_detects_fabricated_violation():
     report = check_moment_bound(fake, CYCLE_PARAMS, START, 2.0)
     assert not report.passed
     assert report.worst_time == 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moment_bound_rejects_nan_and_inf_gaps_only():
+    times = np.array([0.0, 1.0, 100.0])
+    for bad in (math.inf, math.nan):
+        series = MomentSeries(p=2.0, times=times, values=np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="t=1.0"):
+            check_moment_bound(series, CYCLE_PARAMS, START, 2.0)
+    # The envelope overflows at t = 100: a -inf gap there still passes.
+    finite = MomentSeries(p=200.0, times=times, values=np.ones(3))
+    report = check_moment_bound(finite, CYCLE_PARAMS, START, 200.0)
+    assert report.passed and report.worst_time == 0.0 and math.isfinite(report.worst_slack)
+    with pytest.raises(ValueError, match="t=100.0"):
+        overflowing = MomentSeries(p=200.0, times=times, values=np.array([1.0, 1.0, math.inf]))
+        check_moment_bound(overflowing, CYCLE_PARAMS, START, 200.0)
+    # 2 ** 1999 passes float64's range as a Python float: the envelope is inf.
+    report = check_moment_bound(MomentSeries(4000.0, times, np.ones(3)), CYCLE_PARAMS, START, 4000.0)
+    assert report.passed and report.worst_slack == -math.inf
 
 
 def test_moment_bound_validation():
