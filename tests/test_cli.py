@@ -22,6 +22,37 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _reference_csv(path, header, columns):
+    """The writer the CLI used before block formatting: csv.writer, format(x, ".17g")."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([format(float(cell), ".17g") for cell in row])
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -12.0,
+               1.0 / 3.0, 2.0 / 3.0, 0.1, 1e-7, 123456789012345678.0, 2.5e-310]
+
+
+@pytest.mark.parametrize("width", [3, 4, 9])
+@pytest.mark.parametrize(
+    "rows", [1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1]
+)
+def test_csv_writer_matches_reference_bytes(tmp_path, width, rows):
+    rng = np.random.default_rng(rows * 10 + width)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    # The edge values lead the first rows and close the last ones.
+    flat = table.reshape(-1)
+    edges = EDGE_VALUES[: flat.size]
+    flat[: len(edges)] = edges
+    flat[flat.size - len(edges):] = edges[::-1]
+    columns = {f"c{i}": table[:, i] for i in range(width)}
+    cli._write_csv(tmp_path / "block.csv", columns)
+    _reference_csv(tmp_path / "reference.csv", list(columns), list(columns.values()))
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_analyze_reports_structure(capsys):
     assert main(["analyze", *CYCLE_FLAGS]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -493,3 +524,35 @@ def test_math_of_growth_proxy_matches_library(tmp_path, capsys):
     )
     assert payload["growth_proxy"]["worst"] == proxies.max()
     assert payload["growth_proxy"]["worst_stream"] == int(proxies.argmax())
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "flags, section, key",
+    [
+        # A finite moment under an envelope that overflows at every recorded time.
+        (["--x0", "0.1,0.1", "--p", "4000", "-T", "0.5", "--t-min", "0.1", "--zero-noise"],
+         "moment_bound_p=4000", "worst_slack"),
+        # Every path at the origin: the growth proxy is log 0.
+        (["--x0", "0,0", "-T", "2"], "growth_proxy", "worst"),
+    ],
+)
+def test_verify_writes_strict_json_for_infinite_extremes(tmp_path, capsys, flags, section, key):
+    out = tmp_path / "verify"
+    args = ["verify", *CYCLE_FLAGS, *flags, "--runs", "4", "-M", "100", "--res", "3"]
+    assert main([*args, "--out", str(out)]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert _strict_json((out / "verify.json").read_text()) == payload
+    if section == "growth_proxy":
+        entry = payload["growth_proxy"]
+    else:
+        entry = next(c for c in payload["checks"] if c["inequality_name"] == section)
+    assert entry[key] is None and entry["passed"] is True
+    assert entry["note"]
+    assert payload["all_passed"] is True

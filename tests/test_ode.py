@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rosmac import (
     AsymptoticKind,
@@ -20,7 +21,7 @@ from rosmac import (
 from rosmac.model import _rates
 from rosmac.ode import _rk4_update
 
-from conftest import CYCLE_PARAMS, SINK_PARAMS, START
+from conftest import COMPONENTS, CYCLE_PARAMS, RATES, SINK_PARAMS, START
 
 
 def test_integrate_grid_and_validation():
@@ -206,3 +207,20 @@ def test_detect_asymptotics_validation():
         detect_asymptotics(long_enough, tail_fraction=0.0)
     with pytest.raises(ValueError):
         detect_asymptotics(long_enough, tail_fraction=0.75)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS,
+       dt=st.one_of(st.floats(1e-4, 1.0), st.floats(1e-4, 1e300)), steps=st.integers(1, 20))
+def test_rk4_update_gives_finite_states_or_blowup(m, c, k, n0, p0, dt, steps):
+    # The projection to zero comes before the finiteness check, so -inf reads as 0.
+    first = [0.0 if value < 0.0 else value for value in _rk4_update(m, c, k, n0, p0, dt)]
+    first_finite = all(math.isfinite(value) for value in first)
+    try:
+        traj = integrate(ModelParams(m, c, k), State(n0, p0), steps * dt, dt)
+    except BlowupError as exc:
+        assert (exc.last_good_index == 0) is not first_finite
+        return
+    assert first_finite
+    assert np.isfinite(traj.states).all() and (traj.states >= 0.0).all()
+    assert traj.states[1].tolist() == first

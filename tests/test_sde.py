@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rosmac import (
     DESK_STEPS,
@@ -17,9 +18,9 @@ from rosmac import (
     simulate_path,
     strong_self_convergence,
 )
-from rosmac.sde import _CHUNK_STEPS, _ensemble_chunks
+from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
 
-from conftest import CYCLE_PARAMS, START
+from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START
 
 
 def test_simconfig_validation_and_delta():
@@ -229,3 +230,56 @@ def test_strong_self_convergence_aggregate_trend():
     # Calibration guard: aggregates should not drift from the frozen run.
     assert gaps.mean(axis=0)[0] == pytest.approx(0.02520853, rel=1e-5)
     assert gaps.mean(axis=0)[2] == pytest.approx(0.01292680, rel=1e-5)
+
+
+_CONFIG = st.builds(
+    SimConfig,
+    t_end=st.floats(1e-3, 1e3),
+    m_steps=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+    zero_noise=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
+       stream=st.integers(0, 3))
+def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
+    out = np.empty((cfg.m_steps, 2))
+    _em_path(m, c, k, n0, p0, cfg.delta, _path_increments(cfg, stream), out)
+    finite = np.isfinite(out).all(axis=1)
+    try:
+        path = simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
+    except BlowupError as exc:
+        assert exc.last_good_index == int(finite.argmin())  # out[i] holds step i + 1
+        return
+    assert finite.all() and (out >= 0.0).all()
+    np.testing.assert_array_equal(path.states[1:], out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
+       runs=st.integers(2, 4), workers=st.integers(1, 2))
+def test_ensemble_chunks_give_finite_rows_or_blowup_like_single_paths(
+    m, c, k, n0, p0, cfg, runs, workers
+):
+    params, x0 = ModelParams(m, c, k), State(n0, p0)
+    first_bad = []
+    paths = []
+    for stream in range(runs):
+        try:
+            paths.append(simulate_path(params, x0, cfg, stream_index=stream).states)
+        except BlowupError as exc:
+            first_bad.append(exc.last_good_index + 1)
+    rows = []
+    try:
+        for chunk, _ in _ensemble_chunks(params, x0, cfg, runs, 1, workers):
+            rows.append(chunk.copy())
+    except BlowupError as exc:
+        # The ensemble stops at the first step where any of its paths blows up.
+        assert exc.last_good_index + 1 == min(first_bad)
+        return
+    assert not first_bad
+    states = np.concatenate(rows)
+    assert np.isfinite(states).all() and (states >= 0.0).all()
+    np.testing.assert_array_equal(states, np.stack(paths, axis=2))

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
+from rosmac import svgplot
+from rosmac.cli import main
 from rosmac.svgplot import line_chart, phase_portrait
 
 
@@ -48,3 +53,107 @@ def test_phase_portrait_contents():
     assert svg.count("<circle") == 2
     assert svg.count("<path") == 1
     assert "portrait" in svg
+
+
+PLOT_W = 640 - 62 - 16  # default width less the left and right margins
+
+
+def _polylines(svg: str) -> list[list[str]]:
+    return [
+        element.get("points").split(" ")
+        for element in _parse(svg).iter()
+        if element.tag.endswith("polyline")
+    ]
+
+
+def _random_walk(points: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 50.0, points)
+    return x, [rng.standard_normal(points).cumsum(), rng.standard_normal(points).cumsum()]
+
+
+def _m4_reference(x, y):
+    """First, last, first argmin and first argmax of every pixel column, by plain loops."""
+    columns: dict[int, list[int]] = {}
+    for i, value in enumerate(x.tolist()):
+        column = math.floor((value - x[0]) / (x[-1] - x[0]) * PLOT_W)
+        columns.setdefault(min(column, PLOT_W - 1), []).append(i)
+    keep = set()
+    for members in columns.values():
+        values = [y[i] for i in members]
+        keep.update(
+            (members[0], members[-1], members[values.index(min(values))],
+             members[values.index(max(values))])
+        )
+    return columns, sorted(keep)
+
+
+def _frame_points(x, y, indices, frame):
+    return [f"{frame.px(x[i]):.2f},{frame.py(y[i]):.2f}" for i in indices]
+
+
+def _frame_of(x, ys):
+    y_lo, y_hi = min(y.min() for y in ys), max(y.max() for y in ys)
+    pad = 0.05 * (y_hi - y_lo)
+    return svgplot._Frame(x[0], x[-1], y_lo - pad, y_hi + pad, 640, 400)
+
+
+def test_m4_decimation_keeps_column_extremes_of_a_long_random_walk():
+    x, ys = _random_walk(200_000)
+    svg = line_chart(x, [{"y": y} for y in ys])
+    frame = _frame_of(x, ys)
+    lines = _polylines(svg)
+    for y, points in zip(ys, lines):
+        columns, keep = _m4_reference(x, y)
+        assert len(columns) == PLOT_W
+        assert len(points) <= 4 * PLOT_W
+        assert points == _frame_points(x, y, keep, frame)
+        assert points[0] == _frame_points(x, y, [0], frame)[0]
+        assert points[-1] == _frame_points(x, y, [len(x) - 1], frame)[0]
+        kept = set(keep)
+        for members in columns.values():
+            column_kept = [y[i] for i in members if i in kept]
+            assert min(column_kept) == y[members].min()
+            assert max(column_kept) == y[members].max()
+    # The axes come from the global extremes, which M4 keeps: the same frame,
+    # ticks and labels as an undecimated chart of those extremes alone.
+    extremes = sorted({0, len(x) - 1, *(int(i) for y in ys for i in (y.argmin(), y.argmax()))})
+    small = line_chart(x[extremes], [{"y": y[extremes]} for y in ys])
+
+    def axes(text):
+        return [line for line in text.split("\n") if not line.startswith("<polyline")]
+
+    assert axes(svg) == axes(small)
+
+
+def test_m4_threshold_renders_every_point_up_to_four_per_column():
+    x, ys = _random_walk(4 * PLOT_W + 1, seed=3)
+    frame = _frame_of(x[:-1], [y[:-1] for y in ys])
+    at_limit = line_chart(x[:-1], [{"y": y[:-1]} for y in ys])
+    for y, points in zip(ys, _polylines(at_limit)):
+        assert points == _frame_points(x, y, range(4 * PLOT_W), frame)
+    over = _polylines(line_chart(x, [{"y": y} for y in ys]))
+    assert all(len(points) < 4 * PLOT_W + 1 for points in over)
+
+
+def test_m4_ties_keep_the_first_occurrence():
+    x = np.linspace(0.0, 1.0, 8 * PLOT_W)
+    y = np.zeros_like(x)
+    y[::3] = 1.0  # every column holds several equal maxima and minima
+    frame = svgplot._Frame(0.0, 1.0, -0.05, 1.05, 640, 400)
+    (points,) = _polylines(line_chart(x, [{"y": y}]))
+    assert points == _frame_points(x, y, _m4_reference(x, y)[1], frame)
+
+
+def test_ensemble_svgs_identical_across_workers_and_replay(tmp_path):
+    # 3,001 recorded rows: more than four per pixel column, so M4 is in play.
+    args = ["ensemble", "-m", "3", "-c", "1", "-k", "3", "-T", "2", "-M", "3000",
+            "--runs", "64", "--seed", "9", "--svg"]
+    one, two, replay = tmp_path / "one", tmp_path / "two", tmp_path / "replay"
+    assert main([*args, "--workers", "1", "--out", str(one)]) == 0
+    assert main([*args, "--workers", "2", "--out", str(two)]) == 0
+    assert main(["ensemble", "--config", str(one / "manifest.json"), "--out", str(replay)]) == 0
+    for name in ("ensemble_n.svg", "ensemble_p.svg"):
+        svg = (one / name).read_bytes()
+        assert svg == (two / name).read_bytes() == (replay / name).read_bytes()
+        assert all(len(points) < 3001 for points in _polylines(svg.decode()))
