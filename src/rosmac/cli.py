@@ -470,7 +470,7 @@ def _cmd_verify(options: dict[str, Any]) -> int:
         stride=options["stride"],
         workers=options["workers"],
     )
-    reports.extend(check_moment_bound(series, params, x0, series.p) for series in series_list)
+    reports.extend(check_moment_bound(series, params, x0) for series in series_list)
     proxy_bound = monotonicity_constant(params)
     worst_proxy = float(proxies.max())
     proxy_passed = bool(worst_proxy <= proxy_bound)

@@ -1,4 +1,5 @@
-"""Monte Carlo ensembles: mean/variance bands, moments, growth-rate proxies.
+"""Monte Carlo ensembles, streamed: run_ensemble gives mean/variance bands and
+ensemble_moments gives moment series plus per-path growth-rate proxies.
 
 Estimators follow the plain Monte Carlo forms
 
@@ -21,16 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams, State
-from .sde import SamplePath, SimConfig, _ensemble_chunks
+from .sde import SimConfig, _ensemble_chunks
 
 __all__ = [
     "EnsembleStats",
     "MomentSeries",
     "ensemble_moments",
-    "lyapunov_exponent_proxy",
-    "moment_series",
     "run_ensemble",
-    "stats_from_states",
 ]
 
 @dataclass(frozen=True)
@@ -111,17 +109,6 @@ def _ensemble_stats(
     return EnsembleStats(times, *columns, runs, seed, clamp_events_total)
 
 
-def stats_from_states(
-    times: np.ndarray, states: np.ndarray, seed: int, clamp_events_total: int = 0
-) -> EnsembleStats:
-    """Reduce a (runs, times, 2) tensor to ensemble statistics."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[2] != 2 or states.shape[0] < 2:
-        raise ValueError(f"states must have shape (runs >= 2, times, 2), got {states.shape}")
-    moments = _mean_var(states.transpose(1, 2, 0))
-    return _ensemble_stats(times, moments, states.shape[0], seed, clamp_events_total)
-
-
 def _recorded_times(cfg: SimConfig, stride: int) -> np.ndarray:
     return np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
 
@@ -141,38 +128,6 @@ def run_ensemble(
         parts.append(_mean_var(rows))
     times = _recorded_times(cfg, stride)
     return _ensemble_stats(times, np.concatenate(parts, axis=1), runs, cfg.seed, int(clamps.sum()))
-
-
-def moment_series(paths: Sequence[SamplePath], p: float) -> MomentSeries:
-    """Estimate E||X_t||^p from sample paths sharing one time grid."""
-    if not (p > 0.0):
-        raise ValueError(f"moment order must be > 0, got {p!r}")
-    if len(paths) < 1:
-        raise ValueError("need at least one path")
-    times = paths[0].times
-    for path in paths[1:]:
-        if not np.array_equal(path.times, times):
-            raise ValueError("paths must share a common time grid")
-    norms = np.stack([np.hypot(path.states[:, 0], path.states[:, 1]) for path in paths])
-    values = _pairwise_sum(norms**p) / len(paths)
-    return MomentSeries(p=float(p), times=times.copy(), values=values)
-
-
-def lyapunov_exponent_proxy(path: SamplePath, t_min: float = 1.0) -> float:
-    """max over recorded t >= t_min of log||X_t|| / t.
-
-    Zero-norm samples contribute -inf (the path died), which can only lower
-    the maximum; a path that is dead throughout the window reports -inf.
-    """
-    if not (t_min > 0.0):
-        raise ValueError(f"t_min must be > 0, got {t_min!r}")
-    mask = path.times >= t_min
-    if not mask.any():
-        raise ValueError(f"path ends at t={path.times[-1]} before t_min={t_min}")
-    norms = np.hypot(path.states[mask, 0], path.states[mask, 1])
-    with np.errstate(divide="ignore"):
-        rates = np.log(norms) / path.times[mask]
-    return float(rates.max())
 
 
 def ensemble_moments(

@@ -24,7 +24,6 @@ __all__ = [
     "ExtinctionVerdict",
     "Stability",
     "classify",
-    "classify_by_trace_det",
     "coexistence_exists",
     "coexistence_point",
     "extinction_check",
@@ -159,33 +158,6 @@ def classify(params: ModelParams, equilibrium: Equilibrium) -> Equilibrium:
         raise ValueError(f"eigenvalues at {x!r} are not finite; parameters too large")
     label = _stability_from_real_parts(lams[0].real, lams[1].real)
     return replace(equilibrium, classification=label, eigenvalues=lams)
-
-
-def classify_by_trace_det(params: ModelParams, equilibrium: Equilibrium) -> Stability:
-    """Independent stability call from trace/determinant signs only.
-
-    Cross-check route for classify: no eigenvector-free quantity is shared
-    beyond the Jacobian itself.  The smallest real-part magnitude is bounded
-    through the root product rather than by forming the roots.
-    """
-    jac = jacobian(params, equilibrium.point)
-    tr = float(jac[0][0] + jac[1][1])
-    det = float(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
-    disc = tr * tr - 4.0 * det
-    if disc < 0.0:
-        # Complex pair: both real parts equal tr/2.
-        if abs(tr) <= 2.0 * HYPERBOLICITY_TOL:
-            return Stability.NON_HYPERBOLIC
-        return Stability.SINK if tr < 0.0 else Stability.SOURCE
-    big_mag = 0.5 * (abs(tr) + math.sqrt(disc))
-    if big_mag <= HYPERBOLICITY_TOL:
-        return Stability.NON_HYPERBOLIC
-    small_mag = abs(det) / big_mag
-    if small_mag <= HYPERBOLICITY_TOL:
-        return Stability.NON_HYPERBOLIC
-    if det < 0.0:
-        return Stability.SADDLE
-    return Stability.SINK if tr < 0.0 else Stability.SOURCE
 
 
 def find_equilibria(params: ModelParams) -> list[Equilibrium]:

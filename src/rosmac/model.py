@@ -55,9 +55,6 @@ class State(NamedTuple):
     n: float
     p: float
 
-    def interior(self) -> bool:
-        return self.n > 0.0 and self.p > 0.0
-
 
 def checked_state(x, what: str = "x0") -> State:
     """x as a float State; ValueError unless both components are finite and >= 0."""

@@ -129,7 +129,8 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     The step count is round(t_end / dt), so the final time is the nearest
     grid multiple of dt.  Steps that land a component below zero are clamped
     to zero and counted; for interior starts at sane steps the count stays 0.
-    A non-finite state aborts with BlowupError carrying the last good index.
+    A non-finite state, -inf included, aborts with BlowupError carrying the
+    last good index.
     """
     n, p = checked_state(x0)
     steps = _step_count(t_end, dt)
@@ -140,14 +141,15 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     clamps = 0
     for i in range(1, steps + 1):
         n, p = _rk4_update(m, c, k, n, p, dt)
+        # Checked before the projection, which would turn -inf into 0.
+        if not (math.isfinite(n) and math.isfinite(p)):
+            raise BlowupError(i, dt)
         if n < 0.0:
             n = 0.0
             clamps += 1
         if p < 0.0:
             p = 0.0
             clamps += 1
-        if not (math.isfinite(n) and math.isfinite(p)):
-            raise BlowupError(i, dt)
         out[i, 0] = n
         out[i, 1] = p
     times = np.arange(steps + 1) * dt
@@ -176,6 +178,8 @@ def integrate_batch(
     max_total = n + p
     for i in range(1, steps + 1):
         n, p = _rk4_update(m, c, k, n, p, dt)
+        if not (np.isfinite(n).all() and np.isfinite(p).all()):
+            raise BlowupError(i, dt)
         neg_n = n < 0.0
         neg_p = p < 0.0
         if neg_n.any():
@@ -184,8 +188,6 @@ def integrate_batch(
         if neg_p.any():
             clamps += neg_p
             p[neg_p] = 0.0
-        if not (np.isfinite(n).all() and np.isfinite(p).all()):
-            raise BlowupError(i, dt)
         np.maximum(max_total, n + p, out=max_total)
     return BatchSummary(
         final_states=np.stack([n, p], axis=1),

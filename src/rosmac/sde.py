@@ -6,7 +6,8 @@ Discretization on the equidistant grid tau_i = i * delta, delta = t_end / m:
 
 Negative components produced by a step are projected back to zero; each
 projection is counted so the caller can judge how often the boundary bites.
-A state that is not finite raises BlowupError naming the first such step.
+A state that is not finite raises BlowupError naming the first such step; a
+component that overflows to -inf counts as not finite, not as extinct.
 
 Reproducibility contract: the Brownian increments for a path are a pure
 function of (seed, stream_index) through a counter-based generator, so any
@@ -29,18 +30,14 @@ from .ode import BlowupError
 
 __all__ = [
     "DESK_STEPS",
-    "FINE_STEPS",
     "NoiseStream",
     "SamplePath",
     "SimConfig",
-    "em_step",
     "simulate_path",
     "strong_self_convergence",
 ]
 
-# Step-count presets at t_end = 10: the fine grid (dt = 2.5e-4) is the
-# archival resolution; the desk grid keeps interactive work and tests quick.
-FINE_STEPS = 40_000
+# Default step count: dt = 2.5e-3 at t_end = 10.
 DESK_STEPS = 4_000
 
 _MAX_SEED = 2**64
@@ -130,7 +127,10 @@ def _path_increments(cfg: SimConfig, stream_index: int) -> np.ndarray:
 
 def _em_path(m, c, k, n, p, delta, increments, out) -> int:
     """Scalar EM from (n, p) with projection to zero; step i takes increments[i]
-    and stores its state in out[i].  Returns the number of projections."""
+    and stores its state in out[i].  Returns the number of projections.
+
+    A component that overflows to -inf is stored as NaN, not projected to 0,
+    so the caller's finiteness check sees the step that blew up."""
     clamps = 0
     # Python floats: the same IEEE operations as numpy scalars, several times faster.
     for i, (dw1, dw2) in enumerate(increments.tolist()):
@@ -138,28 +138,21 @@ def _em_path(m, c, k, n, p, delta, increments, out) -> int:
         n = n + dn * delta + math.sqrt(v1) * dw1
         p = p + dp * delta + math.sqrt(v2) * dw2
         if n < 0.0:
-            n = 0.0
+            n = 0.0 if n > -math.inf else math.nan
             clamps += 1
         if p < 0.0:
-            p = 0.0
+            p = 0.0 if p > -math.inf else math.nan
             clamps += 1
         out[i, 0] = n
         out[i, 1] = p
     return clamps
 
 
-def em_step(
-    params: ModelParams, x: State, delta: float, dw1: float, dw2: float
-) -> tuple[State, bool]:
-    """Advance one step from x; returns the new state and a clamp flag."""
-    n, p = checked_state(x, "state")
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    if not (math.isfinite(dw1) and math.isfinite(dw2)):
-        raise ValueError(f"increments must be finite, got {(dw1, dw2)!r}")
-    out = np.empty((1, 2))
-    clamps = _em_path(params.m, params.c, params.k, n, p, delta, np.array([[dw1, dw2]]), out)
-    return State(float(out[0, 0]), float(out[0, 1])), clamps > 0
+def _check_finite(out: np.ndarray, delta: float) -> None:
+    """BlowupError at the first row of out (row i holds step i) that is not finite."""
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise BlowupError(int(finite.argmin()), delta)
 
 
 def simulate_path(
@@ -172,9 +165,7 @@ def simulate_path(
     out = np.empty((cfg.m_steps + 1, 2))
     out[0] = n, p
     clamps = _em_path(params.m, params.c, params.k, n, p, delta, increments, out[1:])
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise BlowupError(int(finite.argmin()), delta)
+    _check_finite(out, delta)
     times = np.arange(cfg.m_steps + 1) * delta
     return SamplePath(
         times=times, states=out, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
@@ -248,11 +239,14 @@ def _ensemble_chunks(
                     var *= noise[i]
                     np.add(drift, var, out=x)
                     # fmin skips NaN, so a NaN path cannot hide another's negative.
-                    if np.fmin.reduce(x, axis=None) < 0.0:
+                    lowest = np.fmin.reduce(x, axis=None)
+                    if lowest < 0.0:
+                        if lowest == -math.inf:  # an overflow, not an extinction
+                            raise BlowupError(start + i + 1, delta)
                         negative = x < 0.0
                         clamps += negative.sum(axis=0)
                         x[negative] = 0.0
-                    # False for NaN and +inf; the projection has turned -inf into 0.
+                    # False for NaN and +inf.
                     if not np.maximum.reduce(x, axis=None) < math.inf:
                         raise BlowupError(start + i + 1, delta)
                     if (start + i + 1) % stride == 0:
@@ -279,6 +273,7 @@ def strong_self_convergence(
     every coarser grid sums them in consecutive groups, so all levels ride
     the same Brownian path.  Returns [(delta, |Y_T(delta) - Y_T(delta/2)|)]
     per adjacent pair, coarsest first; fewer than two levels yields [].
+    A level whose path is not finite at some step raises BlowupError.
     """
     if m_base < 1:
         raise ValueError(f"m_base must be >= 1, got {m_base!r}")
@@ -293,8 +288,11 @@ def strong_self_convergence(
     for level in range(n_levels):
         level_steps = m_base << level
         level_increments = fine_increments.reshape(level_steps, -1, 2).sum(axis=1)
-        states = np.empty((level_steps, 2))
-        _em_path(m, c, k, n0, p0, t_end / level_steps, level_increments, states)
+        delta = t_end / level_steps
+        states = np.empty((level_steps + 1, 2))
+        states[0] = n0, p0
+        _em_path(m, c, k, n0, p0, delta, level_increments, states[1:])
+        _check_finite(states, delta)
         finals.append(states[-1])
     return [
         (t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))

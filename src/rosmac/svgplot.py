@@ -21,10 +21,10 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _tick_values(lo: float, hi: float, target: int = 5) -> list[float]:
+def _tick_values(lo: float, hi: float) -> list[float]:
     if not (hi > lo):
         return [lo]
-    raw_step = (hi - lo) / target
+    raw_step = (hi - lo) / 5  # about five ticks per axis
     power = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
@@ -128,12 +128,9 @@ def line_chart(
     curves: Sequence[dict],
     *,
     title: str = "",
-    x_label: str = "t",
     y_label: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> str:
-    """Render curves over a shared, ascending abscissa.
+    """Render curves against time t, the shared and ascending abscissa x.
 
     Each curve is a dict with keys y (required), label, color, width, dash.
     With more than four points per pixel column, each curve is drawn through
@@ -145,6 +142,7 @@ def line_chart(
     y_lo = float(min(np.min(y) for y in ys))
     y_hi = float(max(np.max(y) for y in ys))
     pad = 0.05 * (y_hi - y_lo or 1.0)
+    width, height = 640, 400
     frame = _Frame(float(np.min(x)), float(np.max(x)), y_lo - pad, y_hi + pad, width, height)
     if len(x) > 4 * frame.plot_w:
         scaled = (x - frame.x_lo) / (frame.x_hi - frame.x_lo) * frame.plot_w
@@ -158,7 +156,7 @@ def line_chart(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    parts.extend(_axes(frame, title, x_label, y_label))
+    parts.extend(_axes(frame, title, "t", y_label))
     legend_y = _MARGIN_TOP + 14
     for index, (curve, y, pick) in enumerate(zip(curves, ys, picks)):
         color = curve.get("color", PALETTE[index % len(PALETTE)])
@@ -183,8 +181,6 @@ def phase_portrait(
     *,
     bounds: tuple[float, float, float, float],
     title: str = "",
-    width: int = 540,
-    height: int = 540,
 ) -> str:
     """Render a vector field with overlaid trajectories and markers.
 
@@ -192,6 +188,7 @@ def phase_portrait(
     "circle" (hollow), or "cross" for saddles.
     """
     n_lo, n_hi, p_lo, p_hi = bounds
+    width, height = 540, 540
     frame = _Frame(n_lo, n_hi, p_lo, p_hi, width, height)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

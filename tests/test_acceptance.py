@@ -255,7 +255,7 @@ def test_criterion_08_moment_bounds_and_growth_proxy():
             params, START, cfg, 2000, (1.0, 2.0, 4.0)
         )
         for series in series_list:
-            report = check_moment_bound(series, params, START, series.p)
+            report = check_moment_bound(series, params, START)
             all_ok = all_ok and report.passed
         bound = monotonicity_constant(params)
         worst = float(proxies.max())

@@ -135,6 +135,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["phase-portrait", *CYCLE_FLAGS, "--grid", "0,1e200,0,1e200", "--res", "3", "-T", "1",
          "--out", str(tmp_path / "d")],
         ["analyze", "-m", "3", "-c", "1", "-k", "1e308"],
+        # A first step that overflows to -inf: a blow-up, not a projection to zero.
+        ["simulate-ode", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,242963560579",
+         "--dt", "868726304268979", "-T", "4343631521344895", "--out", str(tmp_path / "d")],
+        ["simulate-sde", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
+         "-M", "1", "--zero-noise", "--out", str(tmp_path / "d")],
+        ["ensemble", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
+         "-M", "1", "--zero-noise", "--runs", "2", "--out", str(tmp_path / "d")],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

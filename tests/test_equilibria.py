@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rosmac import (
+    HYPERBOLICITY_TOL,
     Equilibrium,
     EquilibriumKind,
     ExtinctionOutcome,
@@ -13,7 +14,6 @@ from rosmac import (
     Stability,
     State,
     classify,
-    classify_by_trace_det,
     coexistence_exists,
     coexistence_point,
     drift,
@@ -188,13 +188,40 @@ def test_classification_law_over_random_parameters():
     assert kept >= 990
 
 
+def _classify_by_trace_det(params, equilibrium):
+    """Stability from the signs of the Jacobian's trace and determinant only.
+
+    An independent route to classify's answer: the smallest real-part
+    magnitude is bounded through the root product rather than by forming the
+    roots.
+    """
+    jac = jacobian(params, equilibrium.point)
+    tr = float(jac[0][0] + jac[1][1])
+    det = float(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
+    disc = tr * tr - 4.0 * det
+    if disc < 0.0:
+        # Complex pair: both real parts equal tr/2.
+        if abs(tr) <= 2.0 * HYPERBOLICITY_TOL:
+            return Stability.NON_HYPERBOLIC
+        return Stability.SINK if tr < 0.0 else Stability.SOURCE
+    big_mag = 0.5 * (abs(tr) + math.sqrt(disc))
+    if big_mag <= HYPERBOLICITY_TOL:
+        return Stability.NON_HYPERBOLIC
+    small_mag = abs(det) / big_mag
+    if small_mag <= HYPERBOLICITY_TOL:
+        return Stability.NON_HYPERBOLIC
+    if det < 0.0:
+        return Stability.SADDLE
+    return Stability.SINK if tr < 0.0 else Stability.SOURCE
+
+
 def test_two_classification_routes_agree():
     rng = np.random.default_rng(19)
     compared = 0
     for _ in range(300):
         params = _log_uniform_params(rng)
         for eq in find_equilibria(params):
-            assert classify_by_trace_det(params, eq) is eq.classification
+            assert _classify_by_trace_det(params, eq) is eq.classification
             compared += 1
     assert compared >= 600
 

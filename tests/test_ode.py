@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rosmac import (
     AsymptoticKind,
@@ -212,10 +212,12 @@ def test_detect_asymptotics_validation():
 @settings(max_examples=200, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS,
        dt=st.one_of(st.floats(1e-4, 1.0), st.floats(1e-4, 1e300)), steps=st.integers(1, 20))
+# The first update is (-inf, -1.76e25): an overflow, not an extinction.
+@example(m=1.0, c=1.0, k=1.0, n0=1.0, p0=242963560579.0, dt=868726304268979.0, steps=5)
 def test_rk4_update_gives_finite_states_or_blowup(m, c, k, n0, p0, dt, steps):
-    # The projection to zero comes before the finiteness check, so -inf reads as 0.
-    first = [0.0 if value < 0.0 else value for value in _rk4_update(m, c, k, n0, p0, dt)]
-    first_finite = all(math.isfinite(value) for value in first)
+    update = _rk4_update(m, c, k, n0, p0, dt)
+    first_finite = all(math.isfinite(value) for value in update)
+    first = [0.0 if value < 0.0 else value for value in update]
     try:
         traj = integrate(ModelParams(m, c, k), State(n0, p0), steps * dt, dt)
     except BlowupError as exc:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rosmac import (
     DESK_STEPS,
@@ -14,10 +14,10 @@ from rosmac import (
     NoiseStream,
     SimConfig,
     State,
-    em_step,
     simulate_path,
     strong_self_convergence,
 )
+from rosmac.model import _rates
 from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
 
 from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START
@@ -35,29 +35,27 @@ def test_simconfig_validation_and_delta():
         SimConfig(t_end=1.0, seed=-1)
 
 
+def _em_step(x, delta, dw1, dw2):
+    """One EM step of CYCLE_PARAMS from x: the new state and its projection count."""
+    out = np.empty((1, 2))
+    m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
+    clamps = _em_path(m, c, k, *x, delta, np.array([[dw1, dw2]]), out)
+    return State(*out[0].tolist()), clamps
+
+
 def test_em_step_pencil_values():
     """One step worked out by hand from the drift and noise amplitudes."""
-    new, clamped = em_step(CYCLE_PARAMS, START, 0.01, 0.05, -0.02)
-    assert not clamped
+    new, clamps = _em_step(START, 0.01, 0.05, -0.02)
+    assert clamps == 0
     assert new.n == pytest.approx(1.072388372571533, abs=1e-15)
     assert new.p == pytest.approx(0.5785051025721683, abs=1e-15)
 
 
 def test_em_step_clamps_to_zero():
-    new, clamped = em_step(CYCLE_PARAMS, State(0.01, 0.5), 0.01, -5.0, 0.0)
-    assert clamped
+    new, clamps = _em_step(State(0.01, 0.5), 0.01, -5.0, 0.0)
+    assert clamps == 1
     assert new.n == 0.0
     assert new.p > 0.0
-
-
-def test_em_step_validation():
-    for x in (State(-0.1, 0.5), State(math.nan, 0.5), State(0.5, math.inf)):
-        with pytest.raises(ValueError):
-            em_step(CYCLE_PARAMS, x, 0.01, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        em_step(CYCLE_PARAMS, START, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        em_step(CYCLE_PARAMS, START, 0.01, math.nan, 0.0)
 
 
 def test_noise_stream_is_a_pure_function_of_its_address():
@@ -197,6 +195,11 @@ def test_strong_self_convergence_structure():
     for x0 in (State(-1.0, 0.6), State(math.nan, 0.6), State(1.0, math.inf)):
         with pytest.raises(ValueError):
             strong_self_convergence(CYCLE_PARAMS, x0, 1.0, seed=0)
+    # A path that is not finite at some level raises instead of giving NaN gaps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError, match="at step 1 "):
+            strong_self_convergence(CYCLE_PARAMS, State(1e300, 1e300), 1.0, seed=0, zero_noise=True)
 
 
 def test_strong_self_convergence_zero_noise_is_first_order():
@@ -241,13 +244,25 @@ _CONFIG = st.builds(
 )
 
 
+# A first step whose drift overflows both components to -inf.
+_OVERFLOW_TO_MINUS_INF = dict(m=1.0, c=1.0, k=1.0, n0=1.0, p0=1e200,
+                              cfg=SimConfig(t_end=1e200, m_steps=1, zero_noise=True))
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
        stream=st.integers(0, 3))
+@example(**_OVERFLOW_TO_MINUS_INF, stream=0)
 def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
+    increments = _path_increments(cfg, stream)
+    dn, dp, v1, v2 = _rates(m, c, k, n0, p0)
+    dw1, dw2 = increments[0].tolist()
+    # The first step before the projection: -inf there is a blow-up, not an extinction.
+    first = (n0 + dn * cfg.delta + math.sqrt(v1) * dw1, p0 + dp * cfg.delta + math.sqrt(v2) * dw2)
     out = np.empty((cfg.m_steps, 2))
-    _em_path(m, c, k, n0, p0, cfg.delta, _path_increments(cfg, stream), out)
+    _em_path(m, c, k, n0, p0, cfg.delta, increments, out)
     finite = np.isfinite(out).all(axis=1)
+    assert finite[0] == (math.isfinite(first[0]) and math.isfinite(first[1]))
     try:
         path = simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
     except BlowupError as exc:
@@ -260,6 +275,7 @@ def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
 @settings(max_examples=80, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
        runs=st.integers(2, 4), workers=st.integers(1, 2))
+@example(**_OVERFLOW_TO_MINUS_INF, runs=2, workers=1)
 def test_ensemble_chunks_give_finite_rows_or_blowup_like_single_paths(
     m, c, k, n0, p0, cfg, runs, workers
 ):

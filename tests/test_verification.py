@@ -198,7 +198,7 @@ def test_moment_bound_established_ensemble():
     cfg = SimConfig(t_end=2.0, m_steps=400, seed=21)
     series, _ = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=64, p_values=(1.0, 2.0, 4.0))
     for entry in series:
-        report = check_moment_bound(entry, CYCLE_PARAMS, START, entry.p)
+        report = check_moment_bound(entry, CYCLE_PARAMS, START)
         assert report.passed, (entry.p, report.worst_slack)
         assert report.worst_time is not None
         assert report.grid is None
@@ -209,7 +209,7 @@ def test_moment_bound_worst_time_is_zero_for_exploding_envelope():
     # tightest point is the initial instant.
     cfg = SimConfig(t_end=2.0, m_steps=200, seed=2, zero_noise=True)
     series, _ = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,))
-    report = check_moment_bound(series[0], CYCLE_PARAMS, START, 2.0)
+    report = check_moment_bound(series[0], CYCLE_PARAMS, START)
     assert report.passed
     assert report.worst_time == 0.0
     assert report.worst_slack == pytest.approx(-1.0, rel=1e-12)
@@ -218,7 +218,7 @@ def test_moment_bound_worst_time_is_zero_for_exploding_envelope():
 def test_moment_bound_small_order_branch():
     cfg = SimConfig(t_end=2.0, m_steps=200, seed=2, zero_noise=True)
     series, _ = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(1.0,))
-    report = check_moment_bound(series[0], CYCLE_PARAMS, START, 1.0)
+    report = check_moment_bound(series[0], CYCLE_PARAMS, START)
     assert report.passed
     norm0 = np.hypot(START.n, START.p)
     expected_gap = norm0 - (1.0 + norm0**2) ** 0.5
@@ -229,7 +229,7 @@ def test_moment_bound_small_order_branch():
 def test_moment_bound_detects_fabricated_violation():
     times = np.array([0.0, 1.0, 2.0])
     fake = MomentSeries(p=2.0, times=times, values=np.array([1.0, 1.0, 1e30]))
-    report = check_moment_bound(fake, CYCLE_PARAMS, START, 2.0)
+    report = check_moment_bound(fake, CYCLE_PARAMS, START)
     assert not report.passed
     assert report.worst_time == 2.0
 
@@ -240,22 +240,21 @@ def test_moment_bound_rejects_nan_and_inf_gaps_only():
     for bad in (math.inf, math.nan):
         series = MomentSeries(p=2.0, times=times, values=np.array([1.0, bad, 1.0]))
         with pytest.raises(ValueError, match="t=1.0"):
-            check_moment_bound(series, CYCLE_PARAMS, START, 2.0)
+            check_moment_bound(series, CYCLE_PARAMS, START)
     # The envelope overflows at t = 100: a -inf gap there still passes.
     finite = MomentSeries(p=200.0, times=times, values=np.ones(3))
-    report = check_moment_bound(finite, CYCLE_PARAMS, START, 200.0)
+    report = check_moment_bound(finite, CYCLE_PARAMS, START)
     assert report.passed and report.worst_time == 0.0 and math.isfinite(report.worst_slack)
     with pytest.raises(ValueError, match="t=100.0"):
         overflowing = MomentSeries(p=200.0, times=times, values=np.array([1.0, 1.0, math.inf]))
-        check_moment_bound(overflowing, CYCLE_PARAMS, START, 200.0)
+        check_moment_bound(overflowing, CYCLE_PARAMS, START)
     # 2 ** 1999 passes float64's range as a Python float: the envelope is inf.
-    report = check_moment_bound(MomentSeries(4000.0, times, np.ones(3)), CYCLE_PARAMS, START, 4000.0)
+    report = check_moment_bound(MomentSeries(4000.0, times, np.ones(3)), CYCLE_PARAMS, START)
     assert report.passed and report.worst_slack == -math.inf
 
 
 def test_moment_bound_validation():
-    series = MomentSeries(p=2.0, times=np.array([0.0]), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        check_moment_bound(series, CYCLE_PARAMS, START, 4.0)
-    with pytest.raises(ValueError):
-        check_moment_bound(series, CYCLE_PARAMS, START, 0.0)
+    for p in (0.0, -1.0, math.nan):
+        series = MomentSeries(p=p, times=np.array([0.0]), values=np.array([1.0]))
+        with pytest.raises(ValueError, match="moment order"):
+            check_moment_bound(series, CYCLE_PARAMS, START)
