@@ -1,131 +1,18 @@
 """Predator-prey dynamics with demographic noise: analysis, simulation, certification."""
 
-from .ensemble import (
-    EnsembleStats,
-    MomentSeries,
-    ensemble_moments,
-    run_ensemble,
-)
-from .equilibria import (
-    HYPERBOLICITY_TOL,
-    Equilibrium,
-    EquilibriumKind,
-    ExtinctionOutcome,
-    ExtinctionVerdict,
-    Stability,
-    classify,
-    coexistence_exists,
-    coexistence_point,
-    extinction_check,
-    find_equilibria,
-    hopf_threshold,
-    jacobian,
-    trace_identity_check,
-)
-from .model import (
-    Diffusion,
-    Drift,
-    ModelParams,
-    RawParams,
-    Scales,
-    ScalarField,
-    State,
-    diffusion,
-    drift,
-    generator_apply,
-    lyapunov_candidate,
-    nondimensionalize,
-)
-from .ode import (
-    AsymptoticKind,
-    AsymptoticVerdict,
-    BlowupError,
-    Trajectory,
-    detect_asymptotics,
-    integrate,
-    integrate_batch,
-    vector_field_grid,
-)
-from .sde import (
-    DESK_STEPS,
-    NoiseStream,
-    SamplePath,
-    SimConfig,
-    simulate_path,
-    strong_self_convergence,
-)
-from .verification import (
-    DEFAULT_GENERATOR_GRID,
-    DEFAULT_MONOTONICITY_GRID,
-    BoundConstants,
-    GridSpec,
-    VerificationReport,
-    bound_constants,
-    check_generator_inequality,
-    check_moment_bound,
-    check_monotonicity,
-    lyapunov_constant,
-    moment_constant,
-    monotonicity_constant,
-)
+from . import ensemble, equilibria, model, ode, sde, verification
+from .ensemble import *  # noqa: F401,F403
+from .equilibria import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .ode import *  # noqa: F401,F403
+from .sde import *  # noqa: F401,F403
+from .verification import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticKind",
-    "AsymptoticVerdict",
-    "BlowupError",
-    "BoundConstants",
-    "DEFAULT_GENERATOR_GRID",
-    "DEFAULT_MONOTONICITY_GRID",
-    "DESK_STEPS",
-    "Diffusion",
-    "Drift",
-    "EnsembleStats",
-    "Equilibrium",
-    "EquilibriumKind",
-    "ExtinctionOutcome",
-    "ExtinctionVerdict",
-    "GridSpec",
-    "HYPERBOLICITY_TOL",
-    "ModelParams",
-    "MomentSeries",
-    "NoiseStream",
-    "RawParams",
-    "SamplePath",
-    "ScalarField",
-    "Scales",
-    "SimConfig",
-    "Stability",
-    "State",
-    "Trajectory",
-    "VerificationReport",
-    "bound_constants",
-    "check_generator_inequality",
-    "check_moment_bound",
-    "check_monotonicity",
-    "classify",
-    "coexistence_exists",
-    "coexistence_point",
-    "detect_asymptotics",
-    "diffusion",
-    "drift",
-    "ensemble_moments",
-    "extinction_check",
-    "find_equilibria",
-    "generator_apply",
-    "hopf_threshold",
-    "integrate",
-    "integrate_batch",
-    "jacobian",
-    "lyapunov_candidate",
-    "lyapunov_constant",
-    "moment_constant",
-    "monotonicity_constant",
-    "nondimensionalize",
-    "run_ensemble",
-    "simulate_path",
-    "strong_self_convergence",
-    "trace_identity_check",
-    "vector_field_grid",
-]
+# Each library module lists its own public names; the package exports their union.
+__all__ = sorted(
+    name
+    for module in (ensemble, equilibria, model, ode, sde, verification)
+    for name in module.__all__
+)

@@ -42,14 +42,13 @@ from .equilibria import (
     hopf_threshold,
     trace_identity_check,
 )
-from .model import ModelParams, State, checked_state
+from .model import GridSpec, ModelParams, State, checked_state
 from .ode import BlowupError, detect_asymptotics, integrate, vector_field_grid
 from .sde import DESK_STEPS, SimConfig, simulate_path
 from .svgplot import line_chart, phase_portrait
 from .verification import (
     DEFAULT_GENERATOR_GRID,
     DEFAULT_MONOTONICITY_GRID,
-    GridSpec,
     VerificationReport,
     bound_constants,
     check_generator_inequality,
@@ -146,6 +145,16 @@ def _parse_floats(flag: str, text: str, count: int) -> list[float]:
 
 def _parse_x0(text: str) -> State:
     return checked_state(_parse_floats("--x0", text, 2), "--x0")
+
+
+def _grid_option(options: dict[str, Any], default: GridSpec) -> GridSpec:
+    """default with the bounds of --grid and the resolution of --res, where given."""
+    grid = default
+    if options["grid"] is not None:
+        grid = GridSpec(*_parse_floats("--grid", options["grid"], 4), grid.resolution)
+    if options["res"] is not None:
+        grid = replace(grid, resolution=options["res"])
+    return grid
 
 
 def _parse_orders(text: str) -> list[float]:
@@ -348,20 +357,14 @@ def _cmd_simulate_ode(options: dict[str, Any]) -> int:
 def _cmd_phase_portrait(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    resolution = 20 if options["res"] is None else options["res"]
-    if options["grid"] is not None:
-        spec = GridSpec(*_parse_floats("--grid", options["grid"], 4), resolution)
-    else:
-        reach = 1.5 * max(params.k, 1.0)
-        spec = GridSpec(0.0, reach, 0.0, reach, resolution)
-    samples = vector_field_grid(
-        params, spec.n_min, spec.n_max, spec.p_min, spec.p_max, spec.resolution
-    )
-    field = [(x.n, x.p, d.dn, d.dp) for x, d in samples]
+    # The float-max cap keeps an explicit --grid usable at any finite k.
+    reach = min(1.5 * max(params.k, 1.0), sys.float_info.max)
+    spec = _grid_option(options, GridSpec(0.0, reach, 0.0, reach, 20))
+    field = vector_field_grid(params, spec)
     traj = integrate(params, x0, options["T"], options["dt"])
     out_dir = _prepare_out(options)
     if out_dir is not None:
-        _write_csv(out_dir / "field.csv", dict(zip(("N", "P", "dN", "dP"), np.array(field).T)))
+        _write_csv(out_dir / "field.csv", dict(zip(("N", "P", "dN", "dP"), field.T)))
         _write_states(out_dir / "trajectory.csv", traj.times, traj.states)
         if options["svg"]:
             markers = []
@@ -448,13 +451,8 @@ def _cmd_verify(options: dict[str, Any]) -> int:
     x0 = _parse_x0(options["x0"])
     alpha = options["alpha"]
     orders = _parse_orders(options["p_orders"])
-    resolution = 200 if options["res"] is None else options["res"]
-    if options["grid"] is not None:
-        generator_grid = GridSpec(*_parse_floats("--grid", options["grid"], 4), resolution)
-        monotonicity_grid = generator_grid
-    else:
-        generator_grid = replace(DEFAULT_GENERATOR_GRID, resolution=resolution)
-        monotonicity_grid = replace(DEFAULT_MONOTONICITY_GRID, resolution=resolution)
+    generator_grid = _grid_option(options, DEFAULT_GENERATOR_GRID)
+    monotonicity_grid = _grid_option(options, DEFAULT_MONOTONICITY_GRID)
     override = options["c_override"]
     reports = [
         check_generator_inequality(params, alpha, generator_grid, c_override=override),

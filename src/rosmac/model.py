@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "Diffusion",
     "Drift",
+    "GridSpec",
     "ModelParams",
     "RawParams",
     "Scales",
@@ -62,6 +63,32 @@ def checked_state(x, what: str = "x0") -> State:
     if not (0.0 <= n < math.inf and 0.0 <= p < math.inf):
         raise ValueError(f"{what} must be a finite point of the closed quadrant, got {x!r}")
     return State(n, p)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A uniform grid over a box of the closed quadrant, endpoints included on both axes."""
+
+    n_min: float
+    n_max: float
+    p_min: float
+    p_max: float
+    resolution: int
+
+    def __post_init__(self) -> None:
+        if not (
+            0.0 <= self.n_min <= self.n_max < math.inf
+            and 0.0 <= self.p_min <= self.p_max < math.inf
+        ):
+            raise ValueError("grid bounds must be finite, ordered and >= 0")
+        if self.resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.linspace(self.n_min, self.n_max, self.resolution),
+            np.linspace(self.p_min, self.p_max, self.resolution),
+        )
 
 
 class Drift(NamedTuple):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Drift, ModelParams, State, checked_state, drift
+from .model import GridSpec, ModelParams, State, _rates, checked_state, drift
 
 __all__ = [
     "AsymptoticKind",
@@ -196,31 +196,20 @@ def integrate_batch(
     )
 
 
-def vector_field_grid(
-    params: ModelParams,
-    n_min: float,
-    n_max: float,
-    p_min: float,
-    p_max: float,
-    resolution: int,
-) -> list[tuple[State, Drift]]:
-    """Drift on a uniform grid in the closed quadrant, endpoints included, row-major in n;
+def vector_field_grid(params: ModelParams, grid: GridSpec) -> np.ndarray:
+    """Drift on the grid as (resolution**2, 4) rows (n, p, dn, dp), row-major in n;
     a drift that is not finite raises ValueError naming the first such point."""
-    if not (0.0 <= n_min <= n_max < math.inf and 0.0 <= p_min <= p_max < math.inf):
-        raise ValueError("grid bounds must be finite, ordered and >= 0")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    ns = np.linspace(n_min, n_max, resolution)
-    ps = np.linspace(p_min, p_max, resolution)
-    samples = []
-    for n in ns:
-        for p in ps:
-            x = State(float(n), float(p))
-            d = drift(params, x)
-            if not (math.isfinite(d.dn) and math.isfinite(d.dp)):
-                raise ValueError(f"drift is not finite at (n, p) = {tuple(x)}; grid too large")
-            samples.append((x, d))
-    return samples
+    if grid.resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {grid.resolution}")
+    n, p = np.meshgrid(*grid.axes(), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dn, dp, _, _ = _rates(params.m, params.c, params.k, n, p)
+    field = np.stack([n, p, dn, dp], axis=-1).reshape(-1, 4)
+    finite = np.isfinite(field[:, 2:]).all(axis=1)
+    if not finite.all():
+        x = tuple(field[finite.argmin(), :2].tolist())
+        raise ValueError(f"drift is not finite at (n, p) = {x}; grid too large")
+    return field
 
 
 def _upward_crossings(times: np.ndarray, values: np.ndarray, level: float) -> np.ndarray:

@@ -273,7 +273,8 @@ def strong_self_convergence(
     every coarser grid sums them in consecutive groups, so all levels ride
     the same Brownian path.  Returns [(delta, |Y_T(delta) - Y_T(delta/2)|)]
     per adjacent pair, coarsest first; fewer than two levels yields [].
-    A level whose path is not finite at some step raises BlowupError.
+    A level whose path is not finite at some step raises BlowupError; with
+    zero_noise, a level that projects a component to zero raises ValueError.
     """
     if m_base < 1:
         raise ValueError(f"m_base must be >= 1, got {m_base!r}")
@@ -291,8 +292,12 @@ def strong_self_convergence(
         delta = t_end / level_steps
         states = np.empty((level_steps + 1, 2))
         states[0] = n0, p0
-        _em_path(m, c, k, n0, p0, delta, level_increments, states[1:])
+        clamps = _em_path(m, c, k, n0, p0, delta, level_increments, states[1:])
         _check_finite(states, delta)
+        # The noiseless flow keeps the closed quadrant, so a projection means
+        # delta times a rate exceeded 1: the step, not the model, decided the end.
+        if zero_noise and clamps:
+            raise ValueError(f"zero-noise path projected to zero at delta={delta}; step too coarse")
         finals.append(states[-1])
     return [
         (t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))

@@ -35,6 +35,8 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     value = first
     while value <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
+        if value + step == value:  # a step below half an ulp of value
+            break
         value += step
     return ticks
 
@@ -47,10 +49,11 @@ class _Frame:
     """Affine map from a data rectangle to the plot area in pixels."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi, width, height):
+        # An empty range gets width 1, or one ulp where |lo| >= 2**53 would swallow 1.
         if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
+            x_hi = x_lo + max(1.0, math.ulp(x_lo))
         if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
+            y_hi = y_lo + max(1.0, math.ulp(y_lo))
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
         self.width, self.height = width, height
@@ -175,7 +178,7 @@ def line_chart(
 
 
 def phase_portrait(
-    field: Sequence[tuple[float, float, float, float]],
+    field: np.ndarray,
     trajectories: Sequence[tuple[Sequence[float], Sequence[float]]],
     markers: Sequence[tuple[float, float, str]],
     *,
@@ -184,8 +187,8 @@ def phase_portrait(
 ) -> str:
     """Render a vector field with overlaid trajectories and markers.
 
-    field entries are (n, p, dn, dp); marker glyphs are "disc" (filled),
-    "circle" (hollow), or "cross" for saddles.
+    field holds one row (n, p, dn, dp) per arrow; marker glyphs are "disc"
+    (filled), "circle" (hollow), or "cross" for saddles.
     """
     n_lo, n_hi, p_lo, p_hi = bounds
     width, height = 540, 540
@@ -196,10 +199,10 @@ def phase_portrait(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     parts.extend(_axes(frame, title, "n (prey)", "p (predator)"))
-    if field:
+    if len(field):
         count = max(2, int(math.sqrt(len(field))))
         arrow_px = 0.42 * min(frame.plot_w, frame.plot_h) / (count - 1)
-        for n, p, dn, dp in field:
+        for n, p, dn, dp in field.tolist():
             mag = math.hypot(dn, dp)
             if mag == 0.0:
                 continue

@@ -32,6 +32,7 @@ import numpy as np
 
 from .ensemble import MomentSeries
 from .model import (
+    GridSpec,
     ModelParams,
     State,
     _rates,
@@ -43,7 +44,6 @@ __all__ = [
     "DEFAULT_GENERATOR_GRID",
     "DEFAULT_MONOTONICITY_GRID",
     "BoundConstants",
-    "GridSpec",
     "VerificationReport",
     "bound_constants",
     "check_generator_inequality",
@@ -53,32 +53,6 @@ __all__ = [
     "moment_constant",
     "monotonicity_constant",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A uniform evaluation grid, endpoints included on both axes."""
-
-    n_min: float
-    n_max: float
-    p_min: float
-    p_max: float
-    resolution: int
-
-    def __post_init__(self) -> None:
-        if not (
-            -math.inf < self.n_min <= self.n_max < math.inf
-            and -math.inf < self.p_min <= self.p_max < math.inf
-        ):
-            raise ValueError("grid bounds must be finite and ordered")
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.n_min, self.n_max, self.resolution),
-            np.linspace(self.p_min, self.p_max, self.resolution),
-        )
 
 
 DEFAULT_GENERATOR_GRID = GridSpec(1e-3, 10.0, 1e-3, 10.0, 200)
@@ -205,8 +179,6 @@ def check_monotonicity(
     Valid on the closed quadrant (the boundary is allowed).  c_override
     substitutes a deliberate constant for c_mono (testing hook).
     """
-    if grid.n_min < 0.0 or grid.p_min < 0.0:
-        raise ValueError("monotonicity check needs a grid in the closed quadrant")
     bound = monotonicity_constant(params) if c_override is None else float(c_override)
     m, c, k = params.m, params.c, params.k
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from rosmac import (
     AsymptoticKind,
     BlowupError,
+    GridSpec,
     ModelParams,
     State,
     coexistence_point,
@@ -140,23 +141,26 @@ def test_batch_confinement_diagnostics():
 
 
 def test_vector_field_grid_layout():
-    samples = vector_field_grid(CYCLE_PARAMS, 0.0, 1.0, 0.0, 2.0, 2)
-    assert [s[0] for s in samples] == [
-        State(0.0, 0.0),
-        State(0.0, 2.0),
-        State(1.0, 0.0),
-        State(1.0, 2.0),
+    field = vector_field_grid(CYCLE_PARAMS, GridSpec(0.0, 1.0, 0.0, 2.0, 2))
+    assert field.shape == (4, 4)
+    assert [tuple(row[:2]) for row in field.tolist()] == [
+        (0.0, 0.0),
+        (0.0, 2.0),
+        (1.0, 0.0),
+        (1.0, 2.0),
     ]
-    for x, d in samples:
-        assert d == drift(CYCLE_PARAMS, x)
+    # Bit for bit, signed zeros included: float.hex tells 0.0 from -0.0.
+    for grid in (GridSpec(0.0, 1.0, 0.0, 2.0, 2), GridSpec(0.0, 7.3, 0.1, 5.9, 9)):
+        for n, p, dn, dp in vector_field_grid(CYCLE_PARAMS, grid).tolist():
+            assert (dn.hex(), dp.hex()) == tuple(v.hex() for v in drift(CYCLE_PARAMS, State(n, p)))
     with pytest.raises(ValueError):
-        vector_field_grid(CYCLE_PARAMS, 0.0, 1.0, 0.0, 2.0, 1)
+        vector_field_grid(CYCLE_PARAMS, GridSpec(0.0, 1.0, 0.0, 2.0, 1))
     with pytest.raises(ValueError):
-        vector_field_grid(CYCLE_PARAMS, 1.0, 0.0, 0.0, 2.0, 3)
+        vector_field_grid(CYCLE_PARAMS, GridSpec(1.0, 0.0, 0.0, 2.0, 3))
     with pytest.raises(ValueError):
-        vector_field_grid(CYCLE_PARAMS, -1.0, 1.0, 0.0, 2.0, 3)
+        vector_field_grid(CYCLE_PARAMS, GridSpec(-1.0, 1.0, 0.0, 2.0, 3))
     with pytest.raises(ValueError, match=r"\(5e\+199, 0\.0\)"):
-        vector_field_grid(CYCLE_PARAMS, 0.0, 1e200, 0.0, 1e200, 3)
+        vector_field_grid(CYCLE_PARAMS, GridSpec(0.0, 1e200, 0.0, 1e200, 3))
 
 
 def test_detect_equilibrium_for_subcritical_capacity():

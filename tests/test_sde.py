@@ -200,6 +200,9 @@ def test_strong_self_convergence_structure():
         warnings.simplefilter("error")
         with pytest.raises(BlowupError, match="at step 1 "):
             strong_self_convergence(CYCLE_PARAMS, State(1e300, 1e300), 1.0, seed=0, zero_noise=True)
+    # Finite but projected on every level: the steps, not the model, decide the end.
+    with pytest.raises(ValueError, match=r"delta=3\.90625;"):
+        strong_self_convergence(CYCLE_PARAMS, State(1e150, 1e150), 1e3, seed=0, zero_noise=True)
 
 
 def test_strong_self_convergence_zero_noise_is_first_order():

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import rosmac
 from rosmac import svgplot
 from rosmac.cli import main
 from rosmac.svgplot import line_chart, phase_portrait
@@ -36,7 +43,9 @@ def test_line_chart_handles_flat_data():
 
 
 def test_phase_portrait_contents():
-    field = [(0.5, 0.5, 1.0, 0.0), (0.5, 1.5, 0.0, -1.0), (1.5, 0.5, -1.0, 1.0), (1.5, 1.5, 0.0, 0.0)]
+    field = np.array(
+        [(0.5, 0.5, 1.0, 0.0), (0.5, 1.5, 0.0, -1.0), (1.5, 0.5, -1.0, 1.0), (1.5, 1.5, 0.0, 0.0)]
+    )
     svg = phase_portrait(
         field,
         [([0.2, 0.6, 1.0], [0.2, 0.8, 0.4])],
@@ -53,6 +62,55 @@ def test_phase_portrait_contents():
     assert svg.count("<circle") == 2
     assert svg.count("<path") == 1
     assert "portrait" in svg
+
+
+def test_empty_ranges_widen_to_a_width_their_magnitude_keeps():
+    frame = svgplot._Frame(2.0, 2.0, 3.0, 3.0, 540, 540)
+    assert (frame.x_hi, frame.y_hi) == (3.0, 4.0)  # the old fallback where 1 survives
+    frame = svgplot._Frame(1e17, 1e17, -1e17, -1e17, 540, 540)
+    assert frame.x_hi == 1e17 + 16.0 and frame.y_hi == -1e17 + 16.0
+    assert math.isfinite(frame.px(1e17)) and math.isfinite(frame.py(-1e17))
+    # A step below half an ulp no longer advances: one tick, not an endless list.
+    (tick,) = svgplot._tick_values(1e17 - 16.0, 1e17)
+    assert 1e17 - 16.0 <= tick <= 1e17
+
+
+# A flat axis at |value| >= 2**53 (division by zero) and a tick step below half
+# an ulp (a loop that never ends) at the command line.
+LARGE_MAGNITUDE_COMMANDS = [
+    ["ensemble", "-m", "3", "-c", "1", "-k", "1e17", "--x0", "1e17,0", "-T", "1", "-M", "10",
+     "--runs", "2", "--zero-noise", "--svg"],
+    ["phase-portrait", "-m", "3", "-c", "1", "-k", "3", "--grid", "1e17,1e17,0,1", "--res", "2",
+     "-T", "1", "--svg"],
+    ["simulate-ode", "-m", "1e-20", "-c", "1e-20", "-k", "1e17", "--x0", "99999999999999984,1e17",
+     "-T", "2", "--dt", "1", "--svg"],
+]
+
+_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, 600_000 * 1024))
+from rosmac.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+_COORDINATES = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "points", "d")
+
+
+@pytest.mark.parametrize("argv", LARGE_MAGNITUDE_COMMANDS, ids=lambda argv: argv[0])
+def test_charts_at_large_magnitude_render_in_bounded_memory_and_time(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rosmac.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert svgs
+    for svg in svgs:
+        for element in _parse(svg.read_text()).iter():
+            for name in _COORDINATES:
+                for number in re.split(r"[\sMLml,]+", element.get(name, "")):
+                    assert not number or math.isfinite(float(number)), (svg.name, name, number)
 
 
 PLOT_W = 640 - 62 - 16  # default width less the left and right margins

@@ -56,6 +56,9 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         GridSpec(1.0, 0.0, 0.0, 1.0, 10)
+    for bounds in ((-1.0, 1.0, 0.0, 1.0), (0.0, 1.0, -1e-300, 1.0), (-2.0, -1.0, -2.0, -1.0)):
+        with pytest.raises(ValueError, match=">= 0"):
+            GridSpec(*bounds, 10)
     ns, ps = GridSpec(0.0, 1.0, 0.0, 2.0, 3).axes()
     assert np.array_equal(ns, [0.0, 0.5, 1.0])
     assert np.array_equal(ps, [0.0, 1.0, 2.0])
