@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, _rates, checked_state
+from .model import ModelParams, State, checked_state
 from .ode import BlowupError
 
 __all__ = [
@@ -132,19 +132,30 @@ def _em_path(m, c, k, n, p, delta, increments, out) -> int:
     A component that overflows to -inf is stored as NaN, not projected to 0,
     so the caller's finiteness check sees the step that blew up."""
     clamps = 0
-    # Python floats: the same IEEE operations as numpy scalars, several times faster.
-    for i, (dw1, dw2) in enumerate(increments.tolist()):
-        dn, dp, v1, v2 = _rates(m, c, k, n, p)
-        n = n + dn * delta + math.sqrt(v1) * dw1
-        p = p + dp * delta + math.sqrt(v2) * dw2
-        if n < 0.0:
-            n = 0.0 if n > -math.inf else math.nan
-            clamps += 1
-        if p < 0.0:
-            p = 0.0 if p > -math.inf else math.nan
-            clamps += 1
-        out[i, 0] = n
-        out[i, 1] = p
+    nc, sqrt = -c, math.sqrt
+    # Python floats: the same IEEE operations as numpy scalars, several times
+    # faster.  The rates are model._rates inlined operand for operand, each state
+    # goes through a flat view of out (a cast needs a C-contiguous buffer, so the
+    # view cannot be a detached copy), and one guard per step skips the projection.
+    with memoryview(out).cast("B").cast("d") as flat:
+        j = 0
+        for dw1, dw2 in increments.tolist():
+            inter = m * n * p / (1.0 + n)
+            n_k = n / k
+            dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
+            v1, v2 = n * (1.0 + n_k) + inter, c * p + inter
+            n = n + dn * delta + sqrt(v1) * dw1
+            p = p + dp * delta + sqrt(v2) * dw2
+            if not (n >= 0.0 and p >= 0.0):
+                if n < 0.0:
+                    n = 0.0 if n > -math.inf else math.nan
+                    clamps += 1
+                if p < 0.0:
+                    p = 0.0 if p > -math.inf else math.nan
+                    clamps += 1
+            flat[j] = n
+            flat[j + 1] = p
+            j += 2
     return clamps
 
 

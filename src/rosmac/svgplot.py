@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +17,8 @@ _MARGIN_BOTTOM = 46
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
+_MAX = sys.float_info.max
+
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
@@ -25,7 +28,11 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     if not (hi > lo):
         return [lo]
     raw_step = (hi - lo) / 5  # about five ticks per axis
-    power = 10.0 ** math.floor(math.log10(raw_step))
+    if raw_step == math.inf:  # bounds further apart than the float maximum
+        raw_step = hi / 5 - lo / 5
+    power = 10.0 ** math.floor(math.log10(raw_step)) if raw_step > 0.0 else 0.0
+    if power == 0.0:  # a range of a few subnormals: no step to tick by
+        return [lo]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
         if raw_step <= step:
@@ -33,7 +40,8 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * step:
+    last = min(hi + 1e-9 * step, _MAX)
+    while value <= last:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
         if value + step == value:  # a step below half an ulp of value
             break
@@ -49,13 +57,12 @@ class _Frame:
     """Affine map from a data rectangle to the plot area in pixels."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi, width, height):
-        # An empty range gets width 1, or one ulp where |lo| >= 2**53 would swallow 1.
-        if x_hi <= x_lo:
-            x_hi = x_lo + max(1.0, math.ulp(x_lo))
-        if y_hi <= y_lo:
-            y_hi = y_lo + max(1.0, math.ulp(y_lo))
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        self.x_lo, self.x_hi = _widened(x_lo, x_hi)
+        self.y_lo, self.y_hi = _widened(y_lo, y_hi)
+        # y bounds further apart than the float maximum (x, time or prey, is never
+        # negative) are mapped at half scale; halving is exact, so 1 or 1/2 gives
+        # the same pixels.
+        self.y_scale = 1.0 if self.y_hi - self.y_lo < math.inf else 0.5
         self.width, self.height = width, height
         self.plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
         self.plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -64,7 +71,17 @@ class _Frame:
         return _MARGIN_LEFT + (x - self.x_lo) / (self.x_hi - self.x_lo) * self.plot_w
 
     def py(self, y: float) -> float:
-        return _MARGIN_TOP + (self.y_hi - y) / (self.y_hi - self.y_lo) * self.plot_h
+        s, hi = self.y_scale, self.y_hi
+        return _MARGIN_TOP + (hi * s - y * s) / (hi * s - self.y_lo * s) * self.plot_h
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """An empty range gets width 1, or one ulp where |lo| >= 2**53 would swallow 1;
+    at the float maximum it grows downward."""
+    if not hi <= lo:
+        return lo, hi
+    width = max(1.0, math.ulp(lo))
+    return (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
 
 
 def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list[str]:
@@ -146,7 +163,9 @@ def line_chart(
     y_hi = float(max(np.max(y) for y in ys))
     pad = 0.05 * (y_hi - y_lo or 1.0)
     width, height = 640, 400
-    frame = _Frame(float(np.min(x)), float(np.max(x)), y_lo - pad, y_hi + pad, width, height)
+    # Padding near the float maximum stops there instead of overflowing.
+    frame = _Frame(float(np.min(x)), float(np.max(x)), max(y_lo - pad, -_MAX),
+                   min(y_hi + pad, _MAX), width, height)
     if len(x) > 4 * frame.plot_w:
         scaled = (x - frame.x_lo) / (frame.x_hi - frame.x_lo) * frame.plot_w
         columns = np.minimum(np.floor(scaled), frame.plot_w - 1)

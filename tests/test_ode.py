@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,79 @@ def test_rk4_update_is_classical_rk4_on_the_model_rates():
             assert np.array_equal(got, want)
         floats = [_rk4_update(m, c, k, a, b, h) for a, b in zip(n.tolist(), p.tolist())]
         assert np.array_equal(np.array(floats).T, _rk4_update(m, c, k, n, p, h))
+
+
+def _reference_integrate(params, x0, t_end, dt):
+    """integrate as a plain loop over _rk4_update: finiteness first, then the projection."""
+    n, p = x0
+    states, clamps = [(n, p)], 0
+    for i in range(1, max(1, round(t_end / dt)) + 1):
+        n, p = _rk4_update(params.m, params.c, params.k, n, p, dt)
+        if not (math.isfinite(n) and math.isfinite(p)):
+            raise BlowupError(i, dt)
+        if n < 0.0:
+            n, clamps = 0.0, clamps + 1
+        if p < 0.0:
+            p, clamps = 0.0, clamps + 1
+        states.append((n, p))
+    return np.array(states), clamps
+
+
+def _outcome(run, *args):
+    """(state bytes, clamp count), or ("blowup", last good index)."""
+    try:
+        result = run(*args)
+    except BlowupError as exc:
+        return "blowup", exc.last_good_index
+    if isinstance(result, tuple):
+        return result[0].tobytes(), result[1]
+    return result.states.tobytes(), result.clamp_count
+
+
+def test_inlined_rk4_loop_matches_the_rk4_update_reference():
+    """The loop in integrate is a kept fast path: _rk4_update inlined, one guard a step."""
+    # One projection; -inf, a first step past the float maximum, and +inf (finite
+    # stages whose sum overflows) at the first step; finite states whose sum
+    # n + p overflows (the guard's slow path).
+    cases = [
+        (CYCLE_PARAMS, State(1.0, 0.6), 90.0, 1.5),
+        (ModelParams(1.0, 1.0, 1.0), State(1.0, 242963560579.0), 4343631521344895.0,
+         868726304268979.0),
+        (CYCLE_PARAMS, State(1e154, 1.0), 5.0, 1.0),
+        (ModelParams(1.0, 1.0, 1.7e308), State(0.85e308, 0.0), 0.2, 0.1),
+        (ModelParams(1e-320, 1e-320, 9e307), State(9e307, 9e307), 1e-3, 1e-4),
+    ]
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
+        n, p = rng.uniform(0.0, 5.0, size=2).tolist()
+        dt = float(10.0 ** rng.uniform(-3.0, 0.7))
+        cases.append((ModelParams(m, c, k), State(n, p), dt * int(rng.integers(1, 300)), dt))
+    outcomes = []
+    for case in cases:
+        got = _outcome(integrate, *case)
+        assert got == _outcome(_reference_integrate, *case), case
+        outcomes.append(got)
+    assert outcomes[0][1] == 1
+    assert outcomes[1] == outcomes[2] == outcomes[3] == ("blowup", 0)
+    assert outcomes[4][1] == 0 and len(outcomes[4][0]) == 11 * 16
+    assert any(clamps > 0 for _, clamps in outcomes[5:]), "no random case projects"
+
+
+def test_integrate_memory_is_its_two_arrays():
+    # The (steps + 1, 2) states and the times, half their size, are all that
+    # integrate allocates; storing each state as Python floats first would
+    # add 64 bytes a step.
+    steps = 200_000
+    integrate(CYCLE_PARAMS, START, 1.0, dt=1e-3)
+    tracemalloc.start()
+    try:
+        traj = integrate(CYCLE_PARAMS, START, steps * 1e-3, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == steps + 1
+    assert peak <= 1.5 * traj.states.nbytes + 65_536
 
 
 def test_batch_matches_scalar_bitwise():

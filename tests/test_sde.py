@@ -58,6 +58,59 @@ def test_em_step_clamps_to_zero():
     assert new.p > 0.0
 
 
+def _reference_em(m, c, k, n, p, delta, increments):
+    """EM from model._rates one step at a time, projected as _em_path does."""
+    states, clamps = [], 0
+    for dw1, dw2 in increments.tolist():
+        dn, dp, v1, v2 = _rates(m, c, k, n, p)
+        n = n + dn * delta + math.sqrt(v1) * dw1
+        p = p + dp * delta + math.sqrt(v2) * dw2
+        if n < 0.0:
+            n, clamps = (0.0 if n > -math.inf else math.nan), clamps + 1
+        if p < 0.0:
+            p, clamps = (0.0 if p > -math.inf else math.nan), clamps + 1
+        states.append((n, p))
+    return np.array(states), clamps
+
+
+def test_inlined_em_loop_matches_the_rates_reference():
+    """The loop in _em_path is a kept fast path: _rates inlined, one guard a step."""
+    # Philox and zero noise; coarse steps that project; a start whose first
+    # step is not finite.
+    cases = [
+        (CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
+        (CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, zero_noise=True)),
+        (CYCLE_PARAMS, State(0.05, 0.05), SimConfig(t_end=40.0, m_steps=20, seed=3)),
+        (ModelParams(3.0, 1.0, 3.0), State(9.0, 2.0), SimConfig(t_end=20.0, m_steps=8, zero_noise=True)),
+        (CYCLE_PARAMS, State(1e300, 1e300), SimConfig(t_end=1.0, m_steps=10)),
+    ]
+    rng = np.random.default_rng(4)
+    for seed in range(30):
+        m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
+        n, p = rng.uniform(0.0, 5.0, size=2).tolist()
+        cfg = SimConfig(t_end=float(10.0 ** rng.uniform(-1.0, 1.5)), m_steps=int(rng.integers(1, 400)),
+                        seed=seed, zero_noise=seed % 3 == 0)
+        cases.append((ModelParams(m, c, k), State(n, p), cfg))
+    projected, firsts = [], []
+    for params, (n, p), cfg in cases:
+        increments = _path_increments(cfg, stream_index=1)
+        out = np.empty((cfg.m_steps, 2))
+        clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, increments, out)
+        want, want_clamps = _reference_em(params.m, params.c, params.k, n, p, cfg.delta, increments)
+        assert (out.tobytes(), clamps) == (want.tobytes(), want_clamps), (params, n, p, cfg)
+        projected.append(clamps)
+        firsts.append(out[0].tolist())
+    assert projected[2] > 0 and projected[3] > 0
+    assert any(projected[5:]), "no random case projects"
+    assert all(map(math.isnan, firsts[4]))  # the (1e300, 1e300) start
+    # A view that is not C-contiguous cannot be written through: an error, not a lost write.
+    cfg = SimConfig(t_end=1.0, m_steps=10)
+    strided = np.zeros((10, 4))[:, :2]
+    with pytest.raises(TypeError, match="C-contiguous"):
+        _em_path(3.0, 1.0, 3.0, 1.0, 0.6, cfg.delta, _path_increments(cfg, 0), strided)
+    assert not strided.any()
+
+
 def test_noise_stream_is_a_pure_function_of_its_address():
     a = NoiseStream(7, 3).increments(100, 0.01)
     b = NoiseStream(7, 3).increments(100, 0.01)

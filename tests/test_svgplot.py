@@ -84,6 +84,12 @@ LARGE_MAGNITUDE_COMMANDS = [
      "-T", "1", "--svg"],
     ["simulate-ode", "-m", "1e-20", "-c", "1e-20", "-k", "1e17", "--x0", "99999999999999984,1e17",
      "-T", "2", "--dt", "1", "--svg"],
+    # Padding past the float maximum (the y-range spans more than it), and a
+    # range of two subnormals, too narrow for a tick step.
+    pytest.param(["simulate-ode", "-m", "1", "-c", "1", "-k", "1.7e308", "--x0", "1.7e308,0",
+                  "-T", "2", "--dt", "1", "--svg"], id="simulate-ode-float-max"),
+    pytest.param(["simulate-ode", "-m", "1", "-c", "1", "-k", "1", "--x0", "5e-324,0",
+                  "-T", "1", "--dt", "1", "--svg"], id="simulate-ode-subnormal"),
 ]
 
 _CHILD = """
@@ -107,10 +113,24 @@ def test_charts_at_large_magnitude_render_in_bounded_memory_and_time(tmp_path, a
     svgs = sorted(tmp_path.glob("*.svg"))
     assert svgs
     for svg in svgs:
-        for element in _parse(svg.read_text()).iter():
-            for name in _COORDINATES:
-                for number in re.split(r"[\sMLml,]+", element.get(name, "")):
-                    assert not number or math.isfinite(float(number)), (svg.name, name, number)
+        _assert_finite_coordinates(svg.read_text(), svg.name)
+
+
+def _assert_finite_coordinates(svg: str, label: str) -> None:
+    for element in _parse(svg).iter():
+        for name in _COORDINATES:
+            for number in re.split(r"[\sMLml,]+", element.get(name, "")):
+                assert not number or math.isfinite(float(number)), (label, name, number)
+
+
+def test_ranges_at_the_float_maximum_map_to_finite_pixels():
+    big = sys.float_info.max
+    for ys in ([0.0, big], [-big, big], [big, big], [-big, -big], [0.0, 5e-324]):
+        _assert_finite_coordinates(line_chart([0.0, 1.0], [{"y": ys}]), repr(ys))
+    # A flat range at the maximum widens downward; one past it has half scale.
+    assert svgplot._Frame(0.0, 1.0, big, big, 540, 540).y_lo == big - math.ulp(big)
+    frame = svgplot._Frame(0.0, 1.0, -big, big, 540, 540)
+    assert frame.py(big) == svgplot._MARGIN_TOP and frame.py(-big) == 540 - svgplot._MARGIN_BOTTOM
 
 
 PLOT_W = 640 - 62 - 16  # default width less the left and right margins
