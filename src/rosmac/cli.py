@@ -43,7 +43,7 @@ from .equilibria import (
     trace_identity_check,
 )
 from .model import GridSpec, ModelParams, State, checked_state
-from .ode import BlowupError, detect_asymptotics, integrate, vector_field_grid
+from .ode import DEFAULT_DT, BlowupError, detect_asymptotics, integrate, vector_field_grid
 from .sde import DESK_STEPS, SimConfig, simulate_path
 from .svgplot import line_chart, phase_portrait
 from .verification import (
@@ -86,7 +86,7 @@ OPTIONS = (
     Option("out", "--out", str, None, "output directory", _ALL),
     Option("x0", "--x0", str, "1,0.6", "initial state 'N,P'", _FROM_X0),
     Option("T", "-T", float, 10.0, "end time", _FROM_X0),
-    Option("dt", "--dt", float, 1e-3, "integration step", ("simulate-ode", "phase-portrait")),
+    Option("dt", "--dt", float, DEFAULT_DT, "integration step", ("simulate-ode", "phase-portrait")),
     Option("tail_fraction", "--tail-fraction", float, 0.25,
            "trailing fraction inspected for the long-run verdict", ("simulate-ode",)),
     Option("grid", "--grid", str, None, "bounds 'NMIN,NMAX,PMIN,PMAX'", _GRID),
@@ -422,13 +422,17 @@ def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
 def _cmd_ensemble(options: dict[str, Any]) -> int:
     params = _require_params(options)
     x0 = _parse_x0(options["x0"])
-    if options["save_paths"] < 0:
-        raise ValueError(f"--save-paths must be >= 0, got {options['save_paths']}")
+    save_paths, runs = options["save_paths"], options["runs"]
+    if save_paths < 0:
+        raise ValueError(f"--save-paths must be >= 0, got {save_paths}")
+    # Path j replays stream j of the ensemble; fewer than 2 runs fail in run_ensemble.
+    if save_paths > runs >= 2:
+        raise ValueError(f"--save-paths must be <= --runs ({runs}), got {save_paths}")
     cfg = _sim_config(options)
     stats = run_ensemble(
-        params, x0, cfg, options["runs"], stride=options["stride"], workers=options["workers"]
+        params, x0, cfg, runs, stride=options["stride"], workers=options["workers"]
     )
-    print(f"runs: {options['runs']}  clamp events: {stats.clamp_events_total}")
+    print(f"runs: {runs}  clamp events: {stats.clamp_events_total}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
         _write_csv(out_dir / "ensemble.csv", {
@@ -437,7 +441,7 @@ def _cmd_ensemble(options: dict[str, Any]) -> int:
             "mean_P": stats.mean_p, "var_P": stats.var_p,
             "band_lo_P": stats.band_lower_p, "band_hi_P": stats.band_upper_p,
         })
-        for stream in range(options["save_paths"]):
+        for stream in range(save_paths):
             path = simulate_path(params, x0, cfg, stream_index=stream)
             _write_states(out_dir / f"path_{stream:04d}.csv", path.times, path.states)
         if options["svg"]:

@@ -83,6 +83,10 @@ class GridSpec:
             raise ValueError("grid bounds must be finite, ordered and >= 0")
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+        # One sample would stand for the whole box: its corner (n_min, p_min).
+        box = self.n_min < self.n_max or self.p_min < self.p_max
+        if self.resolution == 1 and box:
+            raise ValueError("resolution 1 samples one corner; a box needs resolution >= 2")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -14,12 +13,10 @@ from .model import GridSpec, ModelParams, State, _rates, checked_state, drift
 __all__ = [
     "AsymptoticKind",
     "AsymptoticVerdict",
-    "BatchSummary",
     "BlowupError",
     "Trajectory",
     "detect_asymptotics",
     "integrate",
-    "integrate_batch",
     "vector_field_grid",
 ]
 
@@ -62,14 +59,6 @@ class Trajectory:
         return State(float(self.states[-1, 0]), float(self.states[-1, 1]))
 
 
-class BatchSummary(NamedTuple):
-    """Online diagnostics of a batch integration (no stored trajectories)."""
-
-    final_states: np.ndarray
-    clamp_counts: np.ndarray
-    max_total: np.ndarray
-
-
 class AsymptoticKind(Enum):
     EQUILIBRIUM = "equilibrium"
     LIMIT_CYCLE = "limit_cycle"
@@ -83,34 +72,6 @@ class AsymptoticVerdict:
     period: float | None = None
     box: tuple[float, float, float, float] | None = None
     diagnostics: str = ""
-
-
-def _rk4_update(m, c, k, n, p, h):
-    """One classical RK4 step; identical expression for floats and arrays."""
-    h2 = 0.5 * h
-    inter = m * n * p / (1.0 + n)
-    k1n = n * (1.0 - n / k) - inter
-    k1p = -c * p + inter
-    n1 = n + h2 * k1n
-    p1 = p + h2 * k1p
-    inter = m * n1 * p1 / (1.0 + n1)
-    k2n = n1 * (1.0 - n1 / k) - inter
-    k2p = -c * p1 + inter
-    n2 = n + h2 * k2n
-    p2 = p + h2 * k2p
-    inter = m * n2 * p2 / (1.0 + n2)
-    k3n = n2 * (1.0 - n2 / k) - inter
-    k3p = -c * p2 + inter
-    n3 = n + h * k3n
-    p3 = p + h * k3p
-    inter = m * n3 * p3 / (1.0 + n3)
-    k4n = n3 * (1.0 - n3 / k) - inter
-    k4p = -c * p3 + inter
-    sixth = h / 6.0
-    return (
-        n + sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n),
-        p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -132,8 +93,9 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     A non-finite state, -inf included, aborts with BlowupError carrying the
     last good index.
 
-    The loop is _rk4_update inlined, operand for operand, on Python floats; it
-    stores through a flat view of the state array and tests each step once.
+    The loop is the classical RK4 step on the drift of model._rates, written
+    out operand for operand on Python floats; it stores through a flat view of
+    the state array and tests each step once.
     """
     n, p = checked_state(x0)
     steps = _step_count(t_end, dt)
@@ -183,46 +145,6 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
             flat[j] = n
             flat[j + 1] = p
     return Trajectory(times=times, states=out, params=params, dt=dt, clamp_count=clamps)
-
-
-def integrate_batch(
-    params: ModelParams, x0s: np.ndarray, t_end: float, dt: float = DEFAULT_DT
-) -> BatchSummary:
-    """Integrate many starts at once, tracking only summary diagnostics.
-
-    x0s has shape (batch, 2).  Returns final states, per-path clamp counts,
-    and the per-path running maximum of n + p (for confinement checks)
-    without materializing the trajectories.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != 2:
-        raise ValueError(f"x0s must have shape (batch, 2), got {x0s.shape}")
-    for x0 in x0s:
-        checked_state(x0, "every start")
-    steps = _step_count(t_end, dt)
-    m, c, k = params.m, params.c, params.k
-    n = x0s[:, 0].copy()
-    p = x0s[:, 1].copy()
-    clamps = np.zeros(len(x0s), dtype=np.int64)
-    max_total = n + p
-    for i in range(1, steps + 1):
-        n, p = _rk4_update(m, c, k, n, p, dt)
-        if not (np.isfinite(n).all() and np.isfinite(p).all()):
-            raise BlowupError(i, dt)
-        neg_n = n < 0.0
-        neg_p = p < 0.0
-        if neg_n.any():
-            clamps += neg_n
-            n[neg_n] = 0.0
-        if neg_p.any():
-            clamps += neg_p
-            p[neg_p] = 0.0
-        np.maximum(max_total, n + p, out=max_total)
-    return BatchSummary(
-        final_states=np.stack([n, p], axis=1),
-        clamp_counts=clamps,
-        max_total=max_total,
-    )
 
 
 def vector_field_grid(params: ModelParams, grid: GridSpec) -> np.ndarray:

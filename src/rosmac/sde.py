@@ -119,26 +119,31 @@ class NoiseStream:
 
 
 def _path_increments(cfg: SimConfig, stream_index: int) -> np.ndarray:
-    """(m_steps, 2) increments of one path: zeros without noise, else Philox."""
+    """(m_steps, 2) increments of one path: zeros without noise, else Philox.
+    The (seed, stream_index) address is checked either way."""
+    stream = NoiseStream(cfg.seed, stream_index)
     if cfg.zero_noise:
         return np.zeros((cfg.m_steps, 2))
-    return NoiseStream(cfg.seed, stream_index).increments(cfg.m_steps, cfg.delta)
+    return stream.increments(cfg.m_steps, cfg.delta)
 
 
-def _em_path(m, c, k, n, p, delta, increments, out) -> int:
-    """Scalar EM from (n, p) with projection to zero; step i takes increments[i]
-    and stores its state in out[i].  Returns the number of projections.
+def _em_path(m, c, k, n, p, delta, increments) -> tuple[np.ndarray, int]:
+    """Scalar EM from (n, p) with projection to zero: the (steps + 1, 2) states,
+    row i after step i on increments[i - 1], and the number of projections.
 
     A component that overflows to -inf is stored as NaN, not projected to 0,
-    so the caller's finiteness check sees the step that blew up."""
+    so a state that is not finite raises BlowupError at its step."""
+    states = np.empty((len(increments) + 1, 2))
     clamps = 0
     nc, sqrt = -c, math.sqrt
     # Python floats: the same IEEE operations as numpy scalars, several times
     # faster.  The rates are model._rates inlined operand for operand, each state
-    # goes through a flat view of out (a cast needs a C-contiguous buffer, so the
-    # view cannot be a detached copy), and one guard per step skips the projection.
-    with memoryview(out).cast("B").cast("d") as flat:
-        j = 0
+    # goes through a flat view of the states, and one guard per step skips the
+    # projection.
+    with memoryview(states).cast("B").cast("d") as flat:
+        flat[0] = n
+        flat[1] = p
+        j = 2
         for dw1, dw2 in increments.tolist():
             inter = m * n * p / (1.0 + n)
             n_k = n / k
@@ -156,14 +161,10 @@ def _em_path(m, c, k, n, p, delta, increments, out) -> int:
             flat[j] = n
             flat[j + 1] = p
             j += 2
-    return clamps
-
-
-def _check_finite(out: np.ndarray, delta: float) -> None:
-    """BlowupError at the first row of out (row i holds step i) that is not finite."""
-    finite = np.isfinite(out).all(axis=1)
+    finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise BlowupError(int(finite.argmin()), delta)
+    return states, clamps
 
 
 def simulate_path(
@@ -171,15 +172,11 @@ def simulate_path(
 ) -> SamplePath:
     """Simulate one path; deterministic in (params, x0, cfg, stream_index)."""
     n, p = checked_state(x0)
-    delta = cfg.delta
     increments = _path_increments(cfg, stream_index)
-    out = np.empty((cfg.m_steps + 1, 2))
-    out[0] = n, p
-    clamps = _em_path(params.m, params.c, params.k, n, p, delta, increments, out[1:])
-    _check_finite(out, delta)
-    times = np.arange(cfg.m_steps + 1) * delta
+    states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, increments)
+    times = np.arange(cfg.m_steps + 1) * cfg.delta
     return SamplePath(
-        times=times, states=out, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
+        times=times, states=states, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
     )
 
 
@@ -301,10 +298,7 @@ def strong_self_convergence(
         level_steps = m_base << level
         level_increments = fine_increments.reshape(level_steps, -1, 2).sum(axis=1)
         delta = t_end / level_steps
-        states = np.empty((level_steps + 1, 2))
-        states[0] = n0, p0
-        clamps = _em_path(m, c, k, n0, p0, delta, level_increments, states[1:])
-        _check_finite(states, delta)
+        states, clamps = _em_path(m, c, k, n0, p0, delta, level_increments)
         # The noiseless flow keeps the closed quadrant, so a projection means
         # delta times a rate exceeded 1: the step, not the model, decided the end.
         if zero_noise and clamps:

@@ -32,7 +32,6 @@ from rosmac import (
     find_equilibria,
     hopf_threshold,
     integrate,
-    integrate_batch,
     lyapunov_constant,
     monotonicity_constant,
     run_ensemble,
@@ -204,20 +203,22 @@ def test_criterion_06_positivity_and_confinement():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2025)
     starts = rng.uniform(0.05, 3.0, size=(100, 2))
-    summary = integrate_batch(CYCLE_PARAMS, starts, 100.0, dt=1e-3)
     bound = 10.0 * max(CYCLE_PARAMS.k, 1.0)
-    clamps_ok = (summary.clamp_counts == 0).all()
-    confined_ok = (summary.max_total <= bound).all()
-    finite_ok = np.isfinite(summary.final_states).all()
+    clamps_ok = confined_ok = finite_ok = True
+    max_total = 0.0
+    for start in starts.tolist():
+        traj = integrate(CYCLE_PARAMS, State(*start), 100.0, dt=1e-3)
+        total = float(traj.states.sum(axis=1).max())
+        max_total = max(max_total, total)
+        clamps_ok &= traj.clamp_count == 0
+        confined_ok &= total <= bound
+        finite_ok &= bool(np.isfinite(traj.states).all())
     elapsed = time.perf_counter() - t0
     _elapsed_ok(6, elapsed, 60.0)
     _verdict(
         6,
-        bool(clamps_ok and confined_ok and finite_ok),
-        (
-            f"0 clamp events, max n+p {summary.max_total.max():.3f} <= {bound:g} "
-            f"across 100 starts"
-        ),
+        clamps_ok and confined_ok and finite_ok,
+        f"0 clamp events, max n+p {max_total:.3f} <= {bound:g} across 100 starts",
     )
 
 

@@ -142,6 +142,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "-M", "1", "--zero-noise", "--out", str(tmp_path / "d")],
         ["ensemble", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
          "-M", "1", "--zero-noise", "--runs", "2", "--out", str(tmp_path / "d")],
+        # Paths of streams the ensemble never ran, a box sampled at one corner, and
+        # a stream address that is invalid with or without noise.
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "2", "--save-paths", "5",
+         "--out", str(tmp_path / "d")],
+        ["verify", *CYCLE_FLAGS, "--res", "1", "--runs", "2", "-M", "10"],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--zero-noise",
+         "--out", str(tmp_path / "d")],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -348,6 +355,11 @@ def test_ensemble_outputs_and_zero_noise_variance(tmp_path, capsys):
     assert (out / "path_0001.csv").exists()
     assert (out / "ensemble_n.svg").exists()
     assert (out / "ensemble_p.svg").exists()
+    # Every run may be saved, but no stream past the last run.
+    every = tmp_path / "every"
+    assert main(["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--runs", "2",
+                 "--save-paths", "2", "--out", str(every)]) == 0
+    assert sorted(path.name for path in every.glob("path_*.csv")) == ["path_0000.csv", "path_0001.csv"]
 
 
 def test_ensemble_worker_count_invariance(tmp_path):

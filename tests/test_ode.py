@@ -17,11 +17,9 @@ from rosmac import (
     detect_asymptotics,
     drift,
     integrate,
-    integrate_batch,
     vector_field_grid,
 )
 from rosmac.model import _rates
-from rosmac.ode import _rk4_update
 
 from conftest import COMPONENTS, CYCLE_PARAMS, RATES, SINK_PARAMS, START
 
@@ -102,26 +100,12 @@ def _classical_rk4(m, c, k, n, p, h):
     )
 
 
-def test_rk4_update_is_classical_rk4_on_the_model_rates():
-    """The hand-expanded step equals RK4 built from _rates, bit for bit."""
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
-        h = float(10.0 ** rng.uniform(-4.0, 0.5))
-        n, p = rng.uniform(0.0, 5.0, size=(2, 64))
-        assert _rk4_update(m, c, k, n[0], p[0], h) == _classical_rk4(m, c, k, n[0], p[0], h)
-        for got, want in zip(_rk4_update(m, c, k, n, p, h), _classical_rk4(m, c, k, n, p, h)):
-            assert np.array_equal(got, want)
-        floats = [_rk4_update(m, c, k, a, b, h) for a, b in zip(n.tolist(), p.tolist())]
-        assert np.array_equal(np.array(floats).T, _rk4_update(m, c, k, n, p, h))
-
-
 def _reference_integrate(params, x0, t_end, dt):
-    """integrate as a plain loop over _rk4_update: finiteness first, then the projection."""
+    """integrate as a plain loop over _classical_rk4: finiteness first, then the projection."""
     n, p = x0
     states, clamps = [(n, p)], 0
     for i in range(1, max(1, round(t_end / dt)) + 1):
-        n, p = _rk4_update(params.m, params.c, params.k, n, p, dt)
+        n, p = _classical_rk4(params.m, params.c, params.k, n, p, dt)
         if not (math.isfinite(n) and math.isfinite(p)):
             raise BlowupError(i, dt)
         if n < 0.0:
@@ -144,7 +128,8 @@ def _outcome(run, *args):
 
 
 def test_inlined_rk4_loop_matches_the_rk4_update_reference():
-    """The loop in integrate is a kept fast path: _rk4_update inlined, one guard a step."""
+    """The loop in integrate is a kept fast path: classical RK4 on _rates written out
+    operand for operand, one guard a step."""
     # One projection; -inf, a first step past the float maximum, and +inf (finite
     # stages whose sum overflows) at the first step; finite states whose sum
     # n + p overflows (the guard's slow path).
@@ -187,31 +172,6 @@ def test_integrate_memory_is_its_two_arrays():
         tracemalloc.stop()
     assert len(traj) == steps + 1
     assert peak <= 1.5 * traj.states.nbytes + 65_536
-
-
-def test_batch_matches_scalar_bitwise():
-    starts = np.array([[1.0, 0.6], [0.3, 2.0], [4.0, 0.01]])
-    summary = integrate_batch(CYCLE_PARAMS, starts, 10.0, dt=1e-2)
-    for row, start in enumerate(starts):
-        traj = integrate(CYCLE_PARAMS, State(*start), 10.0, dt=1e-2)
-        assert summary.final_states[row, 0] == traj.states[-1, 0]
-        assert summary.final_states[row, 1] == traj.states[-1, 1]
-        assert summary.clamp_counts[row] == traj.clamp_count
-
-
-def test_batch_confinement_diagnostics():
-    rng = np.random.default_rng(3)
-    starts = rng.uniform(0.05, 3.0, size=(10, 2))
-    summary = integrate_batch(CYCLE_PARAMS, starts, 20.0, dt=1e-2)
-    assert (summary.clamp_counts == 0).all()
-    assert (summary.max_total >= starts.sum(axis=1)).all()
-    # Orbits stay inside the dissipative triangle for these parameters.
-    assert (summary.max_total <= 10.0 * CYCLE_PARAMS.k).all()
-    for bad in (-0.5, math.nan):
-        with pytest.raises(ValueError):
-            integrate_batch(CYCLE_PARAMS, np.array([[1.0, 0.5], [1.0, bad]]), 1.0)
-    with pytest.raises(ValueError):
-        integrate_batch(CYCLE_PARAMS, np.array([1.0, 0.5]), 1.0)
 
 
 def test_vector_field_grid_layout():
@@ -293,7 +253,7 @@ def test_detect_asymptotics_validation():
 # The first update is (-inf, -1.76e25): an overflow, not an extinction.
 @example(m=1.0, c=1.0, k=1.0, n0=1.0, p0=242963560579.0, dt=868726304268979.0, steps=5)
 def test_rk4_update_gives_finite_states_or_blowup(m, c, k, n0, p0, dt, steps):
-    update = _rk4_update(m, c, k, n0, p0, dt)
+    update = _classical_rk4(m, c, k, n0, p0, dt)
     first_finite = all(math.isfinite(value) for value in update)
     first = [0.0 if value < 0.0 else value for value in update]
     try:

@@ -37,10 +37,9 @@ def test_simconfig_validation_and_delta():
 
 def _em_step(x, delta, dw1, dw2):
     """One EM step of CYCLE_PARAMS from x: the new state and its projection count."""
-    out = np.empty((1, 2))
     m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
-    clamps = _em_path(m, c, k, *x, delta, np.array([[dw1, dw2]]), out)
-    return State(*out[0].tolist()), clamps
+    states, clamps = _em_path(m, c, k, *x, delta, np.array([[dw1, dw2]]))
+    return State(*states[1].tolist()), clamps
 
 
 def test_em_step_pencil_values():
@@ -59,8 +58,8 @@ def test_em_step_clamps_to_zero():
 
 
 def _reference_em(m, c, k, n, p, delta, increments):
-    """EM from model._rates one step at a time, projected as _em_path does."""
-    states, clamps = [], 0
+    """EM from model._rates one step at a time, projected and checked as _em_path does."""
+    states, clamps = [(n, p)], 0
     for dw1, dw2 in increments.tolist():
         dn, dp, v1, v2 = _rates(m, c, k, n, p)
         n = n + dn * delta + math.sqrt(v1) * dw1
@@ -69,8 +68,19 @@ def _reference_em(m, c, k, n, p, delta, increments):
             n, clamps = (0.0 if n > -math.inf else math.nan), clamps + 1
         if p < 0.0:
             p, clamps = (0.0 if p > -math.inf else math.nan), clamps + 1
+        if not (math.isfinite(n) and math.isfinite(p)):
+            raise BlowupError(len(states), delta)
         states.append((n, p))
     return np.array(states), clamps
+
+
+def _em_outcome(run, *args):
+    """(state bytes, projection count), or ("blowup", last good index)."""
+    try:
+        states, clamps = run(*args)
+    except BlowupError as exc:
+        return "blowup", exc.last_good_index
+    return states.tobytes(), clamps
 
 
 def test_inlined_em_loop_matches_the_rates_reference():
@@ -91,24 +101,16 @@ def test_inlined_em_loop_matches_the_rates_reference():
         cfg = SimConfig(t_end=float(10.0 ** rng.uniform(-1.0, 1.5)), m_steps=int(rng.integers(1, 400)),
                         seed=seed, zero_noise=seed % 3 == 0)
         cases.append((ModelParams(m, c, k), State(n, p), cfg))
-    projected, firsts = [], []
+    outcomes = []
     for params, (n, p), cfg in cases:
-        increments = _path_increments(cfg, stream_index=1)
-        out = np.empty((cfg.m_steps, 2))
-        clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, increments, out)
-        want, want_clamps = _reference_em(params.m, params.c, params.k, n, p, cfg.delta, increments)
-        assert (out.tobytes(), clamps) == (want.tobytes(), want_clamps), (params, n, p, cfg)
-        projected.append(clamps)
-        firsts.append(out[0].tolist())
-    assert projected[2] > 0 and projected[3] > 0
-    assert any(projected[5:]), "no random case projects"
-    assert all(map(math.isnan, firsts[4]))  # the (1e300, 1e300) start
-    # A view that is not C-contiguous cannot be written through: an error, not a lost write.
-    cfg = SimConfig(t_end=1.0, m_steps=10)
-    strided = np.zeros((10, 4))[:, :2]
-    with pytest.raises(TypeError, match="C-contiguous"):
-        _em_path(3.0, 1.0, 3.0, 1.0, 0.6, cfg.delta, _path_increments(cfg, 0), strided)
-    assert not strided.any()
+        args = (params.m, params.c, params.k, n, p, cfg.delta, _path_increments(cfg, stream_index=1))
+        got = _em_outcome(_em_path, *args)
+        assert got == _em_outcome(_reference_em, *args), (params, n, p, cfg)
+        outcomes.append(got)
+    assert outcomes[2][1] > 0 and outcomes[3][1] > 0
+    assert any(clamps for _, clamps in outcomes[5:]), "no random case projects"
+    # The (1e300, 1e300) start overflows to -inf, stored as NaN: a blow-up, not an extinction.
+    assert outcomes[4] == ("blowup", 0)
 
 
 def test_noise_stream_is_a_pure_function_of_its_address():
@@ -245,6 +247,11 @@ def test_strong_self_convergence_structure():
     assert strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, n_levels=1) == []
     with pytest.raises(ValueError):
         strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, m_base=0)
+    # The stream address is checked with and without noise.
+    for zero_noise in (False, True):
+        with pytest.raises(ValueError, match="stream_index"):
+            strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, stream_index=-1,
+                                    zero_noise=zero_noise)
     for x0 in (State(-1.0, 0.6), State(math.nan, 0.6), State(1.0, math.inf)):
         with pytest.raises(ValueError):
             strong_self_convergence(CYCLE_PARAMS, x0, 1.0, seed=0)
@@ -315,17 +322,20 @@ def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
     dw1, dw2 = increments[0].tolist()
     # The first step before the projection: -inf there is a blow-up, not an extinction.
     first = (n0 + dn * cfg.delta + math.sqrt(v1) * dw1, p0 + dp * cfg.delta + math.sqrt(v2) * dw2)
-    out = np.empty((cfg.m_steps, 2))
-    _em_path(m, c, k, n0, p0, cfg.delta, increments, out)
-    finite = np.isfinite(out).all(axis=1)
-    assert finite[0] == (math.isfinite(first[0]) and math.isfinite(first[1]))
+    first_finite = all(math.isfinite(value) for value in first)
     try:
-        path = simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
+        states, _ = _em_path(m, c, k, n0, p0, cfg.delta, increments)
     except BlowupError as exc:
-        assert exc.last_good_index == int(finite.argmin())  # out[i] holds step i + 1
+        assert (exc.last_good_index == 0) is not first_finite
+        with pytest.raises(BlowupError) as again:
+            simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
+        assert again.value.last_good_index == exc.last_good_index
         return
-    assert finite.all() and (out >= 0.0).all()
-    np.testing.assert_array_equal(path.states[1:], out)
+    assert first_finite
+    assert np.isfinite(states).all() and (states >= 0.0).all()
+    assert states[1].tolist() == [0.0 if value < 0.0 else value for value in first]
+    path = simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
+    np.testing.assert_array_equal(path.states, states)
 
 
 @settings(max_examples=80, deadline=None)

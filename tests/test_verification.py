@@ -54,6 +54,11 @@ def test_constant_domain_errors():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 0)
+    # One sample covers a point, not a box: each axis needs both endpoints.
+    for bounds in ((0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0)):
+        with pytest.raises(ValueError, match="resolution 1"):
+            GridSpec(*bounds, 1)
+    assert [axis.tolist() for axis in GridSpec(1.0, 1.0, 2.0, 2.0, 1).axes()] == [[1.0], [2.0]]
     with pytest.raises(ValueError):
         GridSpec(1.0, 0.0, 0.0, 1.0, 10)
     for bounds in ((-1.0, 1.0, 0.0, 1.0), (0.0, 1.0, -1e-300, 1.0), (-2.0, -1.0, -2.0, -1.0)):
@@ -143,6 +148,15 @@ def _reference_worst(grid, slack_at):
     return worst_slack, worst_point
 
 
+def _at_resolution(grid, resolution):
+    """grid at `resolution`; at 1, which no box takes, the corner (n_min, p_min) alone."""
+    if resolution > 1:
+        return dataclasses.replace(grid, resolution=resolution)
+    with pytest.raises(ValueError, match="resolution 1"):
+        dataclasses.replace(grid, resolution=resolution)
+    return GridSpec(grid.n_min, grid.n_min, grid.p_min, grid.p_min, resolution)
+
+
 @pytest.mark.parametrize("params", [CYCLE_PARAMS, SINK_PARAMS], ids=["cycle", "sink"])
 @pytest.mark.parametrize("alpha", [3.0, 2.5, 4.7])
 @pytest.mark.parametrize(
@@ -163,8 +177,8 @@ def test_grid_checks_match_per_point_reference(params, alpha, resolution, c_over
 
     # numpy's array power may differ from libm's pow by one ulp at non-integer alpha.
     rel = 0.0 if alpha == 3.0 else 1e-15
-    gen_grid = dataclasses.replace(DEFAULT_GENERATOR_GRID, resolution=resolution)
-    mono_grid = dataclasses.replace(DEFAULT_MONOTONICITY_GRID, resolution=resolution)
+    gen_grid = _at_resolution(DEFAULT_GENERATOR_GRID, resolution)
+    mono_grid = _at_resolution(DEFAULT_MONOTONICITY_GRID, resolution)
     for report, slack_at in (
         (check_generator_inequality(params, alpha, gen_grid, c_override), generator_slack),
         (check_monotonicity(params, mono_grid, c_override), monotonicity_slack),
