@@ -9,6 +9,12 @@ projection is counted so the caller can judge how often the boundary bites.
 A state that is not finite raises BlowupError naming the first such step; a
 component that overflows to -inf counts as not finite, not as extinct.
 
+The origin (+0, +0) is absorbing: drift and noise amplitudes are both 0 there,
+so every later step returns it unchanged.  The ensemble stops working on a run
+found there at a chunk start, a single path at the projection that lands it
+there; both write +0.0 for the remaining states, the bytes stepping would give.
+A -0.0 component is not the origin until a step turns it into +0.
+
 Reproducibility contract: the Brownian increments for a path are a pure
 function of (seed, stream_index) through a counter-based generator, so any
 path can be regenerated in isolation and ensembles are schedule-independent.
@@ -45,6 +51,9 @@ _MAX_SEED = 2**64
 # Steps per chunk of the ensemble driver: noise is drawn and recorded rows are
 # handed over one chunk at a time.  Sets memory (runs x chunk), not results.
 _CHUNK_STEPS = 256
+
+# Increment rows the scalar EM loop converts to Python floats at a time.
+_BLOCK_STEPS = 4_096
 
 
 @dataclass(frozen=True)
@@ -132,35 +141,44 @@ def _em_path(m, c, k, n, p, delta, increments) -> tuple[np.ndarray, int]:
     row i after step i on increments[i - 1], and the number of projections.
 
     A component that overflows to -inf is stored as NaN, not projected to 0,
-    so a state that is not finite raises BlowupError at its step."""
-    states = np.empty((len(increments) + 1, 2))
+    so a state that is not finite raises BlowupError at its step.  The origin
+    (+0, +0) is absorbing, a fixed point of every step: a projection that lands
+    there ends the loop, and the rows after it keep their +0.0."""
+    states = np.zeros((len(increments) + 1, 2))
     clamps = 0
-    nc, sqrt = -c, math.sqrt
+    nc, sqrt, copysign = -c, math.sqrt, math.copysign
     # Python floats: the same IEEE operations as numpy scalars, several times
     # faster.  The rates are model._rates inlined operand for operand, each state
     # goes through a flat view of the states, and one guard per step skips the
-    # projection.
+    # projection.  Increments are converted to floats a block at a time, so an
+    # absorbed path converts no more of them.
     with memoryview(states).cast("B").cast("d") as flat:
         flat[0] = n
         flat[1] = p
         j = 2
-        for dw1, dw2 in increments.tolist():
-            inter = m * n * p / (1.0 + n)
-            n_k = n / k
-            dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
-            v1, v2 = n * (1.0 + n_k) + inter, c * p + inter
-            n = n + dn * delta + sqrt(v1) * dw1
-            p = p + dp * delta + sqrt(v2) * dw2
-            if not (n >= 0.0 and p >= 0.0):
-                if n < 0.0:
-                    n = 0.0 if n > -math.inf else math.nan
-                    clamps += 1
-                if p < 0.0:
-                    p = 0.0 if p > -math.inf else math.nan
-                    clamps += 1
-            flat[j] = n
-            flat[j + 1] = p
-            j += 2
+        for block in range(0, len(increments), _BLOCK_STEPS):
+            for dw1, dw2 in increments[block:block + _BLOCK_STEPS].tolist():
+                inter = m * n * p / (1.0 + n)
+                n_k = n / k
+                dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
+                v1, v2 = n * (1.0 + n_k) + inter, c * p + inter
+                n = n + dn * delta + sqrt(v1) * dw1
+                p = p + dp * delta + sqrt(v2) * dw2
+                if not (n >= 0.0 and p >= 0.0):
+                    if n < 0.0:
+                        n = 0.0 if n > -math.inf else math.nan
+                        clamps += 1
+                    if p < 0.0:
+                        p = 0.0 if p > -math.inf else math.nan
+                        clamps += 1
+                    if n == 0.0 == p and copysign(1.0, n) == copysign(1.0, p) == 1.0:
+                        break
+                flat[j] = n
+                flat[j + 1] = p
+                j += 2
+            else:
+                continue
+            break  # absorbed at the origin
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise BlowupError(int(finite.argmin()), delta)
@@ -191,6 +209,12 @@ def _ensemble_chunks(
     generator per stream makes chunked draws equal a single draw; `workers`
     threads split the draws by stream.  Matches simulate_path bit for bit,
     also in raising BlowupError at the first step with a non-finite state.
+
+    The origin (+0, +0) is absorbing: at each chunk start, runs that sit there
+    leave the live set, and only live runs draw noise, step and count
+    projections.  Their rows are recorded compactly and scattered into `rows`
+    once per chunk; a dead run's column holds +0.0, which is what stepping it
+    would give.  A -0.0 component keeps its run live until it turns +0.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -203,29 +227,50 @@ def _ensemble_chunks(
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
     x = np.repeat(np.array([[n0], [p0]]), runs, axis=1)
-    drift, var = np.empty((2, runs)), np.empty((2, runs))
-    inter, one_n, n_k = np.empty(runs), np.empty(runs), np.empty(runs)
-    (n, p), (dn, dp), (v1, v2) = x, drift, var
     clamps = np.zeros(runs, dtype=np.int64)
-    noise = np.zeros((chunk, 2, runs))
     rows = np.empty((chunk // stride + 1, 2, runs))
     rows[0] = x
     recorded = 1
+    # Stream index of each live run, and its projection counts.
+    live, live_clamps = np.arange(runs), clamps.copy()
+    noise_buffer, spare = np.zeros(chunk * 2 * runs), np.empty((chunk + 1) * 2 * runs)
     if not cfg.zero_noise:
         generators = [NoiseStream(cfg.seed, j)._generator() for j in range(runs)]
-        draws = np.empty((runs, chunk, 2))
 
-    def draw(streams: range, size: int) -> None:
-        for j in streams:
-            generators[j].standard_normal(out=draws[j, :size])
-        part = slice(streams.start, streams.stop)
+    def draw(positions: range, size: int) -> None:
+        for i in positions:
+            generators[live[i]].standard_normal(out=draws[i, :size])
+        part = slice(positions.start, positions.stop)
         np.multiply(draws[part, :size], math.sqrt(delta), out=noise[:size].transpose(2, 0, 1)[part])
 
     parts = min(workers, runs, os.cpu_count() or 1)
-    slices = [range(runs * i // parts, runs * (i + 1) // parts) for i in range(parts)]
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for start in range(0, steps, chunk):
             size = min(chunk, steps - start)
+            absorbed = ((x == 0.0) & ~np.signbit(x)).all(axis=0)
+            if start == 0 or absorbed.any():
+                rows[..., live[absorbed]] = 0.0
+                kept = ~absorbed
+                # compress keeps x C-contiguous; x[:, kept] would not.
+                live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
+                count = len(live)
+                # Buffers sized to the live set.  The draws are spent before the
+                # steps and the compact record is filled during them, so the two
+                # share memory.  Runs share x0, so the first chunk, the only one
+                # with a row recorded up front, drops no run or every run.
+                noise = noise_buffer[: chunk * 2 * count].reshape(chunk, 2, count)
+                draws = spare[: count * chunk * 2].reshape(count, chunk, 2)
+                record = spare[: len(rows) * 2 * count].reshape(len(rows), 2, count)
+                if count == runs:
+                    record = rows
+                n, p = x
+                (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
+                inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
+                slices = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+            if not count:  # all rows of this chunk are +0.0
+                yield rows[: recorded + (start + size) // stride - start // stride], clamps
+                recorded = 0
+                continue
             if not cfg.zero_noise:
                 list(pool.map(draw, slices, [size] * parts))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -252,14 +297,17 @@ def _ensemble_chunks(
                         if lowest == -math.inf:  # an overflow, not an extinction
                             raise BlowupError(start + i + 1, delta)
                         negative = x < 0.0
-                        clamps += negative.sum(axis=0)
+                        live_clamps += negative.sum(axis=0)
                         x[negative] = 0.0
                     # False for NaN and +inf.
                     if not np.maximum.reduce(x, axis=None) < math.inf:
                         raise BlowupError(start + i + 1, delta)
                     if (start + i + 1) % stride == 0:
-                        rows[recorded] = x
+                        record[recorded] = x
                         recorded += 1
+            if record is not rows:
+                rows[:recorded, :, live] = record[:recorded]
+            clamps[live] = live_clamps
             yield rows[:recorded], clamps
             recorded = 0
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rosmac import ModelParams, State
+from rosmac import BlowupError, ModelParams, State
+from rosmac.model import _rates
 
 # The two reference parameter sets used throughout: same interaction and
 # mortality, capacities on either side of the stability switch at k = 2.
@@ -16,6 +20,24 @@ START = State(1.0, 0.6)
 # to where the first step overflows.
 RATES = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-3, 1e300))
 COMPONENTS = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300))
+
+
+def _reference_em(m, c, k, n, p, delta, increments):
+    """EM from model._rates one step at a time, projected and checked as _em_path does.
+    Dense: it steps every row, also after the path has reached the origin."""
+    states, clamps = [(n, p)], 0
+    for dw1, dw2 in increments.tolist():
+        dn, dp, v1, v2 = _rates(m, c, k, n, p)
+        n = n + dn * delta + math.sqrt(v1) * dw1
+        p = p + dp * delta + math.sqrt(v2) * dw2
+        if n < 0.0:
+            n, clamps = (0.0 if n > -math.inf else math.nan), clamps + 1
+        if p < 0.0:
+            p, clamps = (0.0 if p > -math.inf else math.nan), clamps + 1
+        if not (math.isfinite(n) and math.isfinite(p)):
+            raise BlowupError(len(states), delta)
+        states.append((n, p))
+    return np.array(states), clamps
 
 
 @pytest.fixture

@@ -10,8 +10,10 @@ import pytest
 from rosmac import SimConfig, State, integrate, simulate_path
 from rosmac import cli
 from rosmac.cli import main
+from rosmac.ensemble import _mean_var
+from rosmac.sde import _path_increments
 
-from conftest import CYCLE_PARAMS, START
+from conftest import CYCLE_PARAMS, START, _reference_em
 
 CYCLE_FLAGS = ["-m", "3", "-c", "1", "-k", "3"]
 
@@ -380,6 +382,41 @@ def test_ensemble_worker_count_invariance(tmp_path):
     assert main([*base, "--out", str(serial)]) == 0
     assert main([*base, "--workers", "4", "--out", str(threaded)]) == 0
     assert (serial / "ensemble.csv").read_bytes() == (threaded / "ensemble.csv").read_bytes()
+
+
+def _csv_floats(path, columns):
+    """The named columns of a CSV as float rows; float("-0") keeps its sign."""
+    header, rows = _read_csv(path)
+    return np.array([[float(row[header.index(name)]) for name in columns] for row in rows])
+
+
+def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
+    """A -0.0 start stays live until a step turns it into +0, so the CSVs write
+    "-0" where stepping every path densely does, for any worker count."""
+    flags = [*CYCLE_FLAGS, "--x0=-0,-0", "-T", "6", "-M", "600", "--seed", "11"]
+    cfg = SimConfig(t_end=6.0, m_steps=600, seed=11)
+    m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
+    dense = [_reference_em(m, c, k, -0.0, -0.0, cfg.delta, _path_increments(cfg, stream))[0]
+             for stream in range(4)]
+    assert main(["simulate-sde", *flags, "--out", str(tmp_path / "sde")]) == 0
+    assert _csv_floats(tmp_path / "sde" / "path.csv", "NP").tobytes() == dense[0].tobytes()
+    assert "-0" in (tmp_path / "sde" / "path.csv").read_text().split()[1]
+    outs = {}
+    for workers in ("1", "2"):
+        out = outs[workers] = tmp_path / f"ens{workers}"
+        assert main(["ensemble", *flags, "--runs", "4", "--save-paths", "2", "--workers", workers,
+                     "--out", str(out)]) == 0
+    files = ["ensemble.csv", "path_0000.csv", "path_0001.csv"]
+    for name in files:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+    for stream in range(2):
+        path = outs["1"] / f"path_{stream:04d}.csv"
+        assert _csv_floats(path, "NP").tobytes() == dense[stream].tobytes()
+    # The bands come from the compacted driver: its means and variances are
+    # those of the dense states, -0 included.
+    moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
+    assert moments.T.tobytes() == _mean_var(np.stack(dense, axis=2)).tobytes()
+    assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 
 
 def test_manifest_replay_is_byte_identical(tmp_path):

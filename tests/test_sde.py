@@ -18,9 +18,9 @@ from rosmac import (
     strong_self_convergence,
 )
 from rosmac.model import _rates
-from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
+from rosmac.sde import _BLOCK_STEPS, _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
 
-from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START
+from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START, _reference_em
 
 
 def test_simconfig_validation_and_delta():
@@ -57,23 +57,6 @@ def test_em_step_clamps_to_zero():
     assert new.p > 0.0
 
 
-def _reference_em(m, c, k, n, p, delta, increments):
-    """EM from model._rates one step at a time, projected and checked as _em_path does."""
-    states, clamps = [(n, p)], 0
-    for dw1, dw2 in increments.tolist():
-        dn, dp, v1, v2 = _rates(m, c, k, n, p)
-        n = n + dn * delta + math.sqrt(v1) * dw1
-        p = p + dp * delta + math.sqrt(v2) * dw2
-        if n < 0.0:
-            n, clamps = (0.0 if n > -math.inf else math.nan), clamps + 1
-        if p < 0.0:
-            p, clamps = (0.0 if p > -math.inf else math.nan), clamps + 1
-        if not (math.isfinite(n) and math.isfinite(p)):
-            raise BlowupError(len(states), delta)
-        states.append((n, p))
-    return np.array(states), clamps
-
-
 def _em_outcome(run, *args):
     """(state bytes, projection count), or ("blowup", last good index)."""
     try:
@@ -83,34 +66,59 @@ def _em_outcome(run, *args):
     return states.tobytes(), clamps
 
 
+def _em_args(params, x0, cfg):
+    return (params.m, params.c, params.k, *x0, cfg.delta, _path_increments(cfg, stream_index=1))
+
+
 def test_inlined_em_loop_matches_the_rates_reference():
     """The loop in _em_path is a kept fast path: _rates inlined, one guard a step."""
     # Philox and zero noise; coarse steps that project; a start whose first
-    # step is not finite.
+    # step is not finite; a path absorbed at the origin in the middle of its
+    # second increment block; a (-0.0, -0.0) start, which reaches +0 without a
+    # projection.
     cases = [
-        (CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
-        (CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, zero_noise=True)),
-        (CYCLE_PARAMS, State(0.05, 0.05), SimConfig(t_end=40.0, m_steps=20, seed=3)),
-        (ModelParams(3.0, 1.0, 3.0), State(9.0, 2.0), SimConfig(t_end=20.0, m_steps=8, zero_noise=True)),
-        (CYCLE_PARAMS, State(1e300, 1e300), SimConfig(t_end=1.0, m_steps=10)),
+        _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
+        _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, zero_noise=True)),
+        _em_args(CYCLE_PARAMS, State(0.05, 0.05), SimConfig(t_end=40.0, m_steps=20, seed=3)),
+        _em_args(ModelParams(3.0, 1.0, 3.0), State(9.0, 2.0), SimConfig(t_end=20.0, m_steps=8, zero_noise=True)),
+        _em_args(CYCLE_PARAMS, State(1e300, 1e300), SimConfig(t_end=1.0, m_steps=10)),
+        _em_args(CYCLE_PARAMS, START, SimConfig(t_end=20.0, m_steps=8000, seed=7)),
+        _em_args(CYCLE_PARAMS, State(-0.0, -0.0), SimConfig(t_end=10.0, m_steps=600, seed=3)),
     ]
+    # Paths driven to the origin by one large negative increment on the last
+    # row of the first block and on the first row of the second.
+    for row in (_BLOCK_STEPS - 1, _BLOCK_STEPS):
+        *head, increments = _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=2 * _BLOCK_STEPS, seed=2))
+        increments[row] = -1e3
+        cases.append((*head, increments))
     rng = np.random.default_rng(4)
     for seed in range(30):
         m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
         n, p = rng.uniform(0.0, 5.0, size=2).tolist()
         cfg = SimConfig(t_end=float(10.0 ** rng.uniform(-1.0, 1.5)), m_steps=int(rng.integers(1, 400)),
                         seed=seed, zero_noise=seed % 3 == 0)
-        cases.append((ModelParams(m, c, k), State(n, p), cfg))
+        cases.append(_em_args(ModelParams(m, c, k), State(n, p), cfg))
     outcomes = []
-    for params, (n, p), cfg in cases:
-        args = (params.m, params.c, params.k, n, p, cfg.delta, _path_increments(cfg, stream_index=1))
+    for args in cases:
         got = _em_outcome(_em_path, *args)
-        assert got == _em_outcome(_reference_em, *args), (params, n, p, cfg)
+        assert got == _em_outcome(_reference_em, *args), args[:6]
         outcomes.append(got)
     assert outcomes[2][1] > 0 and outcomes[3][1] > 0
-    assert any(clamps for _, clamps in outcomes[5:]), "no random case projects"
+    assert any(clamps for _, clamps in outcomes[9:]), "no random case projects"
     # The (1e300, 1e300) start overflows to -inf, stored as NaN: a blow-up, not an extinction.
     assert outcomes[4] == ("blowup", 0)
+    # Each absorbed path's states are +0.0 from its absorption step on, and
+    # the loop really stops there: increments after it are never read.
+    for index, step in [(5, 5517), (7, _BLOCK_STEPS), (8, _BLOCK_STEPS + 1)]:
+        states = np.frombuffer(outcomes[index][0]).reshape(-1, 2)
+        assert states[step - 1].any()
+        assert states[step:].tobytes() == np.zeros_like(states[step:]).tobytes()
+        *head, increments = cases[index]
+        poisoned = increments.copy()
+        poisoned[step:] = math.nan
+        assert _em_outcome(_em_path, *head, poisoned) == outcomes[index]
+    signed = np.frombuffer(outcomes[6][0]).reshape(-1, 2)
+    assert np.signbit(signed[1:]).any() and not np.signbit(signed[-1]).any()
 
 
 def test_noise_stream_is_a_pure_function_of_its_address():
@@ -234,6 +242,62 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
             simulate_path(CYCLE_PARAMS, huge, cfg)
         with pytest.raises(BlowupError, match="at step 1 "):
             _drain_chunks(CYCLE_PARAMS, huge, cfg, 4, 1)
+
+
+def _check_against_dense(params, x0, cfg, runs, stride, workers):
+    """Assert that every chunk's rows and clamp counts equal the dense reference's,
+    stream by stream and sign bits included; return the runs at (+0, +0) after each chunk."""
+    assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
+    increments = [_path_increments(cfg, stream) for stream in range(runs)]
+    absorbed, first, end = [], 0, 0
+    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
+        end = min(end + _CHUNK_STEPS, cfg.m_steps)
+        for stream in range(runs):
+            states, count = _reference_em(params.m, params.c, params.k, *x0, cfg.delta,
+                                          increments[stream][:end])
+            assert rows[:, :, stream].tobytes() == states[::stride][first:].tobytes(), (stream, end)
+            assert clamps[stream] == count, (stream, end)
+        first += len(rows)
+        absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
+    return absorbed
+
+
+# Runs that reach the origin in different chunks, and steps coarse enough that
+# every run projects both components.
+_ABSORBING = (CYCLE_PARAMS, SimConfig(t_end=6.3, m_steps=840, seed=5))
+_COARSE = (ModelParams(3.0, 1.0, 1.5), SimConfig(t_end=84.0, m_steps=840, seed=5))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("x0", [START, State(0.0, 0.0), State(-0.0, -0.0), State(-0.0, 0.5)])
+def test_compacted_ensemble_matches_dense_reference_across_chunks(x0, stride):
+    runs = 6
+    for workers in (1, 2):
+        params, cfg = _ABSORBING
+        absorbed = _check_against_dense(params, x0, cfg, runs, stride, workers)
+        if x0 == START:
+            assert len(set(absorbed)) >= 3, absorbed
+        if x0 == (0.0, 0.0):  # also (-0.0, -0.0), which turns +0 within two steps
+            assert absorbed == [runs] * len(absorbed)
+        params, cfg = _COARSE
+        _check_against_dense(params, x0, cfg, runs, stride, workers)
+    if x0 == START:  # the coarse steps project both components of every run
+        clamps = list(_ensemble_chunks(params, x0, cfg, runs, stride, 1))[-1][1]
+        assert clamps.tolist() == [2] * runs
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.floats(1e-3, 10.0), c=st.floats(1e-3, 10.0), k=st.floats(1e-3, 10.0),
+       x0=st.sampled_from([State(0.0, 0.0), State(-0.0, -0.0), State(-0.0, 0.5)])
+       | st.builds(State, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+       t_end=st.floats(0.1, 200.0), steps=st.integers(2 * _CHUNK_STEPS + 1, 3 * _CHUNK_STEPS + 64),
+       seed=st.integers(0, 2**64 - 1), runs=st.integers(2, 4), stride=st.sampled_from([1, 7]),
+       workers=st.integers(1, 2))
+def test_compacted_ensemble_matches_dense_reference_property(
+    m, c, k, x0, t_end, steps, seed, runs, stride, workers
+):
+    cfg = SimConfig(t_end=t_end, m_steps=steps + -steps % stride, seed=seed)
+    _check_against_dense(ModelParams(m, c, k), x0, cfg, runs, stride, workers)
 
 
 def test_strong_self_convergence_structure():
