@@ -38,6 +38,20 @@ class BlowupError(RuntimeError):
         self.last_good_index = step - 1
 
 
+def _projected(n: float, p: float, clamps: int, step: int, dt: float) -> tuple[float, float, int]:
+    """A state that failed a scalar loop's guard at `step`: BlowupError if not finite
+    (before the projection, which would turn -inf into 0), else projected and counted."""
+    if not (math.isfinite(n) and math.isfinite(p)):
+        raise BlowupError(step, dt)
+    if n < 0.0:
+        n = 0.0
+        clamps += 1
+    if p < 0.0:
+        p = 0.0
+        clamps += 1
+    return n, p, clamps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A sampled solution on the uniform grid times[i] = i * dt."""
@@ -133,15 +147,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
             p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             # False for a negative, NaN or infinite component (or a sum past the float maximum).
             if not (n >= 0.0 and p >= 0.0 and n + p < inf):
-                # Checked before the projection, which would turn -inf into 0.
-                if not (math.isfinite(n) and math.isfinite(p)):
-                    raise BlowupError(j // 2, dt)
-                if n < 0.0:
-                    n = 0.0
-                    clamps += 1
-                if p < 0.0:
-                    p = 0.0
-                    clamps += 1
+                n, p, clamps = _projected(n, p, clamps, j // 2, dt)
             flat[j] = n
             flat[j + 1] = p
     return Trajectory(times=times, states=out, params=params, dt=dt, clamp_count=clamps)

@@ -10,10 +10,10 @@ A state that is not finite raises BlowupError naming the first such step; a
 component that overflows to -inf counts as not finite, not as extinct.
 
 The origin (+0, +0) is absorbing: drift and noise amplitudes are both 0 there,
-so every later step returns it unchanged.  The ensemble stops working on a run
-found there at a chunk start, a single path at the projection that lands it
-there; both write +0.0 for the remaining states, the bytes stepping would give.
-A -0.0 component is not the origin until a step turns it into +0.
+so every later step returns it unchanged.  Both drivers check at chunk starts:
+a single path or an ensemble run found there stops working, and +0.0 is
+written for its remaining states, the bytes stepping would give.  A -0.0
+component is not the origin until a step turns it into +0.
 
 Reproducibility contract: the Brownian increments for a path are a pure
 function of (seed, stream_index) through a counter-based generator, so any
@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ModelParams, State, checked_state
-from .ode import BlowupError
+from .ode import BlowupError, _projected
 
 __all__ = [
     "DESK_STEPS",
@@ -48,12 +48,9 @@ DESK_STEPS = 4_000
 
 _MAX_SEED = 2**64
 
-# Steps per chunk of the ensemble driver: noise is drawn and recorded rows are
-# handed over one chunk at a time.  Sets memory (runs x chunk), not results.
+# Steps per chunk of both EM drivers, which test for the origin at chunk
+# starts.  Sets memory (runs x chunk), not results.
 _CHUNK_STEPS = 256
-
-# Increment rows the scalar EM loop converts to Python floats at a time.
-_BLOCK_STEPS = 4_096
 
 
 @dataclass(frozen=True)
@@ -136,52 +133,46 @@ def _path_increments(cfg: SimConfig, stream_index: int) -> np.ndarray:
     return stream.increments(cfg.m_steps, cfg.delta)
 
 
+def _at_origin(x: np.ndarray) -> np.ndarray:
+    """Per column of the (2, ...) states x: is it the origin (+0, +0)? -0.0 is not +0."""
+    return ((x == 0.0) & ~np.signbit(x)).all(axis=0)
+
+
 def _em_path(m, c, k, n, p, delta, increments) -> tuple[np.ndarray, int]:
     """Scalar EM from (n, p) with projection to zero: the (steps + 1, 2) states,
     row i after step i on increments[i - 1], and the number of projections.
 
-    A component that overflows to -inf is stored as NaN, not projected to 0,
-    so a state that is not finite raises BlowupError at its step.  The origin
-    (+0, +0) is absorbing, a fixed point of every step: a projection that lands
-    there ends the loop, and the rows after it keep their +0.0."""
+    A state that is not finite, -inf included, raises BlowupError at its step.
+    The origin (+0, +0) is absorbing and both drivers check at chunk starts: a
+    path found there stops, and its later rows keep their +0.0."""
     states = np.zeros((len(increments) + 1, 2))
     clamps = 0
-    nc, sqrt, copysign = -c, math.sqrt, math.copysign
+    nc, sqrt, inf = -c, math.sqrt, math.inf
     # Python floats: the same IEEE operations as numpy scalars, several times
     # faster.  The rates are model._rates inlined operand for operand, each state
     # goes through a flat view of the states, and one guard per step skips the
-    # projection.  Increments are converted to floats a block at a time, so an
+    # projection.  Increments are converted to floats a chunk at a time, so an
     # absorbed path converts no more of them.
     with memoryview(states).cast("B").cast("d") as flat:
         flat[0] = n
         flat[1] = p
         j = 2
-        for block in range(0, len(increments), _BLOCK_STEPS):
-            for dw1, dw2 in increments[block:block + _BLOCK_STEPS].tolist():
+        for start in range(0, len(increments), _CHUNK_STEPS):
+            if _at_origin(np.array([n, p])):
+                break
+            for dw1, dw2 in increments[start:start + _CHUNK_STEPS].tolist():
                 inter = m * n * p / (1.0 + n)
                 n_k = n / k
                 dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
                 v1, v2 = n * (1.0 + n_k) + inter, c * p + inter
                 n = n + dn * delta + sqrt(v1) * dw1
                 p = p + dp * delta + sqrt(v2) * dw2
-                if not (n >= 0.0 and p >= 0.0):
-                    if n < 0.0:
-                        n = 0.0 if n > -math.inf else math.nan
-                        clamps += 1
-                    if p < 0.0:
-                        p = 0.0 if p > -math.inf else math.nan
-                        clamps += 1
-                    if n == 0.0 == p and copysign(1.0, n) == copysign(1.0, p) == 1.0:
-                        break
+                # False for a negative, NaN or infinite component (or a sum past the float maximum).
+                if not (n >= 0.0 and p >= 0.0 and n + p < inf):
+                    n, p, clamps = _projected(n, p, clamps, j // 2, delta)
                 flat[j] = n
                 flat[j + 1] = p
                 j += 2
-            else:
-                continue
-            break  # absorbed at the origin
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise BlowupError(int(finite.argmin()), delta)
     return states, clamps
 
 
@@ -210,11 +201,12 @@ def _ensemble_chunks(
     threads split the draws by stream.  Matches simulate_path bit for bit,
     also in raising BlowupError at the first step with a non-finite state.
 
-    The origin (+0, +0) is absorbing: at each chunk start, runs that sit there
-    leave the live set, and only live runs draw noise, step and count
-    projections.  Their rows are recorded compactly and scattered into `rows`
-    once per chunk; a dead run's column holds +0.0, which is what stepping it
-    would give.  A -0.0 component keeps its run live until it turns +0.
+    The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
+    runs that sit there then leave the live set, and only live runs draw
+    noise, step and count projections.  Their rows are recorded compactly and
+    scattered into `rows` once per chunk; a dead run's column holds +0.0,
+    which is what stepping it would give.  A -0.0 component keeps its run
+    live until it turns +0.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -247,7 +239,7 @@ def _ensemble_chunks(
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for start in range(0, steps, chunk):
             size = min(chunk, steps - start)
-            absorbed = ((x == 0.0) & ~np.signbit(x)).all(axis=0)
+            absorbed = _at_origin(x)
             if start == 0 or absorbed.any():
                 rows[..., live[absorbed]] = 0.0
                 kept = ~absorbed

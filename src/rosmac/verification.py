@@ -202,17 +202,17 @@ def check_moment_bound(
     p = stats.p
     if not (p > 0.0):
         raise ValueError(f"moment order must be > 0, got {p!r}")
-    norm0_sq = float(x0[0]) ** 2 + float(x0[1]) ** 2
+    n0, p0 = float(x0[0]), float(x0[1])
     times = stats.times
+    rate = moment_constant(params, p) if p >= 2.0 else monotonicity_constant(params)
     try:
+        norm0_sq = n0**2 + p0**2
         if p >= 2.0:
-            rate = moment_constant(params, p)
             scale = 2.0 ** ((p - 2.0) / 2.0) * (1.0 + norm0_sq ** (p / 2.0))
         else:
-            rate = monotonicity_constant(params)
             scale = (1.0 + norm0_sq) ** (p / 2.0)
-    except OverflowError:  # a float power past float64's range: the envelope is inf
-        scale = math.inf
+    except OverflowError:  # the envelope is inf for p >= 2; below, only the square overflows
+        scale = math.inf if p >= 2.0 else math.hypot(1.0, n0, p0) ** p
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = stats.values - scale * np.exp(p * rate * times)
     name = f"moment_bound_p={p:g}"

@@ -589,6 +589,20 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_verify_start_whose_square_overflows_gives_the_checks_verdict(tmp_path, capsys):
+    # ||x0||^2 passes the float maximum, the p = 1 envelope (1 + ||x0||^2)^(1/2) does not.
+    out = tmp_path / "verify"
+    argv = ["verify", "-m", "3", "-c", "1", "-k", "1e300", "--x0", "1e200,0", "-T", "2", "-M", "10",
+            "--runs", "2", "--p", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    payload = _strict_json(captured.out)
+    assert _strict_json((out / "verify.json").read_text()) == payload
+    moment = next(c for c in payload["checks"] if c["inequality_name"] == "moment_bound_p=1")
+    assert moment["passed"] is True and payload["growth_proxy"]["passed"] is False
+    assert captured.err.startswith("FAILED growth_proxy:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flags, section, key",
     [

@@ -18,7 +18,7 @@ from rosmac import (
     strong_self_convergence,
 )
 from rosmac.model import _rates
-from rosmac.sde import _BLOCK_STEPS, _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
+from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
 
 from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START, _reference_em
 
@@ -73,9 +73,8 @@ def _em_args(params, x0, cfg):
 def test_inlined_em_loop_matches_the_rates_reference():
     """The loop in _em_path is a kept fast path: _rates inlined, one guard a step."""
     # Philox and zero noise; coarse steps that project; a start whose first
-    # step is not finite; a path absorbed at the origin in the middle of its
-    # second increment block; a (-0.0, -0.0) start, which reaches +0 without a
-    # projection.
+    # step is not finite; a path absorbed at the origin in the middle of a
+    # chunk; a (-0.0, -0.0) start, which reaches +0 without a projection.
     cases = [
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, zero_noise=True)),
@@ -86,11 +85,14 @@ def test_inlined_em_loop_matches_the_rates_reference():
         _em_args(CYCLE_PARAMS, State(-0.0, -0.0), SimConfig(t_end=10.0, m_steps=600, seed=3)),
     ]
     # Paths driven to the origin by one large negative increment on the last
-    # row of the first block and on the first row of the second.
-    for row in (_BLOCK_STEPS - 1, _BLOCK_STEPS):
-        *head, increments = _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=2 * _BLOCK_STEPS, seed=2))
+    # row of the first chunk and on the first row of the second.
+    for row in (_CHUNK_STEPS - 1, _CHUNK_STEPS):
+        *head, increments = _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=3 * _CHUNK_STEPS, seed=2))
         increments[row] = -1e3
         cases.append((*head, increments))
+    # Starts at the origin, +0 and -0, over three chunks.
+    for x0 in (State(0.0, 0.0), State(-0.0, -0.0)):
+        cases.append(_em_args(CYCLE_PARAMS, x0, SimConfig(t_end=10.0, m_steps=3 * _CHUNK_STEPS, seed=3)))
     rng = np.random.default_rng(4)
     for seed in range(30):
         m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
@@ -104,19 +106,24 @@ def test_inlined_em_loop_matches_the_rates_reference():
         assert got == _em_outcome(_reference_em, *args), args[:6]
         outcomes.append(got)
     assert outcomes[2][1] > 0 and outcomes[3][1] > 0
-    assert any(clamps for _, clamps in outcomes[9:]), "no random case projects"
-    # The (1e300, 1e300) start overflows to -inf, stored as NaN: a blow-up, not an extinction.
+    assert any(clamps for _, clamps in outcomes[11:]), "no random case projects"
+    # The (1e300, 1e300) start overflows to -inf at its first step: a blow-up, not an extinction.
     assert outcomes[4] == ("blowup", 0)
-    # Each absorbed path's states are +0.0 from its absorption step on, and
-    # the loop really stops there: increments after it are never read.
-    for index, step in [(5, 5517), (7, _BLOCK_STEPS), (8, _BLOCK_STEPS + 1)]:
+    # Each absorbed path's states are +0.0 from its absorption step on.
+    for index, step in [(5, 5517), (7, _CHUNK_STEPS), (8, _CHUNK_STEPS + 1)]:
         states = np.frombuffer(outcomes[index][0]).reshape(-1, 2)
         assert states[step - 1].any()
         assert states[step:].tobytes() == np.zeros_like(states[step:]).tobytes()
+    assert outcomes[9] == (np.zeros((3 * _CHUNK_STEPS + 1, 2)).tobytes(), 0)
+    # The loop stops at the first chunk start that finds the origin: increments
+    # from there on are never read.  5632 is the first chunk start after step
+    # 5517; (0, 0) stops at once, and (-0.0, -0.0), whose components turn +0
+    # within its first chunk, at the second chunk start.
+    for index, stop in [(5, 5632), (7, _CHUNK_STEPS), (8, 2 * _CHUNK_STEPS), (9, 0), (10, _CHUNK_STEPS)]:
         *head, increments = cases[index]
         poisoned = increments.copy()
-        poisoned[step:] = math.nan
-        assert _em_outcome(_em_path, *head, poisoned) == outcomes[index]
+        poisoned[stop:] = math.nan
+        assert _em_outcome(_em_path, *head, poisoned) == outcomes[index], index
     signed = np.frombuffer(outcomes[6][0]).reshape(-1, 2)
     assert np.signbit(signed[1:]).any() and not np.signbit(signed[-1]).any()
 

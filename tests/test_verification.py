@@ -270,6 +270,22 @@ def test_moment_bound_rejects_nan_and_inf_gaps_only():
     assert report.passed and report.worst_slack == -math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moment_bound_start_whose_square_overflows():
+    # ||x0||^2 = 1e400 passes float64's range as a Python float.
+    x0 = State(1e200, 0.0)
+    times = np.array([0.0, 1.0])
+    # For p < 2 the envelope (1 + ||x0||^2)^(p/2) is finite: ||x0||^p at t = 0.
+    for p, value in [(1.0, 1e200), (0.5, 1e100)]:
+        report = check_moment_bound(MomentSeries(p, times, np.full(2, value)), CYCLE_PARAMS, x0)
+        assert report.passed and report.worst_time == 0.0 and report.worst_slack == 0.0
+    report = check_moment_bound(MomentSeries(1.0, times, np.array([1e200, 1e205])), CYCLE_PARAMS, x0)
+    assert not report.passed and report.worst_time == 1.0
+    # For p >= 2 it overflows: a finite moment passes with a slack of -inf.
+    report = check_moment_bound(MomentSeries(2.0, times, np.ones(2)), CYCLE_PARAMS, x0)
+    assert report.passed and report.worst_slack == -math.inf
+
+
 def test_moment_bound_validation():
     for p in (0.0, -1.0, math.nan):
         series = MomentSeries(p=p, times=np.array([0.0]), values=np.array([1.0]))
