@@ -15,8 +15,11 @@ _resolve_options and the manifest.  Every file-writing run drops a
 manifest.json echoing the subcommand's resolved options; feeding it back
 through --config replays the run byte-for-byte (the manifest itself differs
 only in its timestamp), and config keys the subcommand does not take are
-ignored.  Exit codes: 0 success, 1 failed verification (verify only), 2 usage
-or validation error, reported as a single "error:" line on stderr.
+ignored.  main resolves what every subcommand shares and writes the manifest
+last, so a --out directory without one holds an incomplete run.  Exit codes:
+0 success, 1 failed verification (verify only), 2 usage or validation error,
+a closed stdout or an output file that cannot be written, reported as a
+single "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ode
 from .ensemble import EnsembleStats, ensemble_moments, run_ensemble
 from .equilibria import (
     coexistence_exists,
@@ -274,10 +277,7 @@ def _prepare_out(options: dict[str, Any]) -> Path | None:
     if options["out"] is None:
         return None
     out_dir = Path(options["out"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot use --out {options['out']!r}: {exc.strerror}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -307,8 +307,7 @@ def _equilibrium_payload(params: ModelParams) -> list[dict[str, Any]]:
     return payload
 
 
-def _cmd_analyze(options: dict[str, Any]) -> int:
-    params = _require_params(options)
+def _cmd_analyze(params: ModelParams, x0: None, options: dict[str, Any]) -> int:
     verdict = extinction_check(params)
     result: dict[str, Any] = {
         "params": {"m": params.m, "c": params.c, "k": params.k},
@@ -330,18 +329,15 @@ def _cmd_analyze(options: dict[str, Any]) -> int:
     out_dir = _prepare_out(options)
     if out_dir is not None:
         (out_dir / "analyze.json").write_text(text + "\n")
-        _write_manifest(out_dir, "analyze", options)
     return 0
 
 
-def _cmd_simulate_ode(options: dict[str, Any]) -> int:
-    params = _require_params(options)
-    x0 = _parse_x0(options["x0"])
+def _cmd_simulate_ode(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     tail_fraction = options["tail_fraction"]
     if not (0.0 < tail_fraction <= 0.5):
         raise ValueError(f"--tail-fraction must lie in (0, 0.5], got {tail_fraction!r}")
     traj = integrate(params, x0, options["T"], options["dt"])
-    if len(traj) >= 1000:
+    if len(traj) >= ode._MIN_SAMPLES:
         verdict = detect_asymptotics(traj, tail_fraction)
         print(f"long-run verdict: {verdict.kind.value} {verdict.diagnostics}")
     out_dir = _prepare_out(options)
@@ -350,13 +346,10 @@ def _cmd_simulate_ode(options: dict[str, Any]) -> int:
         if options["svg"]:
             title = f"m={params.m:g} c={params.c:g} k={params.k:g}"
             (out_dir / "trajectory.svg").write_text(_density_chart(traj.times, traj.states, title))
-        _write_manifest(out_dir, "simulate-ode", options)
     return 0
 
 
-def _cmd_phase_portrait(options: dict[str, Any]) -> int:
-    params = _require_params(options)
-    x0 = _parse_x0(options["x0"])
+def _cmd_phase_portrait(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     # The float-max cap keeps an explicit --grid usable at any finite k.
     reach = min(1.5 * max(params.k, 1.0), sys.float_info.max)
     spec = _grid_option(options, GridSpec(0.0, reach, 0.0, reach, 20))
@@ -380,13 +373,10 @@ def _cmd_phase_portrait(options: dict[str, Any]) -> int:
                 title=f"m={params.m:g} c={params.c:g} k={params.k:g}",
             )
             (out_dir / "portrait.svg").write_text(chart)
-        _write_manifest(out_dir, "phase-portrait", options)
     return 0
 
 
-def _cmd_simulate_sde(options: dict[str, Any]) -> int:
-    params = _require_params(options)
-    x0 = _parse_x0(options["x0"])
+def _cmd_simulate_sde(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     cfg = _sim_config(options)
     path = simulate_path(params, x0, cfg, stream_index=options["stream"])
     print(f"clamp events: {path.clamp_events}")
@@ -396,7 +386,6 @@ def _cmd_simulate_sde(options: dict[str, Any]) -> int:
         if options["svg"]:
             title = f"seed={cfg.seed} stream={path.stream_index}"
             (out_dir / "path.svg").write_text(_density_chart(path.times, path.states, title))
-        _write_manifest(out_dir, "simulate-sde", options)
     return 0
 
 
@@ -419,9 +408,7 @@ def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
         (out_dir / f"ensemble_{tag}.svg").write_text(chart)
 
 
-def _cmd_ensemble(options: dict[str, Any]) -> int:
-    params = _require_params(options)
-    x0 = _parse_x0(options["x0"])
+def _cmd_ensemble(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     save_paths, runs = options["save_paths"], options["runs"]
     if save_paths < 0:
         raise ValueError(f"--save-paths must be >= 0, got {save_paths}")
@@ -446,13 +433,10 @@ def _cmd_ensemble(options: dict[str, Any]) -> int:
             _write_states(out_dir / f"path_{stream:04d}.csv", path.times, path.states)
         if options["svg"]:
             _ensemble_charts(stats, out_dir)
-        _write_manifest(out_dir, "ensemble", options)
     return 0
 
 
-def _cmd_verify(options: dict[str, Any]) -> int:
-    params = _require_params(options)
-    x0 = _parse_x0(options["x0"])
+def _cmd_verify(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     alpha = options["alpha"]
     orders = _parse_orders(options["p_orders"])
     generator_grid = _grid_option(options, DEFAULT_GENERATOR_GRID)
@@ -497,7 +481,6 @@ def _cmd_verify(options: dict[str, Any]) -> int:
     out_dir = _prepare_out(options)
     if out_dir is not None:
         (out_dir / "verify.json").write_text(text + "\n")
-        _write_manifest(out_dir, "verify", options)
     if not result["all_passed"]:
         for report in reports:
             if not report.passed:
@@ -528,9 +511,24 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand][0](_resolve_options(args))
+        options = _resolve_options(args)
+        params = _require_params(options)
+        x0 = _parse_x0(options["x0"]) if "x0" in options else None
+        code = _COMMANDS[args.subcommand][0](params, x0, options)
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+        if options["out"] is not None:  # last: a directory without it holds an incomplete run
+            _write_manifest(Path(options["out"]), args.subcommand, options)
+        return code
     except (ValueError, BlowupError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a closed stdout, an unusable --out, a file that cannot be written
+        broken_pipe = isinstance(exc, BrokenPipeError)
+        if broken_pipe:  # the reader left: point fd 1 at devnull so the flush at exit is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "stdout" if broken_pipe else exc.filename or "output"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

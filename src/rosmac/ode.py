@@ -69,9 +69,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def final_state(self) -> State:
-        return State(float(self.states[-1, 0]), float(self.states[-1, 1]))
-
 
 class AsymptoticKind(Enum):
     EQUILIBRIUM = "equilibrium"

@@ -187,11 +187,11 @@ def test_criterion_04_long_run_verdicts():
 def test_criterion_05_fourth_order_convergence():
     """Richardson ratio of endpoint errors at t = 10 sits in [12, 20]."""
     t0 = time.perf_counter()
-    ref = integrate(CYCLE_PARAMS, START, 10.0, dt=0.01 / 32.0).final_state()
+    ref = integrate(CYCLE_PARAMS, START, 10.0, dt=0.01 / 32.0).states[-1]
     errs = []
     for dt in (0.01, 0.005):
-        end = integrate(CYCLE_PARAMS, START, 10.0, dt=dt).final_state()
-        errs.append(math.hypot(end.n - ref.n, end.p - ref.p))
+        end = integrate(CYCLE_PARAMS, START, 10.0, dt=dt).states[-1]
+        errs.append(math.hypot(*(end - ref)))
     ratio = errs[0] / errs[1]
     elapsed = time.perf_counter() - t0
     _elapsed_ok(5, elapsed, 10.0)

@@ -3,10 +3,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rosmac
 from rosmac import SimConfig, State, integrate, simulate_path
 from rosmac import cli
 from rosmac.cli import main
@@ -166,6 +171,56 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
     assert main(["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--runs", "4"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+SMALL_RUNS = [
+    ["analyze", *CYCLE_FLAGS],
+    ["simulate-ode", *CYCLE_FLAGS, "-T", "10", "--dt", "0.01"],  # 1,001 samples: a verdict
+    ["phase-portrait", *CYCLE_FLAGS, "-T", "1", "--dt", "0.1", "--res", "3"],
+    ["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "10"],
+    ["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--runs", "4"],
+    ["verify", *CYCLE_FLAGS, "--res", "4", "--runs", "4", "-M", "10"],
+]
+
+
+def _assert_one_error_line(err, argv):
+    assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize(  # phase-portrait is the one subcommand that prints nothing
+    "argv", [argv for argv in SMALL_RUNS if argv[0] != "phase-portrait"], ids=lambda a: a[0]
+)
+def test_closed_stdout_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rosmac.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rosmac", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    _assert_one_error_line(done.stderr, argv)
+    assert "stdout" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        *zip(SMALL_RUNS, ["analyze.json", "trajectory.csv", "field.csv", "path.csv",
+                          "ensemble.csv", "verify.json"]),
+        (SMALL_RUNS[3], "manifest.json"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, blocked):
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err, argv)
+    assert blocked in err
 
 
 def test_ensemble_rejects_nonpositive_workers(capsys):

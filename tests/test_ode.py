@@ -59,11 +59,11 @@ def test_predator_axis_matches_exponential_decay():
 
 def test_fourth_order_error_scaling():
     """Halving the step divides the endpoint error by about 16."""
-    ref = integrate(CYCLE_PARAMS, START, 1.0, dt=0.01 / 32.0).final_state()
+    ref = integrate(CYCLE_PARAMS, START, 1.0, dt=0.01 / 32.0).states[-1]
     errors = []
     for dt in (0.01, 0.005):
-        end = integrate(CYCLE_PARAMS, START, 1.0, dt=dt).final_state()
-        errors.append(math.hypot(end.n - ref.n, end.p - ref.p))
+        end = integrate(CYCLE_PARAMS, START, 1.0, dt=dt).states[-1]
+        errors.append(math.hypot(*(end - ref)))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
 
@@ -79,7 +79,7 @@ def test_overshoot_is_clamped_and_counted():
     # the integrator pins it to the axis and the origin absorbs the rest.
     traj = integrate(CYCLE_PARAMS, State(9.0, 0.0), 10.0, dt=2.0)
     assert traj.clamp_count == 1
-    assert traj.final_state() == (0.0, 0.0)
+    assert tuple(traj.states[-1]) == (0.0, 0.0)
 
 
 def test_blowup_raises_with_last_good_index():
