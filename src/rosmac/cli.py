@@ -128,7 +128,7 @@ def _coerce(option: Option, value: Any) -> Any:
     elif kind is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     elif kind is float:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # an int past it, too
     else:
         ok = isinstance(value, str)
     if not ok:
@@ -520,7 +520,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if options["out"] is not None:  # last: a directory without it holds an incomplete run
             _write_manifest(Path(options["out"]), args.subcommand, options)
         return code
-    except (ValueError, BlowupError, MemoryError) as exc:
+    except (ValueError, BlowupError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:  # a closed stdout, an unusable --out, a file that cannot be written

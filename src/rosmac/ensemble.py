@@ -151,6 +151,7 @@ def ensemble_moments(
             raise ValueError(f"moment orders must be > 0, got {p!r}")
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
+    times = _recorded_times(cfg, stride)
     sums = []
     proxies = np.full(runs, -np.inf)
     row = 0
@@ -159,14 +160,13 @@ def ensemble_moments(
         # An overflowing moment is left inf; check_moment_bound rejects it.
         with np.errstate(over="ignore"):
             sums.append([_pairwise_sum(norms.T ** float(p)) / runs for p in p_values])
-        chunk_times = np.arange(row, row + len(rows)) * (cfg.delta * stride)
+        chunk_times = times[row:row + len(rows)]
         row += len(rows)
         mask = chunk_times >= t_min
         if mask.any():
             with np.errstate(divide="ignore"):
                 rates = np.log(norms[mask]) / chunk_times[mask, None]
             np.maximum(proxies, rates.max(axis=0), out=proxies)
-    times = _recorded_times(cfg, stride)
     series = [
         MomentSeries(p=float(p), times=times.copy(), values=np.concatenate(values))
         for p, values in zip(p_values, zip(*sums))

@@ -10,14 +10,15 @@ A state that is not finite raises BlowupError naming the first such step; a
 component that overflows to -inf counts as not finite, not as extinct.
 
 The origin (+0, +0) is absorbing: drift and noise amplitudes are both 0 there,
-so every later step returns it unchanged.  Both drivers check at chunk starts:
-a single path or an ensemble run found there stops working, and +0.0 is
-written for its remaining states, the bytes stepping would give.  A -0.0
-component is not the origin until a step turns it into +0.
+so every later step returns it unchanged.  One rule covers both drivers: a
+path or run found there at a chunk start draws no more noise and stops
+stepping, and +0.0, the bytes stepping would give, is written for its
+remaining states.  A -0.0 component is not the origin until a step turns it
+into +0.
 
-Reproducibility contract: the Brownian increments for a path are a pure
-function of (seed, stream_index) through a counter-based generator, so any
-path can be regenerated in isolation and ensembles are schedule-independent.
+Reproducibility contract: a path's increments are a pure function of (seed,
+stream_index) through a counter-based generator whose chunked draws equal one
+draw, so any path regenerates alone and ensembles are schedule-independent.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,10 +97,10 @@ class SamplePath:
 class NoiseStream:
     """Brownian increments addressed by (seed, stream_index).
 
-    Backed by Philox keyed with the pair, so streams with different indices
-    are statistically independent and each stream's increment sequence is a
-    fixed function of its address: asking for more steps extends the
-    sequence without disturbing the prefix.
+    Backed by one Philox generator keyed with the pair: streams with
+    different indices are statistically independent, and each increments()
+    call continues the stream's fixed sequence, so successive calls, split in
+    any way, give the bits of one call.
     """
 
     def __init__(self, seed: int, stream_index: int):
@@ -109,28 +110,24 @@ class NoiseStream:
             raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {stream_index!r}")
         self.seed = seed
         self.stream_index = stream_index
-
-    def _generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        self._rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream_index], dtype=np.uint64)))
 
     def increments(self, m_steps: int, delta: float) -> np.ndarray:
-        """(m_steps, 2) array of N(0, delta) increments, one pair per step."""
+        """The stream's next m_steps pairs of N(0, delta) increments, as an (m_steps, 2) array."""
         if m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {m_steps!r}")
         if not (delta > 0.0):
             raise ValueError(f"delta must be > 0, got {delta!r}")
-        draws = self._generator().standard_normal((m_steps, 2))
-        return draws * math.sqrt(delta)
+        return self._rng.standard_normal((m_steps, 2)) * math.sqrt(delta)
 
 
-def _path_increments(cfg: SimConfig, stream_index: int) -> np.ndarray:
-    """(m_steps, 2) increments of one path: zeros without noise, else Philox.
-    The (seed, stream_index) address is checked either way."""
+def _draw(cfg: SimConfig, stream_index: int) -> Callable[[int], np.ndarray]:
+    """draw(size) for _em_path: the next `size` increments on a fresh stream
+    `stream_index`, or zeros without noise.  The address is checked either way."""
     stream = NoiseStream(cfg.seed, stream_index)
     if cfg.zero_noise:
-        return np.zeros((cfg.m_steps, 2))
-    return stream.increments(cfg.m_steps, cfg.delta)
+        return lambda size: np.zeros((size, 2))
+    return lambda size: stream.increments(size, cfg.delta)
 
 
 def _at_origin(x: np.ndarray) -> np.ndarray:
@@ -138,29 +135,29 @@ def _at_origin(x: np.ndarray) -> np.ndarray:
     return ((x == 0.0) & ~np.signbit(x)).all(axis=0)
 
 
-def _em_path(m, c, k, n, p, delta, increments) -> tuple[np.ndarray, int]:
+def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
     """Scalar EM from (n, p) with projection to zero: the (steps + 1, 2) states,
-    row i after step i on increments[i - 1], and the number of projections.
-
-    A state that is not finite, -inf included, raises BlowupError at its step.
-    The origin (+0, +0) is absorbing and both drivers check at chunk starts: a
-    path found there stops, and its later rows keep their +0.0."""
-    states = np.zeros((len(increments) + 1, 2))
+    row i after step i, and the number of projections.  draw(size) gives the
+    next (size, 2) increments; it is called at each chunk start where the path
+    is live.  A state that is not finite, -inf included, raises BlowupError at
+    its step.  The origin (+0, +0) is absorbing: a path found there at a chunk
+    start draws no more noise and stops stepping; its later rows keep +0.0."""
+    states = np.zeros((steps + 1, 2))
     clamps = 0
     nc, sqrt, inf = -c, math.sqrt, math.inf
     # Python floats: the same IEEE operations as numpy scalars, several times
     # faster.  The rates are model._rates inlined operand for operand, each state
     # goes through a flat view of the states, and one guard per step skips the
-    # projection.  Increments are converted to floats a chunk at a time, so an
-    # absorbed path converts no more of them.
+    # projection.  Increments are drawn and converted to floats a chunk at a
+    # time, so an absorbed path draws and converts no more of them.
     with memoryview(states).cast("B").cast("d") as flat:
         flat[0] = n
         flat[1] = p
         j = 2
-        for start in range(0, len(increments), _CHUNK_STEPS):
+        for start in range(0, steps, _CHUNK_STEPS):
             if _at_origin(np.array([n, p])):
                 break
-            for dw1, dw2 in increments[start:start + _CHUNK_STEPS].tolist():
+            for dw1, dw2 in draw(min(_CHUNK_STEPS, steps - start)).tolist():
                 inter = m * n * p / (1.0 + n)
                 n_k = n / k
                 dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
@@ -179,11 +176,13 @@ def _em_path(m, c, k, n, p, delta, increments) -> tuple[np.ndarray, int]:
 def simulate_path(
     params: ModelParams, x0: State, cfg: SimConfig, stream_index: int = 0
 ) -> SamplePath:
-    """Simulate one path; deterministic in (params, x0, cfg, stream_index)."""
+    """Simulate one path; deterministic in (params, x0, cfg, stream_index).
+    Its noise is drawn a chunk at a time, and none once the path is at the origin."""
     n, p = checked_state(x0)
-    increments = _path_increments(cfg, stream_index)
-    states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, increments)
+    # The times first, so that their integer temporary is gone before the states exist.
     times = np.arange(cfg.m_steps + 1) * cfg.delta
+    draw = _draw(cfg, stream_index)
+    states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps, draw)
     return SamplePath(
         times=times, states=states, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
     )
@@ -202,11 +201,11 @@ def _ensemble_chunks(
     also in raising BlowupError at the first step with a non-finite state.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
-    runs that sit there then leave the live set, and only live runs draw
-    noise, step and count projections.  Their rows are recorded compactly and
-    scattered into `rows` once per chunk; a dead run's column holds +0.0,
-    which is what stepping it would give.  A -0.0 component keeps its run
-    live until it turns +0.
+    runs found there leave the live set, draw no more noise and stop
+    stepping.  Live runs' rows are recorded compactly and scattered into
+    `rows` once per chunk; a dead run's column holds +0.0, which is what
+    stepping it would give.  A -0.0 component keeps its run live until it
+    turns +0.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -227,7 +226,7 @@ def _ensemble_chunks(
     live, live_clamps = np.arange(runs), clamps.copy()
     noise_buffer, spare = np.zeros(chunk * 2 * runs), np.empty((chunk + 1) * 2 * runs)
     if not cfg.zero_noise:
-        generators = [NoiseStream(cfg.seed, j)._generator() for j in range(runs)]
+        generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
 
     def draw(positions: range, size: int) -> None:
         for i in positions:
@@ -318,9 +317,10 @@ def strong_self_convergence(
     """Terminal-state gaps between nested step sizes on one Brownian path.
 
     The finest grid (m_base * 2**(n_levels-1) steps) draws the increments;
-    every coarser grid sums them in consecutive groups, so all levels ride
-    the same Brownian path.  Returns [(delta, |Y_T(delta) - Y_T(delta/2)|)]
-    per adjacent pair, coarsest first; fewer than two levels yields [].
+    every coarser grid sums them in consecutive groups, each level from its
+    own fresh stream a chunk at a time, so all levels ride the same Brownian
+    path.  Returns [(delta, |Y_T(delta) - Y_T(delta/2)|)] per adjacent pair,
+    coarsest first; fewer than two levels yields [].
     A level whose path is not finite at some step raises BlowupError; with
     zero_noise, a level that projects a component to zero raises ValueError.
     """
@@ -331,14 +331,14 @@ def strong_self_convergence(
         return []
     fine_steps = m_base << (n_levels - 1)
     cfg = SimConfig(t_end=t_end, m_steps=fine_steps, seed=seed, zero_noise=zero_noise)
-    fine_increments = _path_increments(cfg, stream_index)
     m, c, k = params.m, params.c, params.k
     finals = []
     for level in range(n_levels):
         level_steps = m_base << level
-        level_increments = fine_increments.reshape(level_steps, -1, 2).sum(axis=1)
+        group, fine = fine_steps // level_steps, _draw(cfg, stream_index)
         delta = t_end / level_steps
-        states, clamps = _em_path(m, c, k, n0, p0, delta, level_increments)
+        states, clamps = _em_path(m, c, k, n0, p0, delta, level_steps,
+                                  lambda size: fine(size * group).reshape(size, group, 2).sum(axis=1))
         # The noiseless flow keeps the closed quadrant, so a projection means
         # delta times a rate exceeded 1: the step, not the model, decided the end.
         if zero_noise and clamps:

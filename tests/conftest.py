@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rosmac import BlowupError, ModelParams, State
+from rosmac import BlowupError, ModelParams, NoiseStream, State
 from rosmac.model import _rates
+from rosmac.sde import _em_path
 
 # The two reference parameter sets used throughout: same interaction and
 # mortality, capacities on either side of the stability switch at k = 2.
@@ -38,6 +39,31 @@ def _reference_em(m, c, k, n, p, delta, increments):
             raise BlowupError(len(states), delta)
         states.append((n, p))
     return np.array(states), clamps
+
+
+def _whole_increments(cfg, stream_index):
+    """All (m_steps, 2) increments of one path in one draw: zeros without noise."""
+    if cfg.zero_noise:
+        return np.zeros((cfg.m_steps, 2))
+    return NoiseStream(cfg.seed, stream_index).increments(cfg.m_steps, cfg.delta)
+
+
+class ChunkReader:
+    """draw(size) for _em_path over a whole increment array: each call returns
+    the next `size` rows, and `sizes` records what each call asked for."""
+
+    def __init__(self, increments):
+        self.increments, self.sizes = increments, []
+
+    def __call__(self, size):
+        start = sum(self.sizes)
+        self.sizes.append(size)
+        return self.increments[start:start + size]
+
+
+def _em_on(m, c, k, n, p, delta, increments):
+    """_em_path called like _reference_em: its steps and chunks read from one array."""
+    return _em_path(m, c, k, n, p, delta, len(increments), ChunkReader(increments))
 
 
 @pytest.fixture

@@ -16,9 +16,8 @@ from rosmac import SimConfig, State, integrate, simulate_path
 from rosmac import cli
 from rosmac.cli import main
 from rosmac.ensemble import _mean_var
-from rosmac.sde import _path_increments
 
-from conftest import CYCLE_PARAMS, START, _reference_em
+from conftest import CYCLE_PARAMS, START, _reference_em, _whole_increments
 
 CYCLE_FLAGS = ["-m", "3", "-c", "1", "-k", "3"]
 
@@ -255,6 +254,32 @@ def test_config_with_non_numeric_runs_exits_2(tmp_path, capsys, entry, shown):
     assert err.startswith("error:") and shown in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, entry, flag",
+    [(["analyze", "-c", "1", "-k", "3"], {"m": 10**400}, "-m"),
+     (["simulate-sde", *CYCLE_FLAGS, "-M", "10"], {"T": -(10**400)}, "-T")],
+    ids=["m", "T"],
+)
+def test_config_number_too_large_for_a_float_exits_2(tmp_path, capsys, argv, entry, flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entry))
+    assert main([*argv, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} expects a finite number, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+def test_runs_too_large_for_a_c_long_exits_2(tmp_path, capsys, through_config):
+    runs = ["--runs", str(2**63)]
+    if through_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"runs": 2**63}))
+        runs = ["--config", str(config)]
+    assert main(["ensemble", *CYCLE_FLAGS, "-M", "10", *runs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
     # A manifest of an older version listed every option for every subcommand.
     legacy = {
@@ -451,7 +476,7 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     flags = [*CYCLE_FLAGS, "--x0=-0,-0", "-T", "6", "-M", "600", "--seed", "11"]
     cfg = SimConfig(t_end=6.0, m_steps=600, seed=11)
     m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
-    dense = [_reference_em(m, c, k, -0.0, -0.0, cfg.delta, _path_increments(cfg, stream))[0]
+    dense = [_reference_em(m, c, k, -0.0, -0.0, cfg.delta, _whole_increments(cfg, stream))[0]
              for stream in range(4)]
     assert main(["simulate-sde", *flags, "--out", str(tmp_path / "sde")]) == 0
     assert _csv_floats(tmp_path / "sde" / "path.csv", "NP").tobytes() == dense[0].tobytes()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,18 @@ from rosmac import (
     strong_self_convergence,
 )
 from rosmac.model import _rates
-from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks, _path_increments
+from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks
 
-from conftest import COMPONENTS, CYCLE_PARAMS, RATES, START, _reference_em
+from conftest import (
+    COMPONENTS,
+    CYCLE_PARAMS,
+    RATES,
+    START,
+    ChunkReader,
+    _em_on,
+    _reference_em,
+    _whole_increments,
+)
 
 
 def test_simconfig_validation_and_delta():
@@ -38,7 +48,7 @@ def test_simconfig_validation_and_delta():
 def _em_step(x, delta, dw1, dw2):
     """One EM step of CYCLE_PARAMS from x: the new state and its projection count."""
     m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
-    states, clamps = _em_path(m, c, k, *x, delta, np.array([[dw1, dw2]]))
+    states, clamps = _em_on(m, c, k, *x, delta, np.array([[dw1, dw2]]))
     return State(*states[1].tolist()), clamps
 
 
@@ -67,7 +77,7 @@ def _em_outcome(run, *args):
 
 
 def _em_args(params, x0, cfg):
-    return (params.m, params.c, params.k, *x0, cfg.delta, _path_increments(cfg, stream_index=1))
+    return (params.m, params.c, params.k, *x0, cfg.delta, _whole_increments(cfg, stream_index=1))
 
 
 def test_inlined_em_loop_matches_the_rates_reference():
@@ -102,7 +112,7 @@ def test_inlined_em_loop_matches_the_rates_reference():
         cases.append(_em_args(ModelParams(m, c, k), State(n, p), cfg))
     outcomes = []
     for args in cases:
-        got = _em_outcome(_em_path, *args)
+        got = _em_outcome(_em_on, *args)
         assert got == _em_outcome(_reference_em, *args), args[:6]
         outcomes.append(got)
     assert outcomes[2][1] > 0 and outcomes[3][1] > 0
@@ -116,14 +126,16 @@ def test_inlined_em_loop_matches_the_rates_reference():
         assert states[step:].tobytes() == np.zeros_like(states[step:]).tobytes()
     assert outcomes[9] == (np.zeros((3 * _CHUNK_STEPS + 1, 2)).tobytes(), 0)
     # The loop stops at the first chunk start that finds the origin: increments
-    # from there on are never read.  5632 is the first chunk start after step
-    # 5517; (0, 0) stops at once, and (-0.0, -0.0), whose components turn +0
-    # within its first chunk, at the second chunk start.
+    # from there on are neither requested nor read.  5632 is the first chunk
+    # start after step 5517; (0, 0) stops at once, and (-0.0, -0.0), whose
+    # components turn +0 within its first chunk, at the second chunk start.
     for index, stop in [(5, 5632), (7, _CHUNK_STEPS), (8, 2 * _CHUNK_STEPS), (9, 0), (10, _CHUNK_STEPS)]:
         *head, increments = cases[index]
         poisoned = increments.copy()
         poisoned[stop:] = math.nan
-        assert _em_outcome(_em_path, *head, poisoned) == outcomes[index], index
+        draw = ChunkReader(poisoned)
+        assert _em_outcome(_em_path, *head, len(poisoned), draw) == outcomes[index], index
+        assert draw.sizes == [_CHUNK_STEPS] * (stop // _CHUNK_STEPS), index
     signed = np.frombuffer(outcomes[6][0]).reshape(-1, 2)
     assert np.signbit(signed[1:]).any() and not np.signbit(signed[-1]).any()
 
@@ -141,6 +153,16 @@ def test_noise_stream_prefix_stability():
     long = NoiseStream(11, 0).increments(200, 0.01)
     short = NoiseStream(11, 0).increments(80, 0.01)
     assert np.array_equal(long[:80], short)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+       sizes=st.lists(st.integers(1, 3 * _CHUNK_STEPS), min_size=1, max_size=8))
+def test_successive_increments_calls_equal_one_call(seed, stream, sizes):
+    whole = NoiseStream(seed, stream).increments(sum(sizes), 0.01)
+    split = NoiseStream(seed, stream)
+    parts = [split.increments(size, 0.01) for size in sizes]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_noise_stream_increment_statistics():
@@ -177,6 +199,44 @@ def test_simulate_path_reproducibility():
     assert (a.states >= 0.0).all()
     with pytest.raises(ValueError):
         simulate_path(CYCLE_PARAMS, State(1.0, -0.5), cfg)
+
+
+def test_an_absorbed_path_draws_only_the_chunks_it_steps(monkeypatch):
+    """The benchmark's path, absorbed at step 6506, asks its stream for 26
+    chunks, and its states are those of one whole draw."""
+    sizes = []
+    increments = NoiseStream.increments
+
+    def counted(stream, m_steps, delta):
+        sizes.append(m_steps)
+        return increments(stream, m_steps, delta)
+
+    monkeypatch.setattr(NoiseStream, "increments", counted)
+    cfg = SimConfig(t_end=50.0, m_steps=200_000, seed=11)
+    path = simulate_path(CYCLE_PARAMS, START, cfg)
+    assert sizes == [_CHUNK_STEPS] * 26
+    assert path.states[6505].any() and not path.states[6506:].any()
+    monkeypatch.undo()
+    whole = _em_on(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, *START, cfg.delta,
+                   _whole_increments(cfg, 0))
+    assert path.states.tobytes() == whole[0].tobytes() and path.clamp_events == whole[1]
+
+
+def test_simulate_path_memory_is_its_two_arrays():
+    # The (steps + 1, 2) states and the times, half their size, are all that
+    # simulate_path holds: the noise is drawn a chunk at a time, and the
+    # times' integer temporary is gone before the states exist.
+    steps = 200_000
+    simulate_path(CYCLE_PARAMS, START, SimConfig(t_end=1.0, m_steps=10))
+    tracemalloc.start()
+    try:
+        path = simulate_path(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=steps, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Never at the origin, so every chunk is drawn.
+    assert len(path) == steps + 1 and path.states[-1].any()
+    assert peak <= 1.5 * path.states.nbytes + 65_536
 
 
 def test_zero_noise_path_is_plain_euler():
@@ -255,7 +315,7 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
     """Assert that every chunk's rows and clamp counts equal the dense reference's,
     stream by stream and sign bits included; return the runs at (+0, +0) after each chunk."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
-    increments = [_path_increments(cfg, stream) for stream in range(runs)]
+    increments = [_whole_increments(cfg, stream) for stream in range(runs)]
     absorbed, first, end = [], 0, 0
     for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
         end = min(end + _CHUNK_STEPS, cfg.m_steps)
@@ -336,6 +396,33 @@ def test_strong_self_convergence_structure():
         strong_self_convergence(CYCLE_PARAMS, State(1e150, 1e150), 1e3, seed=0, zero_noise=True)
 
 
+def _reference_self_convergence(params, x0, t_end, seed, m_base, n_levels, zero_noise):
+    """strong_self_convergence from the finest path's increments drawn whole,
+    reshape-summed for each level and stepped densely."""
+    cfg = SimConfig(t_end=t_end, m_steps=m_base << (n_levels - 1), seed=seed, zero_noise=zero_noise)
+    fine = _whole_increments(cfg, 0)
+    finals = []
+    for level in range(n_levels):
+        level_steps = m_base << level
+        states, _ = _reference_em(params.m, params.c, params.k, *x0, t_end / level_steps,
+                                  fine.reshape(level_steps, -1, 2).sum(axis=1))
+        finals.append(states[-1])
+    return [(t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))
+            for level in range(n_levels - 1)]
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_strong_self_convergence_matches_a_whole_path_reference(zero_noise):
+    # Chunks aligned with the levels and not (100 steps), and paths absorbed
+    # at the origin at some levels (t_end = 20).
+    for t_end, m_base, n_levels in [(1.0, 256, 4), (1.0, 100, 5), (20.0, 1000, 3)]:
+        for seed in range(10):
+            args = (CYCLE_PARAMS, START, t_end, seed, m_base, n_levels, zero_noise)
+            got = strong_self_convergence(*args[:4], m_base=m_base, n_levels=n_levels,
+                                          zero_noise=zero_noise)
+            assert got == _reference_self_convergence(*args), (t_end, m_base, seed)
+
+
 def test_strong_self_convergence_zero_noise_is_first_order():
     report = strong_self_convergence(
         CYCLE_PARAMS, START, 1.0, seed=0, zero_noise=True
@@ -388,14 +475,14 @@ _OVERFLOW_TO_MINUS_INF = dict(m=1.0, c=1.0, k=1.0, n0=1.0, p0=1e200,
        stream=st.integers(0, 3))
 @example(**_OVERFLOW_TO_MINUS_INF, stream=0)
 def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
-    increments = _path_increments(cfg, stream)
+    increments = _whole_increments(cfg, stream)
     dn, dp, v1, v2 = _rates(m, c, k, n0, p0)
     dw1, dw2 = increments[0].tolist()
     # The first step before the projection: -inf there is a blow-up, not an extinction.
     first = (n0 + dn * cfg.delta + math.sqrt(v1) * dw1, p0 + dp * cfg.delta + math.sqrt(v2) * dw2)
     first_finite = all(math.isfinite(value) for value in first)
     try:
-        states, _ = _em_path(m, c, k, n0, p0, cfg.delta, increments)
+        states, _ = _em_on(m, c, k, n0, p0, cfg.delta, increments)
     except BlowupError as exc:
         assert (exc.last_good_index == 0) is not first_finite
         with pytest.raises(BlowupError) as again:
