@@ -124,25 +124,33 @@ def bound_constants(params: ModelParams, p: float = 2.0, alpha: float = 3.0) -> 
     )
 
 
-def _grid_report(name: str, grid: GridSpec, slack_of_row) -> VerificationReport:
-    """Worst slack over the grid, evaluated one n-row at a time.
+_GRID_BLOCK_CELLS = 12_800  # points per slack evaluation: 32 rows at --res 400, about 100 KB
 
-    slack_of_row(n, ps) returns the slack at (n, p) for every p of the grid
-    as one array.  Ties go to the first point in row-major order.  A slack
-    that is not finite anywhere raises ValueError naming the point.
+
+def _grid_report(name: str, grid: GridSpec, slack_of_block) -> VerificationReport:
+    """Worst slack over the grid, evaluated a block of n-rows at a time.
+
+    slack_of_block(ns, ps) gets a column of n values, shape (rows, 1), and the
+    grid's p axis, and returns the slack at every (n, p) pair; a slack that
+    ignores n is broadcast to (rows, len(ps)).  Ties go to the first point in
+    row-major order.  A slack that is not finite anywhere raises ValueError
+    naming the first such point.
     """
     ns, ps = grid.axes()
+    rows = max(1, _GRID_BLOCK_CELLS // len(ps))
     worst_slack, worst_point = -math.inf, None
-    for n in ns.tolist():
+    for start in range(0, len(ns), rows):
+        block = ns[start : start + rows, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            slack = slack_of_row(n, ps)
+            slack = np.broadcast_to(slack_of_block(block, ps), (len(block), len(ps)))
         finite = np.isfinite(slack)
         if not finite.all():
-            point = (n, float(ps[finite.argmin()]))
+            i, j = np.unravel_index(finite.argmin(), slack.shape)
+            point = (float(block[i, 0]), float(ps[j]))
             raise ValueError(f"{name}: slack is not finite at (n, p) = {point}; grid too large")
-        j = int(slack.argmax())
-        if slack[j] > worst_slack:
-            worst_slack, worst_point = float(slack[j]), (n, float(ps[j]))
+        i, j = np.unravel_index(slack.argmax(), slack.shape)
+        if slack[i, j] > worst_slack:
+            worst_slack, worst_point = float(slack[i, j]), (float(block[i, 0]), float(ps[j]))
     return VerificationReport(name, grid, worst_point, None, worst_slack, worst_slack <= 0.0)
 
 
@@ -163,10 +171,10 @@ def check_generator_inequality(
     bound = lyapunov_constant(params, alpha) if c_override is None else float(c_override)
     field = lyapunov_candidate(alpha)
 
-    def slack_of_row(n, ps):
-        return generator_apply(params, field, (n, ps)) - bound * field.value(n, ps)
+    def slack_of_block(ns, ps):
+        return generator_apply(params, field, (ns, ps)) - bound * field.value(ns, ps)
 
-    return _grid_report(f"generator_alpha={alpha:g}", grid, slack_of_row)
+    return _grid_report(f"generator_alpha={alpha:g}", grid, slack_of_block)
 
 
 def check_monotonicity(
@@ -182,11 +190,11 @@ def check_monotonicity(
     bound = monotonicity_constant(params) if c_override is None else float(c_override)
     m, c, k = params.m, params.c, params.k
 
-    def slack_of_row(n, ps):
-        dn, dp, v1, v2 = _rates(m, c, k, n, ps)
-        return n * dn + ps * dp + 0.5 * (v1 + v2) - bound * (1.0 + n * n + ps * ps)
+    def slack_of_block(ns, ps):
+        dn, dp, v1, v2 = _rates(m, c, k, ns, ps)
+        return ns * dn + ps * dp + 0.5 * (v1 + v2) - bound * (1.0 + ns * ns + ps * ps)
 
-    return _grid_report("monotonicity", grid, slack_of_row)
+    return _grid_report("monotonicity", grid, slack_of_block)
 
 
 def check_moment_bound(

@@ -26,6 +26,7 @@ from rosmac import (
     monotonicity_constant,
 )
 from rosmac.model import _rates
+from rosmac import verification
 from rosmac.verification import _grid_report
 
 from conftest import CYCLE_PARAMS, SINK_PARAMS, START
@@ -194,6 +195,24 @@ def test_grid_ties_go_to_the_first_point_in_row_major_order():
     report = _grid_report("tie", GridSpec(0.0, 2.0, 0.0, 2.0, 3), lambda n, ps: -abs(ps - 1.0))
     assert report.worst_point == (0.0, 1.0)
     assert report.worst_slack == 0.0 and report.passed
+
+
+def test_grid_ties_across_blocks_go_to_the_first_block(monkeypatch):
+    monkeypatch.setattr(verification, "_GRID_BLOCK_CELLS", 1)  # one row per block
+    report = _grid_report("tie", GridSpec(0.0, 2.0, 0.0, 2.0, 3), lambda n, ps: -abs(ps - 1.0))
+    assert report.worst_point == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.7])
+def test_grid_blocks_report_the_row_wise_result(monkeypatch, alpha):
+    """Blocks of 64 rows at the default resolution give the bits of one row at a time."""
+    def reports():
+        return (check_generator_inequality(CYCLE_PARAMS, alpha),
+                check_monotonicity(CYCLE_PARAMS, c_override=alpha))
+
+    blocked = reports()
+    monkeypatch.setattr(verification, "_GRID_BLOCK_CELLS", 1)
+    assert reports() == blocked
 
 
 @pytest.mark.parametrize("top", [1e60, 1e200])
