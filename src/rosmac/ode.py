@@ -8,6 +8,7 @@ from enum import Enum
 
 import numpy as np
 
+from .equilibria import HYPERBOLICITY_TOL, _eigenvalues_2x2, jacobian
 from .model import GridSpec, ModelParams, State, _rates, checked_state, drift
 
 __all__ = [
@@ -184,11 +185,24 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
     (confirmed against the drift); otherwise stable spacing of the last five
     upward mean-crossings of n declares a limit cycle with that period and
     the window bounding box.  Anything else is undecided.
+
+    A verdict the step decided is undecided too (Yee, Sweby & Griffiths,
+    J. Comput. Phys. 97, 1991): one on a trajectory with projections, since
+    the flow keeps both axes invariant, and an equilibrium at a source of the
+    flow, which only a start on the point itself can reach.
     """
     if len(traj) < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {len(traj)}")
     if not (0.0 < tail_fraction <= 0.5):
         raise ValueError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction!r}")
+    if traj.clamp_count:
+        return AsymptoticVerdict(
+            kind=AsymptoticKind.UNDECIDED,
+            diagnostics=(
+                f"{traj.clamp_count} projection(s) to an axis at dt={traj.dt}: "
+                f"the flow never leaves the quadrant, so the step decided the answer"
+            ),
+        )
     start = len(traj) - max(2, int(len(traj) * tail_fraction))
     window = traj.states[start:]
     times = traj.times[start:]
@@ -199,6 +213,18 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
         point = State(float(window[:, 0].mean()), float(window[:, 1].mean()))
         residual = drift(traj.params, point)
         if max(abs(residual.dn), abs(residual.dp)) < _EQUILIBRIUM_RESIDUAL:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lams = _eigenvalues_2x2(jacobian(traj.params, point))
+            # Sorted by real part, so the first above the tolerance makes a source.
+            started_there = np.abs(traj.states[0] - point).max() < _STATIONARY_RANGE
+            if lams[0].real > HYPERBOLICITY_TOL and not started_there:
+                return AsymptoticVerdict(
+                    kind=AsymptoticKind.UNDECIDED,
+                    diagnostics=(
+                        f"stationary at a source (eigenvalues {lams[0]:.6g}, {lams[1]:.6g}): "
+                        f"the RK4 map at dt={traj.dt} holds a point the flow leaves"
+                    ),
+                )
             return AsymptoticVerdict(
                 kind=AsymptoticKind.EQUILIBRIUM,
                 point=point,

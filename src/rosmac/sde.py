@@ -9,6 +9,10 @@ projection is counted so the caller can judge how often the boundary bites.
 A state that is not finite raises BlowupError naming the first such step; a
 component that overflows to -inf counts as not finite, not as extinct.
 
+Two drivers share these rules and agree bit for bit: simulate_path steps one
+path through the scalar loop _em_path, and _ensemble_chunks steps the paths of
+rosmac.ensemble together on arrays.
+
 The origin (+0, +0) is absorbing: drift and noise amplitudes are both 0 there,
 so every later step returns it unchanged.  One rule covers both drivers: a
 path or run found there at a chunk start draws no more noise and stops
@@ -28,7 +32,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "SamplePath",
     "SimConfig",
     "simulate_path",
-    "strong_self_convergence",
 ]
 
 # Default step count: dt = 2.5e-3 at t_end = 10.
@@ -121,15 +124,6 @@ class NoiseStream:
         return self._rng.standard_normal((m_steps, 2)) * math.sqrt(delta)
 
 
-def _draw(cfg: SimConfig, stream_index: int) -> Callable[[int], np.ndarray]:
-    """draw(size) for _em_path: the next `size` increments on a fresh stream
-    `stream_index`, or zeros without noise.  The address is checked either way."""
-    stream = NoiseStream(cfg.seed, stream_index)
-    if cfg.zero_noise:
-        return lambda size: np.zeros((size, 2))
-    return lambda size: stream.increments(size, cfg.delta)
-
-
 def _at_origin(x: np.ndarray) -> np.ndarray:
     """Per column of the (2, ...) states x: is it the origin (+0, +0)? -0.0 is not +0."""
     return ((x == 0.0) & ~np.signbit(x)).all(axis=0)
@@ -181,7 +175,11 @@ def simulate_path(
     n, p = checked_state(x0)
     # The times first, so that their integer temporary is gone before the states exist.
     times = np.arange(cfg.m_steps + 1) * cfg.delta
-    draw = _draw(cfg, stream_index)
+    stream = NoiseStream(cfg.seed, stream_index)  # checks the address, also without noise
+
+    def draw(size: int) -> np.ndarray:
+        return np.zeros((size, 2)) if cfg.zero_noise else stream.increments(size, cfg.delta)
+
     states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps, draw)
     return SamplePath(
         times=times, states=states, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
@@ -302,49 +300,3 @@ def _ensemble_chunks(
             yield rows[:recorded], clamps
             recorded = 0
 
-
-def strong_self_convergence(
-    params: ModelParams,
-    x0: State,
-    t_end: float,
-    seed: int,
-    *,
-    m_base: int = 256,
-    n_levels: int = 4,
-    stream_index: int = 0,
-    zero_noise: bool = False,
-) -> list[tuple[float, float]]:
-    """Terminal-state gaps between nested step sizes on one Brownian path.
-
-    The finest grid (m_base * 2**(n_levels-1) steps) draws the increments;
-    every coarser grid sums them in consecutive groups, each level from its
-    own fresh stream a chunk at a time, so all levels ride the same Brownian
-    path.  Returns [(delta, |Y_T(delta) - Y_T(delta/2)|)] per adjacent pair,
-    coarsest first; fewer than two levels yields [].
-    A level whose path is not finite at some step raises BlowupError; with
-    zero_noise, a level that projects a component to zero raises ValueError.
-    """
-    if m_base < 1:
-        raise ValueError(f"m_base must be >= 1, got {m_base!r}")
-    n0, p0 = checked_state(x0)
-    if n_levels < 2:
-        return []
-    fine_steps = m_base << (n_levels - 1)
-    cfg = SimConfig(t_end=t_end, m_steps=fine_steps, seed=seed, zero_noise=zero_noise)
-    m, c, k = params.m, params.c, params.k
-    finals = []
-    for level in range(n_levels):
-        level_steps = m_base << level
-        group, fine = fine_steps // level_steps, _draw(cfg, stream_index)
-        delta = t_end / level_steps
-        states, clamps = _em_path(m, c, k, n0, p0, delta, level_steps,
-                                  lambda size: fine(size * group).reshape(size, group, 2).sum(axis=1))
-        # The noiseless flow keeps the closed quadrant, so a projection means
-        # delta times a rate exceeded 1: the step, not the model, decided the end.
-        if zero_noise and clamps:
-            raise ValueError(f"zero-noise path projected to zero at delta={delta}; step too coarse")
-        finals.append(states[-1])
-    return [
-        (t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))
-        for level in range(n_levels - 1)
-    ]

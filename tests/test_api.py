@@ -1,8 +1,11 @@
-"""The public surface: every exported name exists, and the README's examples run."""
+"""The public surface: every exported name exists, every public function has a user,
+and the README's examples run."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -43,3 +46,35 @@ def test_readme_python_blocks_run_in_order():
     assert namespace["report"].passed
     assert namespace["stats"].runs == 2000
     assert namespace["field"].shape == (400, 4)
+
+
+def _names_called_outside_their_own_def(node, enclosing=frozenset()):
+    """Names of the functions that the calls under `node` reach, except a call
+    from inside a def of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node.name}
+    called = set()
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name not in enclosing:
+            called.add(name)
+    for child in ast.iter_child_nodes(node):
+        called |= _names_called_outside_their_own_def(child, enclosing)
+    return called
+
+
+def test_every_public_function_has_a_user():
+    # A public function that the package never calls and the README never
+    # names is an API kept for nothing.  nondimensionalize is the paper's
+    # rescaling, kept for users who start from dimensional rates.
+    rosmac = importlib.import_module("rosmac")
+    called = set()
+    for path in Path(rosmac.__file__).parent.glob("*.py"):
+        called |= _names_called_outside_their_own_def(ast.parse(path.read_text()))
+    readme = README.read_text()
+    unused = {
+        name for name in rosmac.__all__
+        if inspect.isfunction(getattr(rosmac, name))
+        and name not in called and not re.search(rf"\b{name}\b", readme)
+    }
+    assert unused == {"nondimensionalize"}

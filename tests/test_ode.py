@@ -247,6 +247,39 @@ def test_detect_asymptotics_validation():
         detect_asymptotics(long_enough, tail_fraction=0.75)
 
 
+@pytest.mark.parametrize("dt", [0.25, 0.5, 1.25, 1.5, 2.25, 2.5])
+def test_a_verdict_the_step_decided_is_undecided(dt):
+    # The flow from START cycles with period 12.05.  From dt = 1.25 on, the
+    # RK4 map comes to rest instead: after one projection at the origin or at
+    # (k, 0), both saddles, or without one at the coexistence point, a source.
+    traj = integrate(CYCLE_PARAMS, START, 3000.0, dt)
+    verdict = detect_asymptotics(traj)
+    if dt <= 0.5:
+        assert verdict.kind is AsymptoticKind.LIMIT_CYCLE
+        return
+    assert verdict.kind is AsymptoticKind.UNDECIDED
+    assert np.ptp(traj.states[-len(traj) // 4:], axis=0).max() < 1e-6  # a stationary window
+    assert f"dt={dt}" in verdict.diagnostics
+    if dt == 2.5:
+        assert traj.clamp_count == 0
+        assert "source (eigenvalues 0.0555556-" in verdict.diagnostics
+    else:
+        assert traj.clamp_count == 1
+        assert verdict.diagnostics.startswith("1 projection(s)")
+
+
+@pytest.mark.parametrize("x0, target", [
+    (State(0.0, 0.6), State(0.0, 0.0)),  # the origin along its stable manifold, the p axis
+    (State(3.0, 0.0), State(3.0, 0.0)),  # a start at the saddle (k, 0)
+    (coexistence_point(CYCLE_PARAMS), coexistence_point(CYCLE_PARAMS)),  # a start at the source
+])
+def test_equilibrium_verdicts_the_flow_reaches_stay(x0, target):
+    traj = integrate(CYCLE_PARAMS, x0, 100.0, dt=1e-2)
+    verdict = detect_asymptotics(traj)
+    assert verdict.kind is AsymptoticKind.EQUILIBRIUM
+    assert verdict.point == pytest.approx(target, abs=1e-6)
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS,
        dt=st.one_of(st.floats(1e-4, 1.0), st.floats(1e-4, 1e300)), steps=st.integers(1, 20))

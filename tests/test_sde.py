@@ -16,7 +16,6 @@ from rosmac import (
     SimConfig,
     State,
     simulate_path,
-    strong_self_convergence,
 )
 from rosmac.model import _rates
 from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks
@@ -367,67 +366,24 @@ def test_compacted_ensemble_matches_dense_reference_property(
     _check_against_dense(ModelParams(m, c, k), x0, cfg, runs, stride, workers)
 
 
-def test_strong_self_convergence_structure():
-    report = strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0)
-    assert len(report) == 3
-    deltas = [d for d, _ in report]
-    assert deltas[0] == 1.0 / 256.0
-    assert deltas[1] == deltas[0] / 2.0
-    assert deltas[2] == deltas[1] / 2.0
-    assert all(gap >= 0.0 for _, gap in report)
-    assert strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, n_levels=1) == []
-    with pytest.raises(ValueError):
-        strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, m_base=0)
-    # The stream address is checked with and without noise.
-    for zero_noise in (False, True):
-        with pytest.raises(ValueError, match="stream_index"):
-            strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed=0, stream_index=-1,
-                                    zero_noise=zero_noise)
-    for x0 in (State(-1.0, 0.6), State(math.nan, 0.6), State(1.0, math.inf)):
-        with pytest.raises(ValueError):
-            strong_self_convergence(CYCLE_PARAMS, x0, 1.0, seed=0)
-    # A path that is not finite at some level raises instead of giving NaN gaps.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowupError, match="at step 1 "):
-            strong_self_convergence(CYCLE_PARAMS, State(1e300, 1e300), 1.0, seed=0, zero_noise=True)
-    # Finite but projected on every level: the steps, not the model, decide the end.
-    with pytest.raises(ValueError, match=r"delta=3\.90625;"):
-        strong_self_convergence(CYCLE_PARAMS, State(1e150, 1e150), 1e3, seed=0, zero_noise=True)
-
-
-def _reference_self_convergence(params, x0, t_end, seed, m_base, n_levels, zero_noise):
-    """strong_self_convergence from the finest path's increments drawn whole,
-    reshape-summed for each level and stepped densely."""
-    cfg = SimConfig(t_end=t_end, m_steps=m_base << (n_levels - 1), seed=seed, zero_noise=zero_noise)
+def _self_convergence_gaps(seed, zero_noise=False):
+    """Terminal-state gaps |Y_T(delta) - Y_T(delta/2)| from START at T = 1 on grids of
+    256, 512, 1024 and 2048 steps that share one Brownian path, coarsest first: the
+    finest grid's increments drawn whole, summed in consecutive groups for each
+    coarser grid and stepped by _em_path."""
+    cfg = SimConfig(t_end=1.0, m_steps=2048, seed=seed, zero_noise=zero_noise)
     fine = _whole_increments(cfg, 0)
     finals = []
-    for level in range(n_levels):
-        level_steps = m_base << level
-        states, _ = _reference_em(params.m, params.c, params.k, *x0, t_end / level_steps,
-                                  fine.reshape(level_steps, -1, 2).sum(axis=1))
+    for steps in (256, 512, 1024, 2048):
+        states, _ = _em_on(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, *START, 1.0 / steps,
+                           fine.reshape(steps, -1, 2).sum(axis=1))
         finals.append(states[-1])
-    return [(t_end / (m_base << level), math.hypot(*(finals[level] - finals[level + 1])))
-            for level in range(n_levels - 1)]
-
-
-@pytest.mark.parametrize("zero_noise", [False, True])
-def test_strong_self_convergence_matches_a_whole_path_reference(zero_noise):
-    # Chunks aligned with the levels and not (100 steps), and paths absorbed
-    # at the origin at some levels (t_end = 20).
-    for t_end, m_base, n_levels in [(1.0, 256, 4), (1.0, 100, 5), (20.0, 1000, 3)]:
-        for seed in range(10):
-            args = (CYCLE_PARAMS, START, t_end, seed, m_base, n_levels, zero_noise)
-            got = strong_self_convergence(*args[:4], m_base=m_base, n_levels=n_levels,
-                                          zero_noise=zero_noise)
-            assert got == _reference_self_convergence(*args), (t_end, m_base, seed)
+    return [math.hypot(*(coarse - finer)) for coarse, finer in zip(finals, finals[1:])]
 
 
 def test_strong_self_convergence_zero_noise_is_first_order():
-    report = strong_self_convergence(
-        CYCLE_PARAMS, START, 1.0, seed=0, zero_noise=True
-    )
-    gaps = [gap for _, gap in report]
+    gaps = _self_convergence_gaps(seed=0, zero_noise=True)
+    assert len(gaps) == 3
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse / fine == pytest.approx(2.0, rel=5e-3)
 
@@ -439,12 +395,7 @@ def test_strong_self_convergence_aggregate_trend():
     diffusion is not Lipschitz at zero), so the per-seed gap chain is not
     reliably monotone; the mean, RMS, and median over 100 fixed seeds are.
     """
-    gaps = np.array(
-        [
-            [g for _, g in strong_self_convergence(CYCLE_PARAMS, START, 1.0, seed)]
-            for seed in range(100)
-        ]
-    )
+    gaps = np.array([_self_convergence_gaps(seed) for seed in range(100)])
     for aggregate in (
         gaps.mean(axis=0),
         np.sqrt((gaps**2).mean(axis=0)),
