@@ -14,12 +14,13 @@ and the subcommands that take it.  The row drives the argparse flag, the
 _resolve_options and the manifest.  Every file-writing run drops a
 manifest.json echoing the subcommand's resolved options; feeding it back
 through --config replays the run byte-for-byte (the manifest itself differs
-only in its timestamp), and config keys the subcommand does not take are
-ignored.  main resolves what every subcommand shares and writes the manifest
-last, so a --out directory without one holds an incomplete run.  Exit codes:
-0 success, 1 failed verification (verify only), 2 usage or validation error,
-a closed stdout or an output file that cannot be written, reported as a
-single "error:" line on stderr.
+only in its timestamp).  Config keys the subcommand does not take are
+ignored, but a removed option's key (_REMOVED) only at its old default.  main
+resolves what every subcommand shares and writes the manifest last, so a
+--out directory without one holds an incomplete run.  Exit codes: 0 success,
+1 failed verification (verify only), 2 usage or validation error, a closed
+stdout or an output file that cannot be written, reported as a single
+"error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ OPTIONS = (
     Option("workers", "--workers", int, 1, "worker threads (no effect on results)", _ENSEMBLE),
     Option("save_paths", "--save-paths", int, 0, "also write the first K individual paths",
            ("ensemble",)),
-    Option("zero_noise", "--zero-noise", bool, False, "suppress noise (debug hook)", _NOISY),
     Option("alpha", "--alpha", float, 3.0, "test-function exponent (> 2)", ("verify",)),
     Option("p_orders", "--p", str, "1,2,4", "comma-separated moment orders to check", ("verify",)),
     Option("t_min", "--t-min", float, 1.0, "left end of the growth-proxy window", ("verify",)),
-    Option("c_override", "--c-override", float, None,
-           "substitute constant for the grid checks (testing hook)", ("verify",)),
     Option("svg", "--svg", bool, False, "emit SVG plots", _CHARTS),
 )
+
+# Keys of removed options, which older manifests hold, and the one value each may still have.
+_REMOVED = {"zero_noise": False, "c_override": None}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -334,6 +335,10 @@ def _read_config(path: str) -> dict[str, Any]:
 def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
     """Layer defaults < config file < explicit flags, coerce each value; resolve the seed."""
     config = _read_config(args.config) if args.config else {}
+    for key, default in _REMOVED.items():
+        if config.get(key, default) is not default:
+            raise ValueError(f"config key {key!r} was removed; only {json.dumps(default)} "
+                             f"is accepted, got {json.dumps(config[key])}")
     options = {}
     for option in _options_of(args.subcommand):
         value = getattr(args, option.dest)
@@ -357,12 +362,7 @@ def _require_params(options: dict[str, Any]) -> ModelParams:
 
 
 def _sim_config(options: dict[str, Any]) -> SimConfig:
-    return SimConfig(
-        t_end=options["T"],
-        m_steps=options["M"],
-        seed=options["seed"],
-        zero_noise=options["zero_noise"],
-    )
+    return SimConfig(t_end=options["T"], m_steps=options["M"], seed=options["seed"])
 
 
 def _prepare_out(options: dict[str, Any]) -> Path | None:
@@ -533,10 +533,9 @@ def _cmd_verify(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     orders = _parse_orders(options["p_orders"])
     generator_grid = _grid_option(options, DEFAULT_GENERATOR_GRID)
     monotonicity_grid = _grid_option(options, DEFAULT_MONOTONICITY_GRID)
-    override = options["c_override"]
     reports = [
-        check_generator_inequality(params, alpha, generator_grid, c_override=override),
-        check_monotonicity(params, monotonicity_grid, c_override=override),
+        check_generator_inequality(params, alpha, generator_grid),
+        check_monotonicity(params, monotonicity_grid),
     ]
     series_list, proxies = ensemble_moments(
         params,

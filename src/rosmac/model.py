@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "Diffusion",
     "Drift",
     "GridSpec",
     "ModelParams",
@@ -42,7 +41,6 @@ __all__ = [
     "ScalarField",
     "State",
     "checked_state",
-    "diffusion",
     "drift",
     "generator_apply",
     "lyapunov_candidate",
@@ -98,13 +96,6 @@ class GridSpec:
 class Drift(NamedTuple):
     dn: float
     dp: float
-
-
-class Diffusion(NamedTuple):
-    """Diagonal diffusion amplitudes; off-diagonal entries are zero."""
-
-    g11: float
-    g22: float
 
 
 class Scales(NamedTuple):
@@ -207,15 +198,6 @@ def drift(params: ModelParams, x: State) -> Drift:
     n, p = x
     dn, dp, _, _ = _rates(params.m, params.c, params.k, n, p)
     return Drift(float(dn), float(dp))
-
-
-def diffusion(params: ModelParams, x: State) -> Diffusion:
-    """Diagonal noise amplitudes at x; requires n >= 0 and p >= 0."""
-    n, p = x
-    if n < 0.0 or p < 0.0:
-        raise ValueError(f"diffusion requires a state in the closed quadrant, got {x!r}")
-    _, _, v1, v2 = _rates(params.m, params.c, params.k, n, p)
-    return Diffusion(float(np.sqrt(v1)), float(np.sqrt(v2)))
 
 
 def generator_apply(params: ModelParams, field: ScalarField, x):

@@ -20,6 +20,8 @@ stepping, and +0.0, the bytes stepping would give, is written for its
 remaining states.  A -0.0 component is not the origin until a step turns it
 into +0.
 
+There is no noise-free mode; the deterministic system is rosmac.ode's.
+
 Reproducibility contract: a path's increments are a pure function of (seed,
 stream_index) through a counter-based generator whose chunked draws equal one
 draw, so any path regenerates alone and ensembles are schedule-independent.
@@ -59,12 +61,11 @@ _CHUNK_STEPS = 256
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation window, grid, and noise policy for one or many paths."""
+    """Simulation window, grid and noise seed for one or many paths."""
 
     t_end: float
     m_steps: int = DESK_STEPS
     seed: int = 0
-    zero_noise: bool = False
 
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
@@ -175,12 +176,9 @@ def simulate_path(
     n, p = checked_state(x0)
     # The times first, so that their integer temporary is gone before the states exist.
     times = np.arange(cfg.m_steps + 1) * cfg.delta
-    stream = NoiseStream(cfg.seed, stream_index)  # checks the address, also without noise
-
-    def draw(size: int) -> np.ndarray:
-        return np.zeros((size, 2)) if cfg.zero_noise else stream.increments(size, cfg.delta)
-
-    states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps, draw)
+    stream = NoiseStream(cfg.seed, stream_index)
+    states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps,
+                              lambda size: stream.increments(size, cfg.delta))
     return SamplePath(
         times=times, states=states, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
     )
@@ -222,9 +220,8 @@ def _ensemble_chunks(
     recorded = 1
     # Stream index of each live run, and its projection counts.
     live, live_clamps = np.arange(runs), clamps.copy()
-    noise_buffer, spare = np.zeros(chunk * 2 * runs), np.empty((chunk + 1) * 2 * runs)
-    if not cfg.zero_noise:
-        generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
+    noise_buffer, spare = np.empty(chunk * 2 * runs), np.empty((chunk + 1) * 2 * runs)
+    generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
 
     def draw(positions: range, size: int) -> None:
         for i in positions:
@@ -260,8 +257,7 @@ def _ensemble_chunks(
                 yield rows[: recorded + (start + size) // stride - start // stride], clamps
                 recorded = 0
                 continue
-            if not cfg.zero_noise:
-                list(pool.map(draw, slices, [size] * parts))
+            list(pool.map(draw, slices, [size] * parts))
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(size):
                     # Shared terms once per step: m n p / (1 + n) and n / k.

@@ -158,17 +158,15 @@ def check_generator_inequality(
     params: ModelParams,
     alpha: float = 3.0,
     grid: GridSpec = DEFAULT_GENERATOR_GRID,
-    c_override: float | None = None,
 ) -> VerificationReport:
     """Evaluate L V - c V on an interior grid with V the radial candidate.
 
     The generator is applied through the same code path the rest of the
     package uses, not a re-derived formula, so a defect there surfaces here.
-    c_override substitutes a deliberate constant for c_lyap (testing hook).
     """
     if not (grid.n_min > 0.0 and grid.p_min > 0.0):
         raise ValueError("generator check needs an interior grid (strictly positive bounds)")
-    bound = lyapunov_constant(params, alpha) if c_override is None else float(c_override)
+    bound = lyapunov_constant(params, alpha)
     field = lyapunov_candidate(alpha)
 
     def slack_of_block(ns, ps):
@@ -178,16 +176,13 @@ def check_generator_inequality(
 
 
 def check_monotonicity(
-    params: ModelParams,
-    grid: GridSpec = DEFAULT_MONOTONICITY_GRID,
-    c_override: float | None = None,
+    params: ModelParams, grid: GridSpec = DEFAULT_MONOTONICITY_GRID
 ) -> VerificationReport:
     """Evaluate x . mu + ||g||_F^2 / 2 - c (1 + ||x||^2) on a grid.
 
-    Valid on the closed quadrant (the boundary is allowed).  c_override
-    substitutes a deliberate constant for c_mono (testing hook).
+    Valid on the closed quadrant (the boundary is allowed).
     """
-    bound = monotonicity_constant(params) if c_override is None else float(c_override)
+    bound = monotonicity_constant(params)
     m, c, k = params.m, params.c, params.k
 
     def slack_of_block(ns, ps):

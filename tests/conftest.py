@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rosmac import BlowupError, ModelParams, NoiseStream, State
+from rosmac import BlowupError, ModelParams, State, sde
 from rosmac.model import _rates
 from rosmac.sde import _em_path
+
+from fakes import zero_noise_streams
 
 # The two reference parameter sets used throughout: same interaction and
 # mortality, capacities on either side of the stability switch at k = 2.
@@ -42,10 +44,9 @@ def _reference_em(m, c, k, n, p, delta, increments):
 
 
 def _whole_increments(cfg, stream_index):
-    """All (m_steps, 2) increments of one path in one draw: zeros without noise."""
-    if cfg.zero_noise:
-        return np.zeros((cfg.m_steps, 2))
-    return NoiseStream(cfg.seed, stream_index).increments(cfg.m_steps, cfg.delta)
+    """All (m_steps, 2) increments of one path in one draw, from the stream class
+    that sde draws through: zeros under the zero_noise fixture."""
+    return sde.NoiseStream(cfg.seed, stream_index).increments(cfg.m_steps, cfg.delta)
 
 
 class ChunkReader:
@@ -64,6 +65,13 @@ class ChunkReader:
 def _em_on(m, c, k, n, p, delta, increments):
     """_em_path called like _reference_em: its steps and chunks read from one array."""
     return _em_path(m, c, k, n, p, delta, len(increments), ChunkReader(increments))
+
+
+@pytest.fixture
+def zero_noise():
+    """sde draws zeros for the test: fakes.ZeroNoiseStream replaces NoiseStream."""
+    with zero_noise_streams():
+        yield
 
 
 @pytest.fixture

@@ -65,16 +65,20 @@ def _names_called_outside_their_own_def(node, enclosing=frozenset()):
 
 def test_every_public_function_has_a_user():
     # A public function that the package never calls and the README never
-    # names is an API kept for nothing.  nondimensionalize is the paper's
-    # rescaling, kept for users who start from dimensional rates.
+    # names as code (a backtick span or a python block, not prose) is an API
+    # kept for nothing.  nondimensionalize is the paper's rescaling, kept for
+    # users who start from dimensional rates.
     rosmac = importlib.import_module("rosmac")
     called = set()
     for path in Path(rosmac.__file__).parent.glob("*.py"):
         called |= _names_called_outside_their_own_def(ast.parse(path.read_text()))
+    fenced = re.compile(r"^```(\w*)\n(.*?)^```", flags=re.M | re.S)
     readme = README.read_text()
+    code = [body for language, body in fenced.findall(readme) if language == "python"]
+    code += re.findall(r"`([^`\n]+)`", fenced.sub("", readme))
     unused = {
         name for name in rosmac.__all__
         if inspect.isfunction(getattr(rosmac, name))
-        and name not in called and not re.search(rf"\b{name}\b", readme)
+        and name not in called and not re.search(rf"\b{name}\b", "\n".join(code))
     }
     assert unused == {"nondimensionalize"}

@@ -14,11 +14,12 @@ import pytest
 
 import rosmac
 from rosmac import SimConfig, State, integrate, simulate_path
-from rosmac import cli
+from rosmac import cli, verification
 from rosmac.cli import main
 from rosmac.ensemble import _mean_var
 
 from conftest import CYCLE_PARAMS, START, _reference_em, _whole_increments
+from fakes import zero_noise_streams
 
 CYCLE_FLAGS = ["-m", "3", "-c", "1", "-k", "3"]
 
@@ -263,20 +264,23 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         # A first step that overflows to -inf: a blow-up, not a projection to zero.
         ["simulate-ode", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,242963560579",
          "--dt", "868726304268979", "-T", "4343631521344895", "--out", str(tmp_path / "d")],
-        ["simulate-sde", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
-         "-M", "1", "--zero-noise", "--out", str(tmp_path / "d")],
-        ["ensemble", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
-         "-M", "1", "--zero-noise", "--runs", "2", "--out", str(tmp_path / "d")],
-        # Paths of streams the ensemble never ran, a box sampled at one corner, and
-        # a stream address that is invalid with or without noise.
+        # Paths of streams the ensemble never ran, a box sampled at one corner.
         ["ensemble", *CYCLE_FLAGS, *small, "--runs", "2", "--save-paths", "5",
          "--out", str(tmp_path / "d")],
         ["verify", *CYCLE_FLAGS, "--res", "1", "--runs", "2", "-M", "10"],
-        ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--zero-noise",
-         "--out", str(tmp_path / "d")],
     ]
-    for argv in cases:
-        assert main(argv) == 2, argv
+    # Without noise: first steps that overflow to -inf, and a stream address
+    # that is invalid also where no noise is drawn.
+    zero_noise_cases = [
+        ["simulate-sde", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
+         "-M", "1", "--out", str(tmp_path / "d")],
+        ["ensemble", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,1e200", "-T", "1e200",
+         "-M", "1", "--runs", "2", "--out", str(tmp_path / "d")],
+        ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--out", str(tmp_path / "d")],
+    ]
+    for argv in cases + zero_noise_cases:
+        with zero_noise_streams(argv in zero_noise_cases):
+            assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
     assert not (tmp_path / "d").exists()
@@ -413,13 +417,19 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
     assert main(["simulate-sde", "--config", str(config), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["options"]) == sorted(
-        ["M", "T", "c", "k", "m", "out", "seed", "stream", "svg", "x0", "zero_noise"]
+        ["M", "T", "c", "k", "m", "out", "seed", "stream", "svg", "x0"]
     )
     assert manifest["options"]["stream"] == 2 and manifest["seed"] == 3
     cfg = SimConfig(t_end=1.0, m_steps=100, seed=3)
     path = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=2)
     _, rows = _read_csv(out / "path.csv")
     assert float(rows[-1][1]) == path.states[-1, 0]
+    # The keys of removed options are accepted at their old defaults only.
+    for key, value in [("zero_noise", True), ("zero_noise", 0), ("c_override", 3.0)]:
+        config.write_text(json.dumps({"options": {**legacy, key: value}}))
+        assert main(["simulate-sde", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r} was removed") and err.count("\n") == 1, err
 
 
 def test_simulate_ode_outputs(tmp_path, capsys):
@@ -514,7 +524,7 @@ def test_simulate_sde_reproducible_output(tmp_path, capsys):
     assert float(rows[-1][2]) == path.states[-1, 1]
 
 
-def test_ensemble_outputs_and_zero_noise_variance(tmp_path, capsys):
+def test_ensemble_outputs_and_zero_noise_variance(tmp_path, capsys, zero_noise):
     out = tmp_path / "ens"
     code = main(
         [
@@ -526,7 +536,6 @@ def test_ensemble_outputs_and_zero_noise_variance(tmp_path, capsys):
             "200",
             "--runs",
             "16",
-            "--zero-noise",
             "--save-paths",
             "2",
             "--out",
@@ -720,7 +729,9 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert saved == payload
 
 
-def test_verify_sabotage_fails_with_exit_1(capsys):
+def test_verify_sabotage_fails_with_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: 3.0)
+    monkeypatch.setattr(verification, "monotonicity_constant", lambda params: 3.0)
     code = main(
         [
             "verify",
@@ -733,8 +744,6 @@ def test_verify_sabotage_fails_with_exit_1(capsys):
             "200",
             "--runs",
             "8",
-            "--c-override",
-            "3.0",
         ]
     )
     assert code == 1
@@ -806,13 +815,16 @@ def test_verify_start_whose_square_overflows_gives_the_checks_verdict(tmp_path, 
     "flags, section, key",
     [
         # A finite moment under an envelope that overflows at every recorded time.
-        (["--x0", "0.1,0.1", "--p", "4000", "-T", "0.5", "--t-min", "0.1", "--zero-noise"],
+        # Without noise, so that the 4000th moment stays finite.
+        (["--x0", "0.1,0.1", "--p", "4000", "-T", "0.5", "--t-min", "0.1"],
          "moment_bound_p=4000", "worst_slack"),
         # Every path at the origin: the growth proxy is log 0.
         (["--x0", "0,0", "-T", "2"], "growth_proxy", "worst"),
     ],
 )
-def test_verify_writes_strict_json_for_infinite_extremes(tmp_path, capsys, flags, section, key):
+def test_verify_writes_strict_json_for_infinite_extremes(tmp_path, capsys, request, flags, section, key):
+    if section != "growth_proxy":
+        request.getfixturevalue("zero_noise")
     out = tmp_path / "verify"
     args = ["verify", *CYCLE_FLAGS, *flags, "--runs", "4", "-M", "100", "--res", "3"]
     assert main([*args, "--out", str(out)]) == 0

@@ -50,11 +50,9 @@ VALUES = {
     "stride": st.integers(-1, 4),
     "workers": st.integers(-1, 3),
     "save_paths": st.integers(-2, 2),
-    "zero_noise": st.booleans(),
     "alpha": _floats(1.0, 5.0),
     "p_orders": _joined(_floats(0.0, 4.0), 2),
     "t_min": _floats(0.0, 3.0),
-    "c_override": _floats(0.0, 100.0),
     "svg": st.booleans(),
 }
 SUBCOMMANDS = sorted({name for option in OPTIONS for name in option.commands})

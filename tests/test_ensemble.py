@@ -104,10 +104,10 @@ def test_band_arrays_recompute_from_mean_and_variance():
     assert (stats.var_n >= 0.0).all() and (stats.var_p >= 0.0).all()
 
 
-def test_zero_noise_ensemble_collapses_to_euler_path():
+def test_zero_noise_ensemble_collapses_to_euler_path(zero_noise):
     # A power-of-two run count keeps the pairwise mean bit-exact, so the
     # variance of identical paths is exactly zero, not merely tiny.
-    cfg = SimConfig(t_end=2.0, m_steps=250, seed=5, zero_noise=True)
+    cfg = SimConfig(t_end=2.0, m_steps=250, seed=5)
     stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs=16)
     reference = simulate_path(CYCLE_PARAMS, START, cfg)
     assert np.array_equal(stats.mean_n, reference.states[:, 0])
@@ -216,8 +216,8 @@ def test_lyapunov_proxy_reference_values():
     assert _lyapunov_exponent_proxy(dead) == -math.inf
 
 
-def test_ensemble_moments_zero_noise_reference():
-    cfg = SimConfig(t_end=2.0, m_steps=200, seed=0, zero_noise=True)
+def test_ensemble_moments_zero_noise_reference(zero_noise):
+    cfg = SimConfig(t_end=2.0, m_steps=200, seed=0)
     series, proxies = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(1.0, 2.0))
     reference = simulate_path(CYCLE_PARAMS, START, cfg)
     norms = np.hypot(reference.states[:, 0], reference.states[:, 1])
@@ -242,9 +242,10 @@ def test_ensemble_moments_validation():
 
 
 # Both grids span several chunks of the driver, and stride 7 divides neither
-# chunk.  The coarse one clamps more than once per path on average.
+# chunk.  The coarse one clamps more than once per path on average; the
+# "zero_noise" one runs under the zero_noise fixture.
 STREAMING_CONFIGS = {
-    "zero_noise": SimConfig(t_end=10.0, m_steps=700, seed=21, zero_noise=True),
+    "zero_noise": SimConfig(t_end=10.0, m_steps=700, seed=21),
     "high_clamp": SimConfig(t_end=100.0, m_steps=1001, seed=21),
 }
 
@@ -268,7 +269,9 @@ def _reference(name, runs, stride):
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("runs", [2, 3, 17, 1025])
 @pytest.mark.parametrize("name", sorted(STREAMING_CONFIGS))
-def test_streaming_ensemble_matches_materialised_states(name, runs, stride, workers):
+def test_streaming_ensemble_matches_materialised_states(request, name, runs, stride, workers):
+    if name == "zero_noise":
+        request.getfixturevalue("zero_noise")
     cfg = STREAMING_CONFIGS[name]
     times, states, clamps = _reference(name, runs, stride)
     expected = _stats_from_states(times, states, cfg.seed, clamps)
@@ -285,7 +288,9 @@ def test_streaming_ensemble_matches_materialised_states(name, runs, stride, work
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("runs", [2, 3, 17, 1025])
 @pytest.mark.parametrize("name", sorted(STREAMING_CONFIGS))
-def test_streaming_moments_match_materialised_paths(name, runs, stride, workers):
+def test_streaming_moments_match_materialised_paths(request, name, runs, stride, workers):
+    if name == "zero_noise":
+        request.getfixturevalue("zero_noise")
     cfg = STREAMING_CONFIGS[name]
     times, states, _ = _reference(name, runs, stride)
     paths = [SamplePath(times=times, states=states[j], clamp_events=0, seed=cfg.seed, stream_index=j)

@@ -10,14 +10,13 @@ from rosmac import (
     RawParams,
     ScalarField,
     State,
-    diffusion,
     drift,
     generator_apply,
     integrate,
     lyapunov_candidate,
     nondimensionalize,
 )
-from rosmac.model import checked_state
+from rosmac.model import _rates, checked_state
 
 from conftest import CYCLE_PARAMS
 
@@ -98,14 +97,14 @@ def test_drift_reference_values():
 
 
 def test_diffusion_reference_values():
-    g = diffusion(CYCLE_PARAMS, State(1.0, 0.0))
-    assert g.g11 == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-15)
-    assert g.g22 == 0.0
-    g = diffusion(CYCLE_PARAMS, State(0.0, 1.0))
-    assert g.g11 == 0.0
-    assert g.g22 == 1.0
-    with pytest.raises(ValueError):
-        diffusion(CYCLE_PARAMS, State(-0.1, 1.0))
+    """The squared noise amplitudes v1 = g11**2 and v2 = g22**2 of _rates."""
+    m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
+    _, _, v1, v2 = _rates(m, c, k, 1.0, 0.0)
+    assert v1 == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert v2 == 0.0
+    _, _, v1, v2 = _rates(m, c, k, 0.0, 1.0)
+    assert v1 == 0.0
+    assert v2 == 1.0
 
 
 # Central-difference steps scale with the point: the test function grows like
@@ -178,14 +177,14 @@ def test_generator_matches_finite_difference_oracle():
         comparison must be relative to their magnitudes, not to the total.
         """
         dn, dp = drift(params, State(n, p))
-        g = diffusion(params, State(n, p))
+        _, _, v1, v2 = _rates(params.m, params.c, params.k, n, p)
         grad = _central_gradient(field.value, n, p)
         hess = _central_hessian_diag(field.value, n, p)
         terms = (
             dn * grad[0],
             dp * grad[1],
-            0.5 * g.g11**2 * hess[0],
-            0.5 * g.g22**2 * hess[1],
+            0.5 * v1 * hess[0],
+            0.5 * v2 * hess[1],
         )
         return sum(terms), max(sum(abs(t) for t in terms), 1.0)
 

@@ -30,6 +30,7 @@ from conftest import (
     _reference_em,
     _whole_increments,
 )
+from fakes import zero_noise_streams
 
 
 def test_simconfig_validation_and_delta():
@@ -75,8 +76,10 @@ def _em_outcome(run, *args):
     return states.tobytes(), clamps
 
 
-def _em_args(params, x0, cfg):
-    return (params.m, params.c, params.k, *x0, cfg.delta, _whole_increments(cfg, stream_index=1))
+def _em_args(params, x0, cfg, zero_noise=False):
+    with zero_noise_streams(zero_noise):
+        increments = _whole_increments(cfg, stream_index=1)
+    return (params.m, params.c, params.k, *x0, cfg.delta, increments)
 
 
 def test_inlined_em_loop_matches_the_rates_reference():
@@ -86,9 +89,9 @@ def test_inlined_em_loop_matches_the_rates_reference():
     # chunk; a (-0.0, -0.0) start, which reaches +0 without a projection.
     cases = [
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
-        _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, zero_noise=True)),
+        _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500), zero_noise=True),
         _em_args(CYCLE_PARAMS, State(0.05, 0.05), SimConfig(t_end=40.0, m_steps=20, seed=3)),
-        _em_args(ModelParams(3.0, 1.0, 3.0), State(9.0, 2.0), SimConfig(t_end=20.0, m_steps=8, zero_noise=True)),
+        _em_args(ModelParams(3.0, 1.0, 3.0), State(9.0, 2.0), SimConfig(t_end=20.0, m_steps=8), zero_noise=True),
         _em_args(CYCLE_PARAMS, State(1e300, 1e300), SimConfig(t_end=1.0, m_steps=10)),
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=20.0, m_steps=8000, seed=7)),
         _em_args(CYCLE_PARAMS, State(-0.0, -0.0), SimConfig(t_end=10.0, m_steps=600, seed=3)),
@@ -107,8 +110,8 @@ def test_inlined_em_loop_matches_the_rates_reference():
         m, c, k = np.exp(rng.uniform(-2.0, 2.0, size=3)).tolist()
         n, p = rng.uniform(0.0, 5.0, size=2).tolist()
         cfg = SimConfig(t_end=float(10.0 ** rng.uniform(-1.0, 1.5)), m_steps=int(rng.integers(1, 400)),
-                        seed=seed, zero_noise=seed % 3 == 0)
-        cases.append(_em_args(ModelParams(m, c, k), State(n, p), cfg))
+                        seed=seed)
+        cases.append(_em_args(ModelParams(m, c, k), State(n, p), cfg, zero_noise=seed % 3 == 0))
     outcomes = []
     for args in cases:
         got = _em_outcome(_em_on, *args)
@@ -238,9 +241,9 @@ def test_simulate_path_memory_is_its_two_arrays():
     assert peak <= 1.5 * path.states.nbytes + 65_536
 
 
-def test_zero_noise_path_is_plain_euler():
+def test_zero_noise_path_is_plain_euler(zero_noise):
     """With increments forced to zero the scheme is the Euler polygon."""
-    cfg = SimConfig(t_end=2.0, m_steps=400, seed=123, zero_noise=True)
+    cfg = SimConfig(t_end=2.0, m_steps=400, seed=123)
     path = simulate_path(CYCLE_PARAMS, START, cfg)
     m, c, k = CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k
     delta = cfg.delta
@@ -371,8 +374,9 @@ def _self_convergence_gaps(seed, zero_noise=False):
     256, 512, 1024 and 2048 steps that share one Brownian path, coarsest first: the
     finest grid's increments drawn whole, summed in consecutive groups for each
     coarser grid and stepped by _em_path."""
-    cfg = SimConfig(t_end=1.0, m_steps=2048, seed=seed, zero_noise=zero_noise)
-    fine = _whole_increments(cfg, 0)
+    cfg = SimConfig(t_end=1.0, m_steps=2048, seed=seed)
+    with zero_noise_streams(zero_noise):
+        fine = _whole_increments(cfg, 0)
     finals = []
     for steps in (256, 512, 1024, 2048):
         states, _ = _em_on(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, *START, 1.0 / steps,
@@ -412,20 +416,24 @@ _CONFIG = st.builds(
     t_end=st.floats(1e-3, 1e3),
     m_steps=st.integers(1, 24),
     seed=st.integers(0, 2**64 - 1),
-    zero_noise=st.booleans(),
 )
 
 
-# A first step whose drift overflows both components to -inf.
+# A first step whose drift overflows both components to -inf, without noise.
 _OVERFLOW_TO_MINUS_INF = dict(m=1.0, c=1.0, k=1.0, n0=1.0, p0=1e200,
-                              cfg=SimConfig(t_end=1e200, m_steps=1, zero_noise=True))
+                              cfg=SimConfig(t_end=1e200, m_steps=1), zero_noise=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
-       stream=st.integers(0, 3))
+       stream=st.integers(0, 3), zero_noise=st.booleans())
 @example(**_OVERFLOW_TO_MINUS_INF, stream=0)
-def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
+def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream, zero_noise):
+    with zero_noise_streams(zero_noise):
+        _check_em_path_finite_or_blowup(m, c, k, n0, p0, cfg, stream)
+
+
+def _check_em_path_finite_or_blowup(m, c, k, n0, p0, cfg, stream):
     increments = _whole_increments(cfg, stream)
     dn, dp, v1, v2 = _rates(m, c, k, n0, p0)
     dw1, dw2 = increments[0].tolist()
@@ -449,11 +457,16 @@ def test_em_path_gives_finite_states_or_blowup(m, c, k, n0, p0, cfg, stream):
 
 @settings(max_examples=80, deadline=None)
 @given(m=RATES, c=RATES, k=RATES, n0=COMPONENTS, p0=COMPONENTS, cfg=_CONFIG,
-       runs=st.integers(2, 4), workers=st.integers(1, 2))
+       runs=st.integers(2, 4), workers=st.integers(1, 2), zero_noise=st.booleans())
 @example(**_OVERFLOW_TO_MINUS_INF, runs=2, workers=1)
 def test_ensemble_chunks_give_finite_rows_or_blowup_like_single_paths(
-    m, c, k, n0, p0, cfg, runs, workers
+    m, c, k, n0, p0, cfg, runs, workers, zero_noise
 ):
+    with zero_noise_streams(zero_noise):
+        _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers)
+
+
+def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers):
     params, x0 = ModelParams(m, c, k), State(n0, p0)
     first_bad = []
     paths = []

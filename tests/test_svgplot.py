@@ -79,7 +79,7 @@ def test_empty_ranges_widen_to_a_width_their_magnitude_keeps():
 # an ulp (a loop that never ends) at the command line.
 LARGE_MAGNITUDE_COMMANDS = [
     ["ensemble", "-m", "3", "-c", "1", "-k", "1e17", "--x0", "1e17,0", "-T", "1", "-M", "10",
-     "--runs", "2", "--zero-noise", "--svg"],
+     "--runs", "2", "--svg"],
     ["phase-portrait", "-m", "3", "-c", "1", "-k", "3", "--grid", "1e17,1e17,0,1", "--res", "2",
      "-T", "1", "--svg"],
     ["simulate-ode", "-m", "1e-20", "-c", "1e-20", "-k", "1e17", "--x0", "99999999999999984,1e17",
@@ -92,10 +92,14 @@ LARGE_MAGNITUDE_COMMANDS = [
                   "-T", "1", "--dt", "1", "--svg"], id="simulate-ode-subnormal"),
 ]
 
+# The child draws no noise: fakes.ZeroNoiseStream replaces sde.NoiseStream.
 _CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, 600_000 * 1024))
+from fakes import ZeroNoiseStream
+from rosmac import sde
 from rosmac.cli import main
+sde.NoiseStream = ZeroNoiseStream
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -104,7 +108,8 @@ _COORDINATES = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "points", "d")
 
 @pytest.mark.parametrize("argv", LARGE_MAGNITUDE_COMMANDS, ids=lambda argv: argv[0])
 def test_charts_at_large_magnitude_render_in_bounded_memory_and_time(tmp_path, argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(rosmac.__file__).resolve().parents[1]))
+    paths = [Path(rosmac.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60,

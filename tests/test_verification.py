@@ -82,9 +82,10 @@ def test_certification_passes_for_both_parameter_sets():
         assert gen.grid is DEFAULT_GENERATOR_GRID
 
 
-def test_monotonicity_sabotage_fails_at_interior_point():
+def test_monotonicity_sabotage_fails_at_interior_point(monkeypatch):
     """An undersized constant must be caught, and not merely at a corner."""
-    report = check_monotonicity(CYCLE_PARAMS, c_override=0.25)
+    monkeypatch.setattr(verification, "monotonicity_constant", lambda params: 0.25)
+    report = check_monotonicity(CYCLE_PARAMS)
     assert not report.passed
     assert report.worst_slack > 0.0
     n, p = report.worst_point
@@ -96,8 +97,9 @@ def test_monotonicity_sabotage_fails_at_interior_point():
     assert report.worst_slack == pytest.approx(slack, rel=1e-12)
 
 
-def test_generator_sabotage_fails():
-    report = check_generator_inequality(CYCLE_PARAMS, c_override=3.0)
+def test_generator_sabotage_fails(monkeypatch):
+    monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: 3.0)
+    report = check_generator_inequality(CYCLE_PARAMS)
     assert not report.passed
     assert report.worst_slack > 0.0
 
@@ -161,13 +163,16 @@ def _at_resolution(grid, resolution):
 @pytest.mark.parametrize("params", [CYCLE_PARAMS, SINK_PARAMS], ids=["cycle", "sink"])
 @pytest.mark.parametrize("alpha", [3.0, 2.5, 4.7])
 @pytest.mark.parametrize(
-    "resolution, c_override", [(1, None), (7, None), (7, 0.25), (200, None), (200, 3.0)]
+    "resolution, constant", [(1, None), (7, None), (7, 0.25), (200, None), (200, 3.0)]
 )
-def test_grid_checks_match_per_point_reference(params, alpha, resolution, c_override):
+def test_grid_checks_match_per_point_reference(monkeypatch, params, alpha, resolution, constant):
+    """Also with a deliberate constant in place of c_lyap and c_mono."""
     m, c, k = params.m, params.c, params.k
     field = lyapunov_candidate(alpha)
-    c_lyap = lyapunov_constant(params, alpha) if c_override is None else c_override
-    c_mono = monotonicity_constant(params) if c_override is None else c_override
+    c_lyap = lyapunov_constant(params, alpha) if constant is None else constant
+    c_mono = monotonicity_constant(params) if constant is None else constant
+    monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: c_lyap)
+    monkeypatch.setattr(verification, "monotonicity_constant", lambda params: c_mono)
 
     def generator_slack(n, p):
         return generator_apply(params, field, State(n, p)) - c_lyap * field.value(n, p)
@@ -181,8 +186,8 @@ def test_grid_checks_match_per_point_reference(params, alpha, resolution, c_over
     gen_grid = _at_resolution(DEFAULT_GENERATOR_GRID, resolution)
     mono_grid = _at_resolution(DEFAULT_MONOTONICITY_GRID, resolution)
     for report, slack_at in (
-        (check_generator_inequality(params, alpha, gen_grid, c_override), generator_slack),
-        (check_monotonicity(params, mono_grid, c_override), monotonicity_slack),
+        (check_generator_inequality(params, alpha, gen_grid), generator_slack),
+        (check_monotonicity(params, mono_grid), monotonicity_slack),
     ):
         worst_slack, worst_point = _reference_worst(report.grid, slack_at)
         assert report.worst_point == worst_point
@@ -206,9 +211,10 @@ def test_grid_ties_across_blocks_go_to_the_first_block(monkeypatch):
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.7])
 def test_grid_blocks_report_the_row_wise_result(monkeypatch, alpha):
     """Blocks of 64 rows at the default resolution give the bits of one row at a time."""
+    monkeypatch.setattr(verification, "monotonicity_constant", lambda params: alpha)
+
     def reports():
-        return (check_generator_inequality(CYCLE_PARAMS, alpha),
-                check_monotonicity(CYCLE_PARAMS, c_override=alpha))
+        return (check_generator_inequality(CYCLE_PARAMS, alpha), check_monotonicity(CYCLE_PARAMS))
 
     blocked = reports()
     monkeypatch.setattr(verification, "_GRID_BLOCK_CELLS", 1)
@@ -240,10 +246,10 @@ def test_moment_bound_established_ensemble():
         assert report.grid is None
 
 
-def test_moment_bound_worst_time_is_zero_for_exploding_envelope():
+def test_moment_bound_worst_time_is_zero_for_exploding_envelope(zero_noise):
     # The envelope grows like exp(p c t) while paths stay bounded, so the
     # tightest point is the initial instant.
-    cfg = SimConfig(t_end=2.0, m_steps=200, seed=2, zero_noise=True)
+    cfg = SimConfig(t_end=2.0, m_steps=200, seed=2)
     series, _ = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,))
     report = check_moment_bound(series[0], CYCLE_PARAMS, START)
     assert report.passed
@@ -251,8 +257,8 @@ def test_moment_bound_worst_time_is_zero_for_exploding_envelope():
     assert report.worst_slack == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_moment_bound_small_order_branch():
-    cfg = SimConfig(t_end=2.0, m_steps=200, seed=2, zero_noise=True)
+def test_moment_bound_small_order_branch(zero_noise):
+    cfg = SimConfig(t_end=2.0, m_steps=200, seed=2)
     series, _ = ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(1.0,))
     report = check_moment_bound(series[0], CYCLE_PARAMS, START)
     assert report.passed
