@@ -49,7 +49,7 @@ from .equilibria import (
 )
 from .model import GridSpec, ModelParams, State, checked_state
 from .ode import DEFAULT_DT, BlowupError, detect_asymptotics, integrate, vector_field_grid
-from .sde import DESK_STEPS, SimConfig, simulate_path
+from .sde import DESK_STEPS, SimConfig, _usable_cpus, simulate_path
 from .svgplot import line_chart, phase_portrait
 from .verification import (
     DEFAULT_GENERATOR_GRID,
@@ -188,7 +188,7 @@ def _slice_count(rows: int) -> int:
     or more.  One slice where os.sched_getaffinity is missing: that keeps fork to Linux."""
     if rows < _CSV_FORK_ROWS or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), rows // _CSV_BLOCK_ROWS)
+    return min(_usable_cpus(), rows // _CSV_BLOCK_ROWS)
 
 
 def _fork_slice(part: np.ndarray, row: str, siblings: list[int]) -> tuple[int, int] | None:

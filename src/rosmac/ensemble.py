@@ -12,6 +12,9 @@ j always uses noise stream j, so results are bit-identical for any number of
 worker threads.  The reductions are per time column, so each chunk of
 recorded states is reduced as the driver yields it: memory is
 O(runs x chunk), with no runs x recorded tensor and no ceiling on either.
+The driver holds two runs x chunk buffers, the chunk's noise and its
+states, which live runs record in place; the reduction adds one block of
+time rows of scratch.
 """
 
 from __future__ import annotations
@@ -67,28 +70,46 @@ class MomentSeries:
         self.values.flags.writeable = False
 
 
-def _pairwise_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 with a fixed halving tree (shape-determined order)."""
-    acc = values
-    while acc.shape[0] > 1:
-        count = acc.shape[0]
-        paired = count - (count % 2)
-        folded = acc[0:paired:2] + acc[1:paired:2]
-        if count % 2:
-            folded = np.concatenate([folded, acc[-1:]], axis=0)
-        acc = folded
-    return acc[0]
+# Time rows per block of the run-axis reduction: its scratch is two such
+# blocks of runs floats.
+_REDUCE_ROWS = 32
+
+
+def _pairwise_sum(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum the (rows, count) values over count with a fixed halving tree whose
+    shape depends only on count: each level adds neighbours 2i and 2i + 1 and
+    carries an odd last one.  The levels alternate between the two halves of
+    the flat scratch, which holds at least rows * count floats."""
+    rows, count = values.shape
+    split = rows * ((count + 1) // 2)
+    halves, level, acc = (scratch[:split], scratch[split:]), 0, values
+    while count > 1:
+        pairs, odd = divmod(count, 2)
+        folded = halves[level % 2][: rows * (pairs + odd)].reshape(rows, pairs + odd)
+        np.add(acc[:, 0:2 * pairs:2], acc[:, 1:2 * pairs:2], out=folded[:, :pairs])
+        if odd:
+            folded[:, pairs] = acc[:, count - 1]
+        acc, count, level = folded, pairs + odd, level + 1
+    return acc[:, 0]
 
 
 def _mean_var(rows: np.ndarray) -> np.ndarray:
-    """(times, 2, runs) states -> (4, times): mean and variance of n, then of p."""
-    runs = rows.shape[2]
-    out = []
+    """(times, 2, runs) states -> (4, times): mean and variance of n, then of p,
+    reduced one component and _REDUCE_ROWS time rows at a time."""
+    times, _, runs = rows.shape
+    out = np.empty((4, times))
+    block = min(_REDUCE_ROWS, times)
+    squares, scratch = np.empty((block, runs)), np.empty(block * runs)
     with np.errstate(over="ignore", invalid="ignore"):
-        for component in (rows[:, 0].T, rows[:, 1].T):
-            mean = _pairwise_sum(component) / runs
-            out += [mean, _pairwise_sum((component - mean) ** 2) / runs]
-    return np.array(out)
+        for lo in range(0, times, block):
+            for component in (0, 1):
+                values = rows[lo:lo + block, component]
+                mean, var = out[2 * component:2 * component + 2, lo:lo + block]
+                deviations = squares[: len(values)]
+                np.divide(_pairwise_sum(values, scratch), runs, out=mean)
+                np.square(np.subtract(values, mean[:, None], out=deviations), out=deviations)
+                np.divide(_pairwise_sum(deviations, scratch), runs, out=var)
+    return out
 
 
 def _ensemble_stats(
@@ -157,9 +178,10 @@ def ensemble_moments(
     row = 0
     for rows, _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
         norms = np.hypot(rows[:, 0], rows[:, 1])
+        scratch = np.empty(norms.size)
         # An overflowing moment is left inf; check_moment_bound rejects it.
         with np.errstate(over="ignore"):
-            sums.append([_pairwise_sum(norms.T ** float(p)) / runs for p in p_values])
+            sums.append([_pairwise_sum(norms ** float(p), scratch) / runs for p in p_values])
         chunk_times = times[row:row + len(rows)]
         row += len(rows)
         mask = chunk_times >= t_min

@@ -6,8 +6,12 @@ Discretization on the equidistant grid tau_i = i * delta, delta = t_end / m:
 
 Negative components produced by a step are projected back to zero; each
 projection is counted so the caller can judge how often the boundary bites.
-A state that is not finite raises BlowupError naming the first such step; a
-component that overflows to -inf counts as not finite, not as extinct.
+When a component ends a step below zero and its drift part alone,
+Y_i + mu(Y_i) delta, is below zero too, the step is too coarse: the
+projection, not the noise, would decide that component, so ValueError names
+the step, t, delta and the component.  A state that is not finite raises
+BlowupError naming the first such step, ahead of that rule; a component
+that overflows to -inf counts as not finite, not as extinct.
 
 Two drivers share these rules and agree bit for bit: simulate_path steps one
 path through the scalar loop _em_path, and _ensemble_chunks steps the paths of
@@ -57,6 +61,9 @@ _MAX_SEED = 2**64
 # Steps per chunk of both EM drivers, which test for the origin at chunk
 # starts.  Sets memory (runs x chunk), not results.
 _CHUNK_STEPS = 256
+
+# Streams that one ensemble thread draws into its scratch block at a time.
+_DRAW_STREAMS = 64
 
 
 @dataclass(frozen=True)
@@ -130,13 +137,37 @@ def _at_origin(x: np.ndarray) -> np.ndarray:
     return ((x == 0.0) & ~np.signbit(x)).all(axis=0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _too_coarse(step: int, delta: float, component: str) -> ValueError:
+    return ValueError(f"the drift alone takes {component} below 0 at step {step} "
+                      f"(t={step * delta}, delta={delta}); step too coarse")
+
+
+def _check_drift_part(m, c, k, n, p, delta, below, step) -> None:
+    """ValueError if step `step` from (n, p) took a component below 0 (flagged in
+    `below`) whose drift part, recomputed with _em_path's operands, is below 0 too."""
+    inter = m * n * p / (1.0 + n)
+    n_k = n / k
+    drift = n + (n * (1.0 - n_k) - inter) * delta, p + (-c * p + inter) * delta
+    for component, negative, part in zip("np", below, drift):
+        if negative and part < 0.0:
+            raise _too_coarse(step, delta, component)
+
+
 def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
     """Scalar EM from (n, p) with projection to zero: the (steps + 1, 2) states,
     row i after step i, and the number of projections.  draw(size) gives the
     next (size, 2) increments; it is called at each chunk start where the path
     is live.  A state that is not finite, -inf included, raises BlowupError at
-    its step.  The origin (+0, +0) is absorbing: a path found there at a chunk
-    start draws no more noise and stops stepping; its later rows keep +0.0."""
+    its step; a projection that the drift part alone forces raises ValueError.
+    The origin (+0, +0) is absorbing: a path found there at a chunk start draws
+    no more noise and stops stepping; its later rows keep +0.0."""
     states = np.zeros((steps + 1, 2))
     clamps = 0
     nc, sqrt, inf = -c, math.sqrt, math.inf
@@ -161,7 +192,9 @@ def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
                 p = p + dp * delta + sqrt(v2) * dw2
                 # False for a negative, NaN or infinite component (or a sum past the float maximum).
                 if not (n >= 0.0 and p >= 0.0 and n + p < inf):
+                    below = n < 0.0, p < 0.0
                     n, p, clamps = _projected(n, p, clamps, j // 2, delta)
+                    _check_drift_part(m, c, k, flat[j - 2], flat[j - 1], delta, below, j // 2)
                 flat[j] = n
                 flat[j + 1] = p
                 j += 2
@@ -193,13 +226,15 @@ def _ensemble_chunks(
     states of every `stride`-th step, x0 leading the first chunk; clamps the
     per-path projection counts so far.  Both buffers are reused.  One
     generator per stream makes chunked draws equal a single draw; `workers`
-    threads split the draws by stream.  Matches simulate_path bit for bit,
-    also in raising BlowupError at the first step with a non-finite state.
+    threads, at most one per usable CPU, split the draws by stream.  Matches
+    simulate_path bit for bit, also in raising BlowupError at the first step
+    with a non-finite state and ValueError at the first projection that a
+    drift part forces.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
     runs found there leave the live set, draw no more noise and stop
-    stepping.  Live runs' rows are recorded compactly and scattered into
-    `rows` once per chunk; a dead run's column holds +0.0, which is what
+    stepping.  Live runs' rows are recorded in place; a dead run's column is
+    zeroed once, at the chunk start where it leaves, to +0.0, which is what
     stepping it would give.  A -0.0 component keeps its run live until it
     turns +0.
     """
@@ -217,19 +252,28 @@ def _ensemble_chunks(
     clamps = np.zeros(runs, dtype=np.int64)
     rows = np.empty((chunk // stride + 1, 2, runs))
     rows[0] = x
+    # Each recorded row as one flat (2 runs) view, so that live runs are written
+    # through flat indices: 2-4x faster than rows[r][:, live] = x.
+    flat_rows = rows.reshape(len(rows), 2 * runs)
     recorded = 1
     # Stream index of each live run, and its projection counts.
     live, live_clamps = np.arange(runs), clamps.copy()
-    noise_buffer, spare = np.empty(chunk * 2 * runs), np.empty((chunk + 1) * 2 * runs)
+    noise_buffer = np.empty(chunk * 2 * runs)
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
+    parts = min(workers, runs, _usable_cpus())
+    # Philox fills only contiguous arrays, so each thread draws a block of
+    # streams in their own (step, component) order, then scales it into the
+    # (chunk, 2, live) step layout.
+    blocks = [np.empty((min(_DRAW_STREAMS, runs), chunk, 2)) for _ in range(parts)]
 
-    def draw(positions: range, size: int) -> None:
-        for i in positions:
-            generators[live[i]].standard_normal(out=draws[i, :size])
-        part = slice(positions.start, positions.stop)
-        np.multiply(draws[part, :size], math.sqrt(delta), out=noise[:size].transpose(2, 0, 1)[part])
+    def draw(part: int, size: int) -> None:
+        block, stop = blocks[part], count * (part + 1) // parts
+        for lo in range(count * part // parts, stop, len(block)):
+            hi = min(lo + len(block), stop)
+            for i in range(lo, hi):
+                generators[live[i]].standard_normal(out=block[i - lo, :size])
+            np.multiply(block[: hi - lo, :size], math.sqrt(delta), out=noise[:size].transpose(2, 0, 1)[lo:hi])
 
-    parts = min(workers, runs, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for start in range(0, steps, chunk):
             size = min(chunk, steps - start)
@@ -240,24 +284,17 @@ def _ensemble_chunks(
                 # compress keeps x C-contiguous; x[:, kept] would not.
                 live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
                 count = len(live)
-                # Buffers sized to the live set.  The draws are spent before the
-                # steps and the compact record is filled during them, so the two
-                # share memory.  Runs share x0, so the first chunk, the only one
-                # with a row recorded up front, drops no run or every run.
+                # Flat indices of the live columns in a (2, runs) row, once a run has died.
+                columns = None if count == runs else np.concatenate([live, live + runs])
                 noise = noise_buffer[: chunk * 2 * count].reshape(chunk, 2, count)
-                draws = spare[: count * chunk * 2].reshape(count, chunk, 2)
-                record = spare[: len(rows) * 2 * count].reshape(len(rows), 2, count)
-                if count == runs:
-                    record = rows
                 n, p = x
                 (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
                 inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
-                slices = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
             if not count:  # all rows of this chunk are +0.0
                 yield rows[: recorded + (start + size) // stride - start // stride], clamps
                 recorded = 0
                 continue
-            list(pool.map(draw, slices, [size] * parts))
+            list(pool.map(draw, range(parts), [size] * parts))
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(size):
                     # Shared terms once per step: m n p / (1 + n) and n / k.
@@ -281,6 +318,13 @@ def _ensemble_chunks(
                     if lowest < 0.0:
                         if lowest == -math.inf:  # an overflow, not an extinction
                             raise BlowupError(start + i + 1, delta)
+                        # Is a component below 0 whose drift part, still in drift, is too?
+                        # var, spent, holds the larger of the two.
+                        if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
+                            if not np.isfinite(x).all():  # a blow-up in the same step wins
+                                raise BlowupError(start + i + 1, delta)
+                            decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
+                            raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
                         negative = x < 0.0
                         live_clamps += negative.sum(axis=0)
                         x[negative] = 0.0
@@ -288,11 +332,11 @@ def _ensemble_chunks(
                     if not np.maximum.reduce(x, axis=None) < math.inf:
                         raise BlowupError(start + i + 1, delta)
                     if (start + i + 1) % stride == 0:
-                        record[recorded] = x
+                        if columns is None:
+                            rows[recorded] = x
+                        else:
+                            flat_rows[recorded][columns] = x.reshape(-1)
                         recorded += 1
-            if record is not rows:
-                rows[:recorded, :, live] = record[:recorded]
             clamps[live] = live_clamps
             yield rows[:recorded], clamps
             recorded = 0
-

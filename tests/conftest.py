@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,21 +27,35 @@ COMPONENTS = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300))
 
 
 def _reference_em(m, c, k, n, p, delta, increments):
-    """EM from model._rates one step at a time, projected and checked as _em_path does.
+    """EM from model._rates one step at a time, projected and checked as _em_path does:
+    BlowupError at a state that is not finite, else ValueError where a component
+    ends below 0 and so does its drift part n + delta dn (or p + delta dp).
     Dense: it steps every row, also after the path has reached the origin."""
     states, clamps = [(n, p)], 0
     for dw1, dw2 in increments.tolist():
         dn, dp, v1, v2 = _rates(m, c, k, n, p)
-        n = n + dn * delta + math.sqrt(v1) * dw1
-        p = p + dp * delta + math.sqrt(v2) * dw2
+        drift = n + dn * delta, p + dp * delta
+        n = drift[0] + math.sqrt(v1) * dw1
+        p = drift[1] + math.sqrt(v2) * dw2
+        below = n < 0.0, p < 0.0
         if n < 0.0:
             n, clamps = (0.0 if n > -math.inf else math.nan), clamps + 1
         if p < 0.0:
             p, clamps = (0.0 if p > -math.inf else math.nan), clamps + 1
         if not (math.isfinite(n) and math.isfinite(p)):
             raise BlowupError(len(states), delta)
+        for component, negative, part in zip("np", below, drift):
+            if negative and part < 0.0:
+                raise ValueError(f"the drift alone takes {component} below 0 at step {len(states)} ")
         states.append((n, p))
     return np.array(states), clamps
+
+
+def _rejection(exc):
+    """(component, step) of the ValueError that rejects a step whose drift part decides it."""
+    found = re.search(r"the drift alone takes ([np]) below 0 at step (\d+) ", str(exc))
+    assert found, exc
+    return found[1], int(found[2])
 
 
 def _whole_increments(cfg, stream_index):

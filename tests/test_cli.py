@@ -14,7 +14,7 @@ import pytest
 
 import rosmac
 from rosmac import SimConfig, State, integrate, simulate_path
-from rosmac import cli, verification
+from rosmac import cli, sde, verification
 from rosmac.cli import main
 from rosmac.ensemble import _mean_var
 
@@ -301,7 +301,7 @@ SMALL_RUNS = [
     ["phase-portrait", *CYCLE_FLAGS, "-T", "1", "--dt", "0.1", "--res", "3"],
     ["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "10"],
     ["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "10", "--runs", "4"],
-    ["verify", *CYCLE_FLAGS, "--res", "4", "--runs", "4", "-M", "10"],
+    ["verify", *CYCLE_FLAGS, "--res", "4", "--runs", "4", "-M", "100"],  # delta 0.1: -M 10 is too coarse
 ]
 
 
@@ -401,6 +401,21 @@ def test_runs_too_large_for_a_c_long_exits_2(tmp_path, capsys, through_config):
     assert main(["ensemble", *CYCLE_FLAGS, "-M", "10", *runs]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-sde", *CYCLE_FLAGS, "-T", "1000", "-M", "10"],
+    ["ensemble", *CYCLE_FLAGS, "-T", "1000", "-M", "10", "--runs", "100"],
+    ["verify", *CYCLE_FLAGS, "-T", "1000", "-M", "10", "--runs", "100"],
+], ids=lambda argv: argv[0])
+def test_steps_that_the_drift_decides_exit_2(tmp_path, capsys, argv):
+    """delta = 100: the first step's drift alone takes the prey below 0, so no
+    output is written and verify does not report a pass."""
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the drift alone takes n below 0 at step 1 (t=100.0, delta=100.0); step too coarse\n"
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
@@ -590,6 +605,26 @@ def test_ensemble_worker_count_invariance(tmp_path):
     assert main([*base, "--out", str(serial)]) == 0
     assert main([*base, "--workers", "4", "--out", str(threaded)]) == 0
     assert (serial / "ensemble.csv").read_bytes() == (threaded / "ensemble.csv").read_bytes()
+
+
+def test_ensemble_threads_follow_the_usable_cpus(tmp_path, monkeypatch):
+    """--workers is capped by the affinity mask, not by the machine's CPU count."""
+    pools = []
+
+    class RecordingPool(sde.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
+    argv = ["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "500", "--runs", "600", "--seed", "9",
+            "--workers", "2", "--out"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main([*argv, str(tmp_path / "two")]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main([*argv, str(tmp_path / "one")]) == 0
+    assert pools == [2, 1]
+    assert (tmp_path / "one" / "ensemble.csv").read_bytes() == (tmp_path / "two" / "ensemble.csv").read_bytes()
 
 
 def _csv_floats(path, columns):

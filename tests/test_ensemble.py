@@ -23,18 +23,43 @@ from conftest import CYCLE_PARAMS, START
 
 
 # References that reduce whole (runs, times, 2) tensors or lists of paths, where
-# the library streams the same reductions chunk by chunk.
+# the library streams the same reductions chunk by chunk, in blocks of rows.
+
+def _reference_pairwise_sum(values):
+    """Sum over axis 0 with a fixed halving tree (shape-determined order): the
+    library's tree as it was written before its blocked, in-place form."""
+    acc = values
+    while acc.shape[0] > 1:
+        count = acc.shape[0]
+        paired = count - (count % 2)
+        folded = acc[0:paired:2] + acc[1:paired:2]
+        if count % 2:
+            folded = np.concatenate([folded, acc[-1:]], axis=0)
+        acc = folded
+    return acc[0]
+
+
+def _reference_mean_var(rows):
+    """(times, 2, runs) states -> (4, times), whole components at a time."""
+    runs = rows.shape[2]
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for component in (rows[:, 0].T, rows[:, 1].T):
+            mean = _reference_pairwise_sum(component) / runs
+            out += [mean, _reference_pairwise_sum((component - mean) ** 2) / runs]
+    return np.array(out)
+
 
 def _stats_from_states(times, states, seed, clamp_events_total=0):
     """Ensemble statistics of a (runs, times, 2) tensor."""
-    moments = _mean_var(states.transpose(1, 2, 0))
+    moments = _reference_mean_var(states.transpose(1, 2, 0))
     return _ensemble_stats(times, moments, states.shape[0], seed, clamp_events_total)
 
 
 def _moment_series(paths, p):
     """E||X_t||^p over sample paths that share one time grid."""
     norms = np.stack([np.hypot(path.states[:, 0], path.states[:, 1]) for path in paths])
-    values = _pairwise_sum(norms**p) / len(paths)
+    values = _reference_pairwise_sum(norms**p) / len(paths)
     return MomentSeries(p=float(p), times=paths[0].times.copy(), values=values)
 
 
@@ -57,10 +82,44 @@ def _constant_path(n, p, samples=5, spacing=0.5, stream_index=0):
 def test_pairwise_sum_agrees_with_flat_sum():
     rng = np.random.default_rng(1)
     for count in (1, 2, 3, 7, 16, 100):
-        block = rng.normal(size=(count, 4))
-        assert np.abs(_pairwise_sum(block) - block.sum(axis=0)).max() < 1e-12
-    ints = np.arange(10, dtype=float).reshape(10, 1)
-    assert _pairwise_sum(ints)[0] == 45.0
+        block = rng.normal(size=(4, count))
+        summed = _pairwise_sum(block, np.empty(block.size))
+        assert np.abs(summed - block.sum(axis=1)).max() < 1e-12
+    ints = np.arange(10, dtype=float).reshape(1, 10)
+    assert _pairwise_sum(ints, np.empty(10))[0] == 45.0
+
+
+def _oracle_states(times, runs, rng):
+    """(times, 2, runs) states with -0.0 entries, all-zero columns, runs whose
+    components differ by orders of magnitude, and a run near 1e154."""
+    shape = (times, 2, runs)
+    rows = rng.lognormal(0.0, 3.0, size=shape) * rng.choice([1.0, -0.0, 0.0], size=shape, p=[0.8, 0.1, 0.1])
+    rows[:, :, rng.integers(runs)] = 0.0
+    rows[:, 1, rng.integers(runs)] = -0.0
+    rows[times // 2, 0, rng.integers(runs)] = 3e154
+    return rows
+
+
+@pytest.mark.parametrize("times", [1, 31, 32, 33, 257])
+@pytest.mark.parametrize("runs", [2, 3, 5, 125, 2000, 2001])
+def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
+    rng = np.random.default_rng(runs * 1000 + times)
+    rows = _oracle_states(times, runs, rng)
+    got = _mean_var(rows)
+    expected = _reference_mean_var(rows)
+    assert got.tobytes() == expected.tobytes()
+    # The run near 1e154 squares past the float maximum at its time: the
+    # variance overflows as it did, and the bands reject it.
+    assert math.isinf(got[1, times // 2])
+    with pytest.raises(ValueError, match=f"t={float(times // 2)}"):
+        _ensemble_stats(np.arange(times, dtype=float), got, runs, 0, 0)
+    # The moment sums of ensemble_moments, over the same tree.
+    norms = np.hypot(rows[:, 0], rows[:, 1])
+    scratch = np.empty(norms.size)
+    with np.errstate(over="ignore"):
+        for p in (1.0, 2.5):
+            moments = _pairwise_sum(norms ** p, scratch) / runs
+            assert moments.tobytes() == (_reference_pairwise_sum(norms.T ** p) / runs).tobytes()
 
 
 def test_stats_from_states_two_path_exactness():
@@ -191,6 +250,25 @@ def test_ensemble_memory_does_not_grow_with_steps():
     assert peaks[1] - peaks[0] < states_growth / 10
 
 
+def test_ensemble_memory_is_two_chunk_buffers():
+    # The driver holds the chunk's recorded states and its noise, each
+    # (257 or 256) x 2 x runs floats, and records live runs in place; the
+    # reduction adds one block of rows.  A third chunk-sized buffer, as a staging
+    # area for the draws or a compact record, would exceed the bound.
+    runs, m_steps = 2_000, 512
+    cfg = SimConfig(t_end=10.0 * m_steps / 4_000, m_steps=m_steps, seed=11)
+    # numpy.random imports modules on its first Philox key (about 0.7 MB traced):
+    # pay that before tracing, so the peak is the ensemble's own.
+    run_ensemble(CYCLE_PARAMS, START, SimConfig(t_end=1.0, m_steps=10), 2)
+    tracemalloc.start()
+    try:
+        run_ensemble(CYCLE_PARAMS, START, cfg, runs, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 * 257 * 2 * runs * 8
+
+
 def test_noisy_ensemble_records_boundary_hits():
     cfg = SimConfig(t_end=10.0, m_steps=400, seed=1)
     stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs=16)
@@ -246,7 +324,7 @@ def test_ensemble_moments_validation():
 # "zero_noise" one runs under the zero_noise fixture.
 STREAMING_CONFIGS = {
     "zero_noise": SimConfig(t_end=10.0, m_steps=700, seed=21),
-    "high_clamp": SimConfig(t_end=100.0, m_steps=1001, seed=21),
+    "high_clamp": SimConfig(t_end=50.0, m_steps=1001, seed=21),
 }
 
 

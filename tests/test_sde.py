@@ -28,6 +28,7 @@ from conftest import (
     ChunkReader,
     _em_on,
     _reference_em,
+    _rejection,
     _whole_increments,
 )
 from fakes import zero_noise_streams
@@ -73,6 +74,8 @@ def _em_outcome(run, *args):
         states, clamps = run(*args)
     except BlowupError as exc:
         return "blowup", exc.last_good_index
+    except ValueError as exc:
+        return "rejected", _rejection(exc)
     return states.tobytes(), clamps
 
 
@@ -84,9 +87,10 @@ def _em_args(params, x0, cfg, zero_noise=False):
 
 def test_inlined_em_loop_matches_the_rates_reference():
     """The loop in _em_path is a kept fast path: _rates inlined, one guard a step."""
-    # Philox and zero noise; coarse steps that project; a start whose first
-    # step is not finite; a path absorbed at the origin in the middle of a
-    # chunk; a (-0.0, -0.0) start, which reaches +0 without a projection.
+    # Philox and zero noise; coarse steps whose drift part leaves the quadrant;
+    # a start whose first step is not finite; a path absorbed at the origin in
+    # the middle of a chunk; a (-0.0, -0.0) start, which reaches +0 without a
+    # projection.
     cases = [
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500, seed=7)),
         _em_args(CYCLE_PARAMS, START, SimConfig(t_end=2.0, m_steps=500), zero_noise=True),
@@ -117,8 +121,9 @@ def test_inlined_em_loop_matches_the_rates_reference():
         got = _em_outcome(_em_on, *args)
         assert got == _em_outcome(_reference_em, *args), args[:6]
         outcomes.append(got)
-    assert outcomes[2][1] > 0 and outcomes[3][1] > 0
-    assert any(clamps for _, clamps in outcomes[11:]), "no random case projects"
+    # Both coarse cases take a component below 0 with its drift part: rejected, not projected.
+    assert outcomes[2] == ("rejected", ("p", 2)) and outcomes[3] == ("rejected", ("n", 1))
+    assert any(isinstance(states, bytes) and clamps for states, clamps in outcomes[11:]), "no random case projects"
     # The (1e300, 1e300) start overflows to -inf at its first step: a blow-up, not an extinction.
     assert outcomes[4] == ("blowup", 0)
     # Each absorbed path's states are +0.0 from its absorption step on.
@@ -280,6 +285,36 @@ def test_block_simulation_stride_subsamples_the_same_path():
     assert np.array_equal(coarse, full[:, ::10])
 
 
+# Steps of delta = 100 from START: the first step's drift part alone takes the prey
+# below 0 (delta (n/k + m p/(1+n)) = 123 > 1 + delta).
+_DRIFT_DECIDED = (ModelParams(3.0, 1.0, 3.0), START, SimConfig(t_end=1000.0, m_steps=10))
+_DRIFT_DECIDED_MESSAGE = r"^the drift alone takes n below 0 at step 1 \(t=100\.0, delta=100\.0\); step too coarse$"
+
+
+def test_simulate_path_rejects_a_step_that_its_drift_decides():
+    with pytest.raises(ValueError, match=_DRIFT_DECIDED_MESSAGE):
+        simulate_path(*_DRIFT_DECIDED)
+
+
+def test_ensemble_driver_rejects_a_step_that_its_drift_decides():
+    # The steps fit one chunk, which raises before it is yielded.
+    for runs, workers in ((4, 1), (100, 2)):
+        with pytest.raises(ValueError, match=_DRIFT_DECIDED_MESSAGE):
+            next(_ensemble_chunks(*_DRIFT_DECIDED, runs, 1, workers))
+
+
+def test_projections_that_noise_forces_are_counted():
+    """A component that only its noise term takes below 0 is projected and counted,
+    by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
+    params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
+    for _, clamps in _ensemble_chunks(params, START, cfg, 2_000, 1, 2):
+        pass
+    assert clamps.sum() == 3_666
+    counts = [simulate_path(params, START, cfg, stream_index=j).clamp_events for j in range(20)]
+    assert sum(counts) > 0
+    assert sum(counts) == int(list(_ensemble_chunks(params, START, cfg, 20, 1, 1))[-1][1].sum())
+
+
 def _drain_chunks(params, x0, cfg, runs, stride):
     for _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers=1):
         pass
@@ -315,19 +350,35 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
 
 def _check_against_dense(params, x0, cfg, runs, stride, workers):
     """Assert that every chunk's rows and clamp counts equal the dense reference's,
-    stream by stream and sign bits included; return the runs at (+0, +0) after each chunk."""
+    stream by stream and sign bits included; return the runs at (+0, +0) after each chunk.
+    Where the reference rejects a step of some stream, because its drift part leaves
+    the quadrant, the chunk must raise that ValueError at the first such step; return
+    None then."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
     increments = [_whole_increments(cfg, stream) for stream in range(runs)]
-    absorbed, first, end = [], 0, 0
-    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
-        end = min(end + _CHUNK_STEPS, cfg.m_steps)
+    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
+    absorbed, first = [], 0
+    for end in range(_CHUNK_STEPS, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
+        expected, rejected = [], []
         for stream in range(runs):
-            states, count = _reference_em(params.m, params.c, params.k, *x0, cfg.delta,
-                                          increments[stream][:end])
+            try:
+                expected.append(_reference_em(params.m, params.c, params.k, *x0, cfg.delta,
+                                              increments[stream][:end]))
+            except ValueError as exc:
+                rejected.append(_rejection(exc))
+        if rejected:
+            step = min(step for _, step in rejected)
+            with pytest.raises(ValueError) as info:
+                next(chunks)
+            assert _rejection(info.value) == (min(c for c, s in rejected if s == step), step)
+            return None
+        rows, clamps = next(chunks)
+        for stream, (states, count) in enumerate(expected):
             assert rows[:, :, stream].tobytes() == states[::stride][first:].tobytes(), (stream, end)
             assert clamps[stream] == count, (stream, end)
         first += len(rows)
         absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
+    assert next(chunks, None) is None
     return absorbed
 
 
@@ -438,8 +489,11 @@ def _check_em_path_finite_or_blowup(m, c, k, n0, p0, cfg, stream):
     dn, dp, v1, v2 = _rates(m, c, k, n0, p0)
     dw1, dw2 = increments[0].tolist()
     # The first step before the projection: -inf there is a blow-up, not an extinction.
-    first = (n0 + dn * cfg.delta + math.sqrt(v1) * dw1, p0 + dp * cfg.delta + math.sqrt(v2) * dw2)
+    drift = (n0 + dn * cfg.delta, p0 + dp * cfg.delta)
+    first = (drift[0] + math.sqrt(v1) * dw1, drift[1] + math.sqrt(v2) * dw2)
     first_finite = all(math.isfinite(value) for value in first)
+    # A finite first step that a drift part takes below 0 is rejected.
+    first_rejected = first_finite and any(value < 0.0 and part < 0.0 for value, part in zip(first, drift))
     try:
         states, _ = _em_on(m, c, k, n0, p0, cfg.delta, increments)
     except BlowupError as exc:
@@ -448,7 +502,17 @@ def _check_em_path_finite_or_blowup(m, c, k, n0, p0, cfg, stream):
             simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
         assert again.value.last_good_index == exc.last_good_index
         return
-    assert first_finite
+    except ValueError as exc:
+        assert first_finite
+        assert (_rejection(exc)[1] == 1) is first_rejected
+        with pytest.raises(ValueError) as again:
+            simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
+        assert str(again.value) == str(exc)
+        with pytest.raises(ValueError) as reference:
+            _reference_em(m, c, k, n0, p0, cfg.delta, increments)
+        assert _rejection(reference.value) == _rejection(exc)
+        return
+    assert first_finite and not first_rejected
     assert np.isfinite(states).all() and (states >= 0.0).all()
     assert states[1].tolist() == [0.0 if value < 0.0 else value for value in first]
     path = simulate_path(ModelParams(m, c, k), State(n0, p0), cfg, stream_index=stream)
@@ -468,20 +532,27 @@ def test_ensemble_chunks_give_finite_rows_or_blowup_like_single_paths(
 
 def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers):
     params, x0 = ModelParams(m, c, k), State(n0, p0)
+    # (step, kind) of each path's failure: a blow-up sorts before a rejection at the same step.
     first_bad = []
     paths = []
     for stream in range(runs):
         try:
             paths.append(simulate_path(params, x0, cfg, stream_index=stream).states)
         except BlowupError as exc:
-            first_bad.append(exc.last_good_index + 1)
+            first_bad.append((exc.last_good_index + 1, "blowup"))
+        except ValueError as exc:
+            first_bad.append((_rejection(exc)[1], "rejected"))
     rows = []
     try:
         for chunk, _ in _ensemble_chunks(params, x0, cfg, runs, 1, workers):
             rows.append(chunk.copy())
     except BlowupError as exc:
-        # The ensemble stops at the first step where any of its paths blows up.
-        assert exc.last_good_index + 1 == min(first_bad)
+        # The ensemble stops at the first step where any of its paths fails, and
+        # there a blow-up of one path wins over a rejected step of another.
+        assert (exc.last_good_index + 1, "blowup") == min(first_bad)
+        return
+    except ValueError as exc:
+        assert (_rejection(exc)[1], "rejected") == min(first_bad)
         return
     assert not first_bad
     states = np.concatenate(rows)
