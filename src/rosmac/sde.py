@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, checked_state
+from .model import ModelParams, State, _rates, checked_state
 from .ode import BlowupError, _projected
 
 __all__ = [
@@ -151,11 +151,10 @@ def _too_coarse(step: int, delta: float, component: str) -> ValueError:
 
 def _check_drift_part(m, c, k, n, p, delta, below, step) -> None:
     """ValueError if step `step` from (n, p) took a component below 0 (flagged in
-    `below`) whose drift part, recomputed with _em_path's operands, is below 0 too."""
-    inter = m * n * p / (1.0 + n)
-    n_k = n / k
-    drift = n + (n * (1.0 - n_k) - inter) * delta, p + (-c * p + inter) * delta
-    for component, negative, part in zip("np", below, drift):
+    `below`) whose drift part, recomputed through _rates as _em_path inlines it,
+    is below 0 too."""
+    dn, dp, _, _ = _rates(m, c, k, n, p)
+    for component, negative, part in zip("np", below, (n + dn * delta, p + dp * delta)):
         if negative and part < 0.0:
             raise _too_coarse(step, delta, component)
 

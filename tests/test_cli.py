@@ -16,7 +16,7 @@ import rosmac
 from rosmac import SimConfig, State, integrate, simulate_path
 from rosmac import cli, sde, verification
 from rosmac.cli import main
-from rosmac.ensemble import _mean_var
+from rosmac.ensemble import _mean_var, _reduced
 
 from conftest import CYCLE_PARAMS, START, _reference_em, _whole_increments
 from fakes import zero_noise_streams
@@ -247,6 +247,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["simulate-sde", *CYCLE_FLAGS, *small, "--out", str(a_file / "sub")],
         ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--save-paths", "-2"],
         ["simulate-ode", *CYCLE_FLAGS, "-T", "1", "--dt", "nan"],
+        # A stride of 0: both ensemble functions reject it before building a time grid.
+        ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--stride", "0"],
+        ["verify", *CYCLE_FLAGS, "-T", "2", "-M", "10", "--runs", "4", "--stride", "0"],
         # Too large for float64: grid slacks and SDE states that are not finite.
         ["verify", *CYCLE_FLAGS, "--grid", "1e-3,1e60,1e-3,1e60", "--res", "3"],
         ["verify", *CYCLE_FLAGS, "--grid", "1e-3,1e200,1e-3,1e200", "--res", "3"],
@@ -658,7 +661,8 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # The bands come from the compacted driver: its means and variances are
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
-    assert moments.T.tobytes() == _mean_var(np.stack(dense, axis=2)).tobytes()
+    _, expected, _ = _reduced([(np.stack(dense, axis=2), None)], cfg, 1, 4, 2, _mean_var)
+    assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 
 

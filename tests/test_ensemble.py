@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from rosmac import (
     run_ensemble,
     simulate_path,
 )
-from rosmac.ensemble import _ensemble_stats, _mean_var, _pairwise_sum
+from rosmac.ensemble import _REDUCE_ROWS, _ensemble_stats, _mean_var, _pairwise_sum, _reduced
+from rosmac.sde import _CHUNK_STEPS
 
 from conftest import CYCLE_PARAMS, START
 
@@ -105,7 +107,9 @@ def _oracle_states(times, runs, rng):
 def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rng = np.random.default_rng(runs * 1000 + times)
     rows = _oracle_states(times, runs, rng)
-    got = _mean_var(rows)
+    # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
+    grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
+    _, got, _ = _reduced([(rows, None)], grid, 1, 4, 2, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -253,20 +257,25 @@ def test_ensemble_memory_does_not_grow_with_steps():
 def test_ensemble_memory_is_two_chunk_buffers():
     # The driver holds the chunk's recorded states and its noise, each
     # (257 or 256) x 2 x runs floats, and records live runs in place; the
-    # reduction adds one block of rows.  A third chunk-sized buffer, as a staging
-    # area for the draws or a compact record, would exceed the bound.
+    # reductions add two or three blocks of rows.  A third chunk-sized buffer, as a
+    # staging area for the draws, a compact record or whole-chunk norms and powers
+    # for the moments, would exceed the bound.
     runs, m_steps = 2_000, 512
     cfg = SimConfig(t_end=10.0 * m_steps / 4_000, m_steps=m_steps, seed=11)
     # numpy.random imports modules on its first Philox key (about 0.7 MB traced):
     # pay that before tracing, so the peak is the ensemble's own.
     run_ensemble(CYCLE_PARAMS, START, SimConfig(t_end=1.0, m_steps=10), 2)
-    tracemalloc.start()
-    try:
-        run_ensemble(CYCLE_PARAMS, START, cfg, runs, workers=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 2 * 257 * 2 * runs * 8
+    for ensemble in (
+        lambda: run_ensemble(CYCLE_PARAMS, START, cfg, runs, workers=2),
+        lambda: ensemble_moments(CYCLE_PARAMS, START, cfg, runs, (1.0, 2.0, 4.0), t_min=0.5, workers=2),
+    ):
+        tracemalloc.start()
+        try:
+            ensemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * 257 * 2 * runs * 8
 
 
 def test_noisy_ensemble_records_boundary_hits():
@@ -314,6 +323,8 @@ def test_ensemble_moments_validation():
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), t_min=5.0)
     with pytest.raises(ValueError, match="workers"):
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), workers=0)
+    with pytest.raises(ValueError, match="stride"):
+        ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), stride=0)
     for x0 in BAD_STARTS:
         with pytest.raises(ValueError, match="x0"):
             ensemble_moments(CYCLE_PARAMS, x0, cfg, runs=4, p_values=(2.0,))
@@ -374,12 +385,15 @@ def test_streaming_moments_match_materialised_paths(request, name, runs, stride,
     paths = [SamplePath(times=times, states=states[j], clamp_events=0, seed=cfg.seed, stream_index=j)
              for j in range(runs)]
     orders = (1.0, 2.5)
-    series, proxies = ensemble_moments(
-        CYCLE_PARAMS, START, cfg, runs, orders, t_min=3.0, stride=stride, workers=workers
-    )
-    for got, p in zip(series, orders):
-        expected = _moment_series(paths, p)
-        assert got.p == p
-        assert np.array_equal(got.times, expected.times)
-        assert np.array_equal(got.values, expected.values)
-    assert np.array_equal(proxies, [_lyapunov_exponent_proxy(path, t_min=3.0) for path in paths])
+    # 3.0, and the recorded times that start the second block of rows and the
+    # driver's second chunk: the growth proxy's rows start there.
+    for t_min in (3.0, times[_REDUCE_ROWS], times[1 + _CHUNK_STEPS // stride]):
+        series, proxies = ensemble_moments(
+            CYCLE_PARAMS, START, cfg, runs, orders, t_min=t_min, stride=stride, workers=workers
+        )
+        for got, p in zip(series, orders):
+            expected = _moment_series(paths, p)
+            assert got.p == p
+            assert np.array_equal(got.times, expected.times)
+            assert np.array_equal(got.values, expected.values)
+        assert np.array_equal(proxies, [_lyapunov_exponent_proxy(path, t_min=t_min) for path in paths])
