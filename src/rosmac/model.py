@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +38,9 @@ __all__ = [
     "ModelParams",
     "RawParams",
     "Scales",
-    "ScalarField",
     "State",
     "checked_state",
     "drift",
-    "generator_apply",
-    "lyapunov_candidate",
     "nondimensionalize",
 ]
 
@@ -152,22 +149,6 @@ class ModelParams:
                 raise ValueError(f"ModelParams.{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A twice-differentiable scalar function on the quadrant.
-
-    value:        (n, p) -> f
-    gradient:     (n, p) -> (f_n, f_p)
-    hessian_diag: (n, p) -> (f_nn, f_pp); the diffusion is diagonal, so L
-                  never needs the mixed derivative
-    n and p may be floats or broadcastable arrays.
-    """
-
-    value: Callable
-    gradient: Callable
-    hessian_diag: Callable
-
-
 def nondimensionalize(raw: RawParams) -> tuple[ModelParams, Scales]:
     """Reduce dimensional parameters to (m, c, k) plus the scale factors.
 
@@ -199,47 +180,3 @@ def drift(params: ModelParams, x: State) -> Drift:
     dn, dp, _, _ = _rates(params.m, params.c, params.k, n, p)
     return Drift(float(dn), float(dp))
 
-
-def generator_apply(params: ModelParams, field: ScalarField, x):
-    """Apply the diffusion generator L to a scalar field at interior points.
-
-    L f = mu . grad f + (1/2) (g11^2 f_nn + g22^2 f_pp).  x = (n, p) holds
-    floats or broadcastable arrays; the result has their broadcast shape.
-    """
-    n, p = x
-    if not (np.all(n > 0.0) and np.all(p > 0.0)):
-        raise ValueError(f"generator_apply requires interior points, got {x!r}")
-    dn, dp, v1, v2 = _rates(params.m, params.c, params.k, n, p)
-    grad_n, grad_p = field.gradient(n, p)
-    f_nn, f_pp = field.hessian_diag(n, p)
-    return dn * grad_n + dp * grad_p + 0.5 * (v1 * f_nn + v2 * f_pp)
-
-
-def lyapunov_candidate(alpha: float) -> ScalarField:
-    """The radial test function V(n, p) = (1 + n^2 + p^2)**alpha, alpha > 2.
-
-    Closed-form derivatives, with u = 1 + n^2 + p^2:
-
-        dV/dn    = 2 alpha n u**(alpha-1)
-        d2V/dn2  = 2 alpha u**(alpha-1) + 4 alpha (alpha-1) n^2 u**(alpha-2)
-
-    and symmetrically in p.  n and p may be floats or arrays.
-    """
-    if not (alpha > 2.0):
-        raise ValueError(f"lyapunov_candidate requires alpha > 2, got {alpha!r}")
-    a = float(alpha)
-
-    def value(n, p):
-        return (1.0 + n * n + p * p) ** a
-
-    def gradient(n, p):
-        scale = 2.0 * a * (1.0 + n * n + p * p) ** (a - 1.0)
-        return (scale * n, scale * p)
-
-    def hessian_diag(n, p):
-        u = 1.0 + n * n + p * p
-        diag = 2.0 * a * u ** (a - 1.0)
-        cross = 4.0 * a * (a - 1.0) * u ** (a - 2.0)
-        return (diag + cross * n * n, diag + cross * p * p)
-
-    return ScalarField(value=value, gradient=gradient, hessian_diag=hessian_diag)

@@ -189,7 +189,8 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
     A verdict the step decided is undecided too (Yee, Sweby & Griffiths,
     J. Comput. Phys. 97, 1991): one on a trajectory with projections, since
     the flow keeps both axes invariant, and an equilibrium at a source of the
-    flow, which only a start on the point itself can reach.
+    flow, which only a start on the point itself can reach.  A cycle period
+    within the interval spread of a whole number of steps is noted as locked.
     """
     if len(traj) < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {len(traj)}")
@@ -243,11 +244,14 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
         period = float(intervals.mean())
         spread = float(np.abs(intervals - period).max())
         if spread <= _PERIOD_STABILITY * period:
+            steps = round(period / traj.dt)
+            locked = abs(period - steps * traj.dt) <= spread
+            note = f"; the period is {steps} steps, locked to dt={traj.dt}" if locked else ""
             return AsymptoticVerdict(
                 kind=AsymptoticKind.LIMIT_CYCLE,
                 period=period,
                 box=(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])),
-                diagnostics=f"{len(crossings)} crossings, interval spread {spread:.3e}",
+                diagnostics=f"{len(crossings)} crossings, interval spread {spread:.3e}{note}",
             )
         return AsymptoticVerdict(
             kind=AsymptoticKind.UNDECIDED,

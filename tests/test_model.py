@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from rosmac import (
+    GridSpec,
     ModelParams,
     RawParams,
-    ScalarField,
     State,
+    check_generator_inequality,
     drift,
-    generator_apply,
     integrate,
-    lyapunov_candidate,
     nondimensionalize,
+    verification,
 )
 from rosmac.model import _rates, checked_state
 
@@ -108,7 +108,8 @@ def test_diffusion_reference_values():
 
 
 # Central-difference steps scale with the point: the test function grows like
-# a degree-6 polynomial, so a fixed step drowns in roundoff far from the origin.
+# a polynomial of degree 2 alpha, so a fixed step drowns in roundoff far from
+# the origin.
 def _central_gradient(value, n, p, h=1e-5):
     h = h * (1.0 + max(abs(n), abs(p)))
     return (
@@ -124,108 +125,27 @@ def _central_hessian_diag(value, n, p, h=1e-4):
     return (vnn, vpp)
 
 
-def _relative_gap(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
-
-
-def test_lyapunov_candidate_reference_values():
-    field = lyapunov_candidate(3.0)
-    assert field.value(1.0, 0.0) == 8.0
-    assert field.gradient(1.0, 0.0) == (24.0, 0.0)
-    # u = 3: f_nn = 6 u^2 + 24 n^2 u = 54 + 72.
-    assert field.hessian_diag(1.0, 1.0) == (126.0, 126.0)
-    with pytest.raises(ValueError):
-        lyapunov_candidate(2.0)
-    # Any exponent above 2 is legal, not just integers.
-    assert lyapunov_candidate(2.5).value(0.0, 0.0) == 1.0
-
-
-def test_lyapunov_candidate_derivatives_match_finite_differences():
-    field = lyapunov_candidate(3.0)
-    grid = np.linspace(0.2, 4.0, 10)
-    for n in grid:
-        for p in grid:
-            grad = field.gradient(n, p)
-            fd_grad = _central_gradient(field.value, n, p)
-            assert _relative_gap(grad[0], fd_grad[0]) < 1e-6
-            assert _relative_gap(grad[1], fd_grad[1]) < 1e-6
-            hess = field.hessian_diag(n, p)
-            fd_hess = _central_hessian_diag(field.value, n, p)
-            for i in range(2):
-                assert _relative_gap(hess[i], fd_hess[i]) < 1e-6
-
-
-def test_generator_kills_coordinate_at_equilibrium():
-    coordinate = ScalarField(
-        value=lambda n, p: n,
-        gradient=lambda n, p: (1.0, 0.0),
-        hessian_diag=lambda n, p: (0.0, 0.0),
-    )
-    # At the coexistence point the prey coordinate has zero drift and the
-    # second-derivative term vanishes, so L applied to it is exactly 0.
-    assert generator_apply(CYCLE_PARAMS, coordinate, State(0.5, 5.0 / 12.0)) == 0.0
-
-
-def test_generator_matches_finite_difference_oracle():
-    field = lyapunov_candidate(3.0)
+def test_generator_matches_finite_difference_oracle(monkeypatch):
+    """The generator check's L V at single points against numerical derivatives
+    of V = (1 + n^2 + p^2)**alpha; with c_lyap patched to 0 its slack is L V."""
+    monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: 0.0)
     params = CYCLE_PARAMS
-
-    def oracle(n, p):
-        """Assemble L V from numerical derivatives; also return the term scale.
-
-        The four contributions can cancel by two orders of magnitude, so the
-        comparison must be relative to their magnitudes, not to the total.
-        """
-        dn, dp = drift(params, State(n, p))
-        _, _, v1, v2 = _rates(params.m, params.c, params.k, n, p)
-        grad = _central_gradient(field.value, n, p)
-        hess = _central_hessian_diag(field.value, n, p)
-        terms = (
-            dn * grad[0],
-            dp * grad[1],
-            0.5 * v1 * hess[0],
-            0.5 * v2 * hess[1],
-        )
-        return sum(terms), max(sum(abs(t) for t in terms), 1.0)
-
-    value, scale = oracle(1.0, 1.0)
-    assert abs(generator_apply(params, field, State(1.0, 1.0)) - value) < 1e-6 * scale
-
     rng = np.random.default_rng(1905)
-    for _ in range(100):
-        n = float(rng.uniform(1e-3, 10.0))
-        p = float(rng.uniform(1e-3, 10.0))
-        value, scale = oracle(n, p)
-        assert abs(generator_apply(params, field, State(n, p)) - value) < 1e-6 * scale
+    points = [(1.0, 1.0)] + [
+        (float(rng.uniform(1e-3, 10.0)), float(rng.uniform(1e-3, 10.0))) for _ in range(100)
+    ]
+    for alpha in (3.0, 2.5):
 
+        def value(n, p):
+            return (1.0 + n * n + p * p) ** alpha
 
-def test_generator_rejects_boundary_points():
-    field = lyapunov_candidate(3.0)
-    with pytest.raises(ValueError):
-        generator_apply(CYCLE_PARAMS, field, State(0.0, 1.0))
-    with pytest.raises(ValueError):
-        generator_apply(CYCLE_PARAMS, field, (1.0, np.array([0.5, 0.0, 2.0])))
-
-
-def test_scalar_field_and_generator_take_arrays():
-    """A row of points gives the per-point values.
-
-    numpy's array power may differ from libm's pow by one ulp, hence the
-    tolerances; the generator's terms partly cancel, so its bound is looser.
-    """
-    field = lyapunov_candidate(2.5)
-    n, ps = 0.7, np.linspace(0.1, 9.0, 13)
-    points = ps.tolist()
-    close = dict(rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(field.value(n, ps), [field.value(n, p) for p in points], **close)
-    for row, per_point in (
-        (field.gradient(n, ps), [field.gradient(n, p) for p in points]),
-        (field.hessian_diag(n, ps), [field.hessian_diag(n, p) for p in points]),
-    ):
-        np.testing.assert_allclose(np.transpose(row), per_point, **close)
-    np.testing.assert_allclose(
-        generator_apply(CYCLE_PARAMS, field, (n, ps)),
-        [generator_apply(CYCLE_PARAMS, field, State(n, p)) for p in points],
-        rtol=1e-12,
-        atol=0.0,
-    )
+        for n, p in points:
+            # The four contributions can cancel by two orders of magnitude, so
+            # the comparison is relative to their magnitudes, not to the total.
+            dn, dp, v1, v2 = _rates(params.m, params.c, params.k, n, p)
+            grad = _central_gradient(value, n, p)
+            hess = _central_hessian_diag(value, n, p)
+            terms = (dn * grad[0], dp * grad[1], 0.5 * v1 * hess[0], 0.5 * v2 * hess[1])
+            scale = max(sum(abs(t) for t in terms), 1.0)
+            report = check_generator_inequality(params, alpha, GridSpec(n, n, p, p, 1))
+            assert abs(report.worst_slack - sum(terms)) < 1e-6 * scale, (alpha, n, p)

@@ -221,6 +221,21 @@ def test_detect_limit_cycle_for_supercritical_capacity():
     assert p_lo < inner.p < p_hi
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.75, 3000.0), (0.001, 600.0)])
+def test_a_period_locked_to_the_step_is_noted(dt, t_end):
+    # At dt = 0.75 the RK4 map holds a period-15 orbit: every crossing interval
+    # is 11.25 = 15 dt, where the flow's period is 12.05.  At dt = 0.001 the
+    # period is 3.0e-5 off a whole number of steps, against a spread of 7.6e-9.
+    verdict = detect_asymptotics(integrate(CYCLE_PARAMS, START, t_end, dt))
+    assert verdict.kind is AsymptoticKind.LIMIT_CYCLE
+    if dt == 0.75:
+        assert verdict.period == 11.25
+        assert verdict.diagnostics.endswith("; the period is 15 steps, locked to dt=0.75")
+    else:
+        assert verdict.period == pytest.approx(12.052, rel=1e-3)
+        assert "locked" not in verdict.diagnostics
+
+
 def test_detect_undecided_for_slow_monotone_decay():
     # Pure predator decay looks flat by t = 20 but the drift residual
     # betrays that it has not actually stopped moving.

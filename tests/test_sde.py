@@ -17,6 +17,7 @@ from rosmac import (
     State,
     simulate_path,
 )
+from rosmac import sde
 from rosmac.model import _rates
 from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks
 
@@ -313,6 +314,41 @@ def test_projections_that_noise_forces_are_counted():
     counts = [simulate_path(params, START, cfg, stream_index=j).clamp_events for j in range(20)]
     assert sum(counts) > 0
     assert sum(counts) == int(list(_ensemble_chunks(params, START, cfg, 20, 1, 1))[-1][1].sum())
+
+
+def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
+    """The README simulate-sde run's projections all have a drift part >= 0, so
+    the rule passes them; a threshold one ulp above the smallest such part must
+    reject that stream's run at that step.  This shows the rule is reached and
+    sees the parts it decides on, on the common path."""
+    cfg = SimConfig(t_end=10.0, m_steps=4_000, seed=11)
+    check, parts = sde._check_drift_part, []
+
+    def drift_parts(m, c, k, n, p, delta, below):
+        dn, dp, _, _ = _rates(m, c, k, n, p)
+        return [(part, component) for component, negative, part
+                in zip("np", below, (n + dn * delta, p + dp * delta)) if negative]
+
+    def recording(m, c, k, n, p, delta, below, step):
+        parts.extend((part, stream, step) for part, _ in drift_parts(m, c, k, n, p, delta, below))
+        check(m, c, k, n, p, delta, below, step)
+
+    monkeypatch.setattr(sde, "_check_drift_part", recording)
+    for stream in range(5):
+        assert simulate_path(CYCLE_PARAMS, START, cfg, stream).clamp_events == 2
+    assert len(parts) == 10 and all(part >= 0.0 for part, _, _ in parts)
+    smallest, stream, step = min(parts)
+    assert (stream, step, f"{smallest:.2e}") == (3, 119, "3.70e-04")
+    threshold = math.nextafter(smallest, math.inf)
+
+    def sabotaged(m, c, k, n, p, delta, below, step):
+        for part, component in drift_parts(m, c, k, n, p, delta, below):
+            if part < threshold:
+                raise sde._too_coarse(step, delta, component)
+
+    monkeypatch.setattr(sde, "_check_drift_part", sabotaged)
+    with pytest.raises(ValueError, match=rf"below 0 at step {step} \("):
+        simulate_path(CYCLE_PARAMS, START, cfg, stream)
 
 
 def _drain_chunks(params, x0, cfg, runs, stride):

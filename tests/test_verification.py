@@ -19,8 +19,6 @@ from rosmac import (
     check_moment_bound,
     check_monotonicity,
     ensemble_moments,
-    generator_apply,
-    lyapunov_candidate,
     lyapunov_constant,
     moment_constant,
     monotonicity_constant,
@@ -104,17 +102,18 @@ def test_generator_sabotage_fails(monkeypatch):
     assert report.worst_slack > 0.0
 
 
-def test_generator_single_point_grid_value():
+def test_generator_single_point_grid_value(monkeypatch):
     # At (1, 1) the generator applied to the radial candidate is 318 and
     # V = 27, so the slack against the certified constant 86 is -2004.
-    report = check_generator_inequality(CYCLE_PARAMS, grid=GridSpec(1.0, 1.0, 1.0, 1.0, 1))
+    point = GridSpec(1.0, 1.0, 1.0, 1.0, 1)
+    report = check_generator_inequality(CYCLE_PARAMS, grid=point)
     assert report.passed
     assert report.worst_point == (1.0, 1.0)
     assert report.worst_slack == pytest.approx(-2004.0, rel=1e-12)
-    field = lyapunov_candidate(3.0)
-    assert generator_apply(CYCLE_PARAMS, field, State(1.0, 1.0)) == pytest.approx(
-        318.0, rel=1e-13
-    )
+    # Against a constant of 0 the slack is L V itself.
+    monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: 0.0)
+    report = check_generator_inequality(CYCLE_PARAMS, grid=point)
+    assert report.worst_slack == pytest.approx(318.0, rel=1e-13)
 
 
 def test_generator_check_rejects_boundary_grid():
@@ -124,14 +123,23 @@ def test_generator_check_rejects_boundary_grid():
         check_monotonicity(CYCLE_PARAMS, grid=GridSpec(-1.0, 10.0, 0.0, 10.0, 10))
 
 
+def _generator_slack(params, alpha, bound, n, p):
+    """L V - bound V at one point in Python floats, V = (1 + n^2 + p^2)**alpha:
+    the module docstring's formula, V's derivatives in the check's operand order."""
+    dn, dp, v1, v2 = _rates(params.m, params.c, params.k, n, p)
+    u = 1.0 + n * n + p * p
+    first = 2.0 * alpha * u ** (alpha - 1.0)
+    v_n, v_p = first * n, first * p
+    v_nn = first + 4.0 * alpha * (alpha - 1.0) * u ** (alpha - 2.0) * n * n
+    v_pp = first + 4.0 * alpha * (alpha - 1.0) * u ** (alpha - 2.0) * p * p
+    return dn * v_n + dp * v_p + 0.5 * (v1 * v_nn + v2 * v_pp) - bound * u ** alpha
+
+
 def test_worst_point_recomputes_for_default_generator_check():
     report = check_generator_inequality(CYCLE_PARAMS)
-    field = lyapunov_candidate(3.0)
     n, p = report.worst_point
-    slack = generator_apply(CYCLE_PARAMS, field, State(n, p)) - lyapunov_constant(
-        CYCLE_PARAMS, 3.0
-    ) * field.value(n, p)
-    assert report.worst_slack == slack
+    bound = lyapunov_constant(CYCLE_PARAMS, 3.0)
+    assert report.worst_slack == _generator_slack(CYCLE_PARAMS, 3.0, bound, n, p)
 
 
 def test_degenerate_grid_reports_its_only_point():
@@ -168,14 +176,13 @@ def _at_resolution(grid, resolution):
 def test_grid_checks_match_per_point_reference(monkeypatch, params, alpha, resolution, constant):
     """Also with a deliberate constant in place of c_lyap and c_mono."""
     m, c, k = params.m, params.c, params.k
-    field = lyapunov_candidate(alpha)
     c_lyap = lyapunov_constant(params, alpha) if constant is None else constant
     c_mono = monotonicity_constant(params) if constant is None else constant
     monkeypatch.setattr(verification, "lyapunov_constant", lambda params, alpha: c_lyap)
     monkeypatch.setattr(verification, "monotonicity_constant", lambda params: c_mono)
 
     def generator_slack(n, p):
-        return generator_apply(params, field, State(n, p)) - c_lyap * field.value(n, p)
+        return _generator_slack(params, alpha, c_lyap, n, p)
 
     def monotonicity_slack(n, p):
         dn, dp, v1, v2 = _rates(m, c, k, n, p)
