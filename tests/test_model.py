@@ -125,6 +125,63 @@ def _central_hessian_diag(value, n, p, h=1e-4):
     return (vnn, vpp)
 
 
+def _relative_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _lyapunov_candidate(monkeypatch, alpha):
+    """V = (1 + n^2 + p^2)**alpha, its gradient and Hessian diagonal, as the
+    generator check computes them: with unit rates in place of the model's
+    and c_lyap patched, a single-point grid's slack is one of these parts."""
+
+    def part(rates, bound, n, p):
+        monkeypatch.setattr(verification, "_rates", lambda m, c, k, ns, ps: rates)
+        monkeypatch.setattr(verification, "lyapunov_constant", lambda params, a: bound)
+        grid = GridSpec(n, n, p, p, 1)
+        return check_generator_inequality(CYCLE_PARAMS, alpha, grid).worst_slack
+
+    def value(n, p):
+        return part((0.0, 0.0, 0.0, 0.0), -1.0, n, p)
+
+    def gradient(n, p):
+        return (part((1.0, 0.0, 0.0, 0.0), 0.0, n, p), part((0.0, 1.0, 0.0, 0.0), 0.0, n, p))
+
+    def hessian_diag(n, p):
+        return (part((0.0, 0.0, 2.0, 0.0), 0.0, n, p), part((0.0, 0.0, 0.0, 2.0), 0.0, n, p))
+
+    return value, gradient, hessian_diag
+
+
+def test_lyapunov_candidate_reference_values(monkeypatch):
+    value, gradient, hessian_diag = _lyapunov_candidate(monkeypatch, 3.0)
+    # u = 3: V = u^3, V_n = 6 u^2 n, V_nn = 6 u^2 + 24 n^2 u = 54 + 72.
+    assert value(1.0, 1.0) == 27.0
+    assert gradient(1.0, 1.0) == (54.0, 54.0)
+    assert gradient(2.0, 0.5) == (6.0 * 5.25**2 * 2.0, 6.0 * 5.25**2 * 0.5)
+    assert hessian_diag(1.0, 1.0) == (126.0, 126.0)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        check_generator_inequality(CYCLE_PARAMS, 2.0)
+    # Any exponent above 2 is legal, not just integers.
+    value, _, _ = _lyapunov_candidate(monkeypatch, 2.5)
+    assert value(1.0, 1.0) == pytest.approx(3.0**2.5, rel=1e-15)
+
+
+def test_lyapunov_candidate_derivatives_match_finite_differences(monkeypatch):
+    value, gradient, hessian_diag = _lyapunov_candidate(monkeypatch, 3.0)
+    grid = np.linspace(0.2, 4.0, 10)
+    for n in grid:
+        for p in grid:
+            grad = gradient(n, p)
+            fd_grad = _central_gradient(value, n, p)
+            assert _relative_gap(grad[0], fd_grad[0]) < 1e-6
+            assert _relative_gap(grad[1], fd_grad[1]) < 1e-6
+            hess = hessian_diag(n, p)
+            fd_hess = _central_hessian_diag(value, n, p)
+            for i in range(2):
+                assert _relative_gap(hess[i], fd_hess[i]) < 1e-6
+
+
 def test_generator_matches_finite_difference_oracle(monkeypatch):
     """The generator check's L V at single points against numerical derivatives
     of V = (1 + n^2 + p^2)**alpha; with c_lyap patched to 0 its slack is L V."""
