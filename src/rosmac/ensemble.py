@@ -11,10 +11,12 @@ an explicit pairwise tree whose shape depends only on the run count, and path
 j always uses noise stream j, so results are bit-identical for any number of
 worker threads.  Both functions reduce each chunk of recorded states as the
 driver yields it, 32 time rows at a time, into one preallocated result, so
-memory is O(runs x chunk) with no runs x recorded tensor: the driver's two
-runs x chunk buffers (the chunk's noise and its states, which live runs
-record in place) and two or three blocks of rows.  At 2,000 runs x 4,000
-steps the tracemalloc peak is 19.7 MB, and 20.2 MB for three moment orders.
+memory is O(runs x chunk) with no runs x recorded tensor: the driver's one
+runs x chunk buffer, in which the live runs' states are recorded compact
+behind the chunk's noise, two or three blocks of rows, and one (rows, 2,
+runs) block into which the compact rows are scattered by stream.  At 2,000
+runs x 4,000 steps the tracemalloc peak is 12.5 MB, and 13.0 MB for three
+moment orders.
 """
 
 from __future__ import annotations
@@ -102,18 +104,31 @@ def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.nda
 
 
 def _reduced(chunks, cfg: SimConfig, stride: int, width: int, buffers: int, step):
-    """Reduce the driver's (rows, clamps) chunks over runs in blocks of _REDUCE_ROWS
-    rows: step(times, rows, out, work) gets a block's times, (rows, 2, runs)
-    states, (width, rows) result columns and `buffers` (rows, runs) buffers.
-    Returns the recorded times, the result and the last clamps."""
+    """Reduce the driver's (rows, live, clamps) chunks over runs in blocks of
+    _REDUCE_ROWS rows: step(times, rows, out, work) gets a block's times,
+    (rows, 2, runs) states, (width, rows) result columns and `buffers` (rows,
+    runs) buffers.  Once a run has died, each block of the compact rows is
+    scattered by stream into one (rows, 2, runs) block whose dead columns are
+    +0.0, so the pairwise tree sees every run in its place.  Returns the
+    recorded times, the result and the last clamps."""
     lo = 0
-    for chunk, clamps in chunks:
+    for chunk, live, clamps in chunks:
         if not lo:  # allocated once the driver has checked its arguments
+            runs = len(clamps)
             times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
             out = np.empty((width, len(times)))
-            work = np.empty((buffers, _REDUCE_ROWS, chunk.shape[2]))
+            work = np.empty((buffers, _REDUCE_ROWS, runs))
+            block, placed = np.empty((_REDUCE_ROWS, 2, runs)), runs
+        if len(live) < placed:  # the live set only shrinks: zero the columns that left it
+            block.fill(0.0)
+            placed = len(live)
         for start in range(0, len(chunk), _REDUCE_ROWS):
             rows = chunk[start:start + _REDUCE_ROWS]
+            if placed < runs:
+                # A component at a time: 3x faster than block[:, :, live] = rows.
+                for component in (0, 1):
+                    block[: len(rows), component, live] = rows[:, component]
+                rows = block[: len(rows)]
             hi = lo + len(rows)
             step(times[lo:hi], rows, out[:, lo:hi], work[:, : len(rows)])
             lo = hi

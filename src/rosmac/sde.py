@@ -218,24 +218,23 @@ def simulate_path(
 
 def _ensemble_chunks(
     params: ModelParams, x0: State, cfg: SimConfig, runs: int, stride: int, workers: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Advance the paths on streams 0..runs-1 together, one step at a time.
 
-    Yields (rows, clamps) per chunk of steps: rows is the (recorded, 2, runs)
-    states of every `stride`-th step, x0 leading the first chunk; clamps the
-    per-path projection counts so far.  Both buffers are reused.  One
-    generator per stream makes chunked draws equal a single draw; `workers`
-    threads, at most one per usable CPU, split the draws by stream.  Matches
-    simulate_path bit for bit, also in raising BlowupError at the first step
-    with a non-finite state and ValueError at the first projection that a
-    drift part forces.
+    Yields (rows, live, clamps) per chunk of steps: rows is the (recorded, 2,
+    count) states of every `stride`-th step for the count runs still live, x0
+    leading the first chunk; live their stream indices, ascending; clamps the
+    per-path projection counts so far.  rows is a view of the one chunk
+    buffer, which the next chunk overwrites.  One generator per stream makes
+    chunked draws equal a single draw; `workers` threads, at most one per
+    usable CPU, split the draws by stream.  Matches simulate_path bit for bit,
+    also in raising BlowupError at the first step with a non-finite state and
+    ValueError at the first projection that a drift part forces.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
     runs found there leave the live set, draw no more noise and stop
-    stepping.  Live runs' rows are recorded in place; a dead run's column is
-    zeroed once, at the chunk start where it leaves, to +0.0, which is what
-    stepping it would give.  A -0.0 component keeps its run live until it
-    turns +0.
+    stepping; their states from then on are +0.0, which is what stepping them
+    would give.  A -0.0 component keeps its run live until it turns +0.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -249,15 +248,13 @@ def _ensemble_chunks(
     chunk = min(_CHUNK_STEPS, steps)
     x = np.repeat(np.array([[n0], [p0]]), runs, axis=1)
     clamps = np.zeros(runs, dtype=np.int64)
-    rows = np.empty((chunk // stride + 1, 2, runs))
-    rows[0] = x
-    # Each recorded row as one flat (2 runs) view, so that live runs are written
-    # through flat indices: 2-4x faster than rows[r][:, live] = x.
-    flat_rows = rows.reshape(len(rows), 2 * runs)
+    # Row i + 1 holds step i's noise, the first 2 count floats, and the recorded
+    # states follow it compact, at rows r <= i + 1: a step has read its noise
+    # row before it records.
+    buffer = np.empty((chunk + 1, 2 * runs))
     recorded = 1
     # Stream index of each live run, and its projection counts.
     live, live_clamps = np.arange(runs), clamps.copy()
-    noise_buffer = np.empty(chunk * 2 * runs)
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
     parts = min(workers, runs, _usable_cpus())
     # Philox fills only contiguous arrays, so each thread draws a block of
@@ -278,19 +275,19 @@ def _ensemble_chunks(
             size = min(chunk, steps - start)
             absorbed = _at_origin(x)
             if start == 0 or absorbed.any():
-                rows[..., live[absorbed]] = 0.0
                 kept = ~absorbed
                 # compress keeps x C-contiguous; x[:, kept] would not.
                 live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
                 count = len(live)
-                # Flat indices of the live columns in a (2, runs) row, once a run has died.
-                columns = None if count == runs else np.concatenate([live, live + runs])
-                noise = noise_buffer[: chunk * 2 * count].reshape(chunk, 2, count)
+                rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
+                noise = rows[1:]
+                if not start:
+                    rows[0] = x
                 n, p = x
                 (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
                 inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
-            if not count:  # all rows of this chunk are +0.0
-                yield rows[: recorded + (start + size) // stride - start // stride], clamps
+            if not count:  # every run is at +0.0: the rows have no columns
+                yield rows[: recorded + (start + size) // stride - start // stride], live, clamps
                 recorded = 0
                 continue
             list(pool.map(draw, range(parts), [size] * parts))
@@ -331,11 +328,8 @@ def _ensemble_chunks(
                     if not np.maximum.reduce(x, axis=None) < math.inf:
                         raise BlowupError(start + i + 1, delta)
                     if (start + i + 1) % stride == 0:
-                        if columns is None:
-                            rows[recorded] = x
-                        else:
-                            flat_rows[recorded][columns] = x.reshape(-1)
+                        rows[recorded] = x
                         recorded += 1
             clamps[live] = live_clamps
-            yield rows[:recorded], clamps
+            yield rows[:recorded], live, clamps
             recorded = 0

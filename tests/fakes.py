@@ -1,10 +1,13 @@
-"""A noise stream that draws zeros, for tests of the EM drivers without noise.
+"""Test doubles for the EM drivers; nothing here imports pytest.
 
-It keeps NoiseStream's (seed, stream_index) checks and its increments(); only
-the standard normals behind them are zeros, so an EM step reduces to an Euler
-step of the drift.  Install it with zero_noise_streams(), or in a fresh process
-by assigning it to rosmac.sde.NoiseStream; pytest tests use conftest's
-zero_noise fixture.  It imports nothing from pytest.
+ZeroNoiseStream is a noise stream that draws zeros, for tests of the EM drivers
+without noise.  It keeps NoiseStream's (seed, stream_index) checks and its
+increments(); only the standard normals behind them are zeros, so an EM step
+reduces to an Euler step of the drift.  Install it with zero_noise_streams(), or
+in a fresh process by assigning it to rosmac.sde.NoiseStream; pytest tests use
+conftest's zero_noise fixture.
+
+dense_chunks() expands the ensemble driver's compact chunks to every run.
 """
 
 from __future__ import annotations
@@ -45,3 +48,13 @@ def zero_noise_streams(active: bool = True):
         yield
     finally:
         sde.NoiseStream = saved
+
+
+def dense_chunks(chunks):
+    """The ensemble driver's (rows, live, clamps) chunks as (states, clamps): each
+    chunk's rows of the live runs scattered by stream into a new (recorded, 2,
+    runs) array whose dead runs' columns are +0.0."""
+    for rows, live, clamps in chunks:
+        states = np.zeros((len(rows), 2, len(clamps)))
+        states[:, :, live] = rows
+        yield states, clamps

@@ -661,7 +661,8 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # The bands come from the compacted driver: its means and variances are
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
-    _, expected, _ = _reduced([(np.stack(dense, axis=2), None)], cfg, 1, 4, 2, _mean_var)
+    _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), np.zeros(4, dtype=np.int64))],
+                              cfg, 1, 4, 2, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

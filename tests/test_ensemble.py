@@ -19,7 +19,7 @@ from rosmac import (
     simulate_path,
 )
 from rosmac.ensemble import _REDUCE_ROWS, _ensemble_stats, _mean_var, _pairwise_sum, _reduced
-from rosmac.sde import _CHUNK_STEPS
+from rosmac.sde import _CHUNK_STEPS, _ensemble_chunks
 
 from conftest import CYCLE_PARAMS, START
 
@@ -109,7 +109,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rows = _oracle_states(times, runs, rng)
     # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
-    _, got, _ = _reduced([(rows, None)], grid, 1, 4, 2, _mean_var)
+    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], grid, 1, 4, 2, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -124,6 +124,40 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
         for p in (1.0, 2.5):
             moments = _pairwise_sum(norms ** p, scratch) / runs
             assert moments.tobytes() == (_reference_pairwise_sum(norms.T ** p) / runs).tobytes()
+
+
+def _copy_states(times, rows, out, work):
+    """_reduced block step that keeps the (rows, 2, runs) states it is given, as
+    (2 runs, rows) result columns."""
+    out[...] = rows.reshape(len(rows), -1).T
+
+
+@pytest.mark.parametrize("lives", [[range(5), [1, 3], []], [[], [], []]])
+def test_reduction_scatters_compact_rows_by_stream(lives):
+    """Compact chunks, whose live set shrinks to a subset and then to none (or is
+    empty from the start, as from x0 at the origin), reduce to the bits of the
+    same chunks expanded by hand: dead runs' columns +0.0, -0.0 kept."""
+    runs, stride, sizes = 5, 7, (37, 37, 37)  # recorded counts that are not multiples of 32
+    rng = np.random.default_rng(17)
+    compact, expanded = [], []
+    for size, live in zip(sizes, lives):
+        live = np.array(live, dtype=np.intp)
+        rows = _oracle_states(size, runs, rng)[:, :, : len(live)]
+        states = np.zeros((size, 2, runs))
+        states[:, :, live] = rows
+        clamps = np.zeros(runs, dtype=np.int64)
+        compact.append((rows, live, clamps))
+        expanded.append((states, np.arange(runs), clamps))
+    cfg = SimConfig(t_end=77.0, m_steps=(sum(sizes) - 1) * stride)
+    _, moments, _ = _reduced(compact, cfg, stride, 4, 2, _mean_var)
+    _, expected, _ = _reduced(expanded, cfg, stride, 4, 2, _mean_var)
+    assert moments.tobytes() == expected.tobytes()
+    _, seen, _ = _reduced(compact, cfg, stride, 2 * runs, 2, _copy_states)
+    assert seen.T.tobytes() == np.concatenate([states for states, _, _ in expanded]).tobytes()
+    # The driver yields the x0 row also when no run is live from the start.
+    shapes = [rows.shape for rows, _, _ in
+              _ensemble_chunks(CYCLE_PARAMS, State(0.0, 0.0), SimConfig(1.0, 770), runs, stride, 1)]
+    assert shapes == [(37, 2, 0), (37, 2, 0), (36, 2, 0), (1, 2, 0)]
 
 
 def test_stats_from_states_two_path_exactness():
@@ -254,12 +288,15 @@ def test_ensemble_memory_does_not_grow_with_steps():
     assert peaks[1] - peaks[0] < states_growth / 10
 
 
-def test_ensemble_memory_is_two_chunk_buffers():
-    # The driver holds the chunk's recorded states and its noise, each
-    # (257 or 256) x 2 x runs floats, and records live runs in place; the
-    # reductions add two or three blocks of rows.  A third chunk-sized buffer, as a
-    # staging area for the draws, a compact record or whole-chunk norms and powers
-    # for the moments, would exceed the bound.
+def test_ensemble_memory_is_one_chunk_buffer():
+    # The driver holds one 257 x 2 x runs float buffer: row i + 1 holds step
+    # i's noise, and live runs record their states compact behind it, so a
+    # compact record adds no third buffer: it is the only one, shared with the
+    # noise.  The reductions add two or three blocks of rows and one (rows, 2,
+    # runs) block into which the compact rows are scattered by stream.  A
+    # second chunk-sized buffer, for the noise, the states, a staging area for
+    # the draws or whole-chunk norms and powers for the moments, would exceed
+    # the bound.
     runs, m_steps = 2_000, 512
     cfg = SimConfig(t_end=10.0 * m_steps / 4_000, m_steps=m_steps, seed=11)
     # numpy.random imports modules on its first Philox key (about 0.7 MB traced):
@@ -275,7 +312,7 @@ def test_ensemble_memory_is_two_chunk_buffers():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 2 * 257 * 2 * runs * 8
+        assert peak <= 1.75 * 257 * 2 * runs * 8
 
 
 def test_noisy_ensemble_records_boundary_hits():

@@ -32,7 +32,7 @@ from conftest import (
     _rejection,
     _whole_increments,
 )
-from fakes import zero_noise_streams
+from fakes import dense_chunks, zero_noise_streams
 
 
 def test_simconfig_validation_and_delta():
@@ -264,8 +264,8 @@ def test_zero_noise_path_is_plain_euler(zero_noise):
 
 def _driver_states(cfg, runs, stride):
     """Concatenate the driver's chunks into (runs, recorded, 2) plus clamps."""
-    chunks = [(rows.copy(), clamps.copy()) for rows, clamps in
-              _ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1)]
+    chunks = [(rows, clamps.copy()) for rows, clamps in
+              dense_chunks(_ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1))]
     return np.concatenate([rows for rows, _ in chunks]).transpose(2, 0, 1), chunks[-1][1]
 
 
@@ -308,12 +308,12 @@ def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
     params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
-    for _, clamps in _ensemble_chunks(params, START, cfg, 2_000, 1, 2):
+    for _, clamps in dense_chunks(_ensemble_chunks(params, START, cfg, 2_000, 1, 2)):
         pass
     assert clamps.sum() == 3_666
     counts = [simulate_path(params, START, cfg, stream_index=j).clamp_events for j in range(20)]
     assert sum(counts) > 0
-    assert sum(counts) == int(list(_ensemble_chunks(params, START, cfg, 20, 1, 1))[-1][1].sum())
+    assert sum(counts) == int(list(dense_chunks(_ensemble_chunks(params, START, cfg, 20, 1, 1)))[-1][1].sum())
 
 
 def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
@@ -392,7 +392,7 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
     None then."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
     increments = [_whole_increments(cfg, stream) for stream in range(runs)]
-    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
+    chunks = dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, workers))
     absorbed, first = [], 0
     for end in range(_CHUNK_STEPS, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
         expected, rejected = [], []
@@ -438,7 +438,7 @@ def test_compacted_ensemble_matches_dense_reference_across_chunks(x0, stride):
         params, cfg = _COARSE
         _check_against_dense(params, x0, cfg, runs, stride, workers)
     if x0 == START:  # the coarse steps project both components of every run
-        clamps = list(_ensemble_chunks(params, x0, cfg, runs, stride, 1))[-1][1]
+        clamps = list(dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, 1)))[-1][1]
         assert clamps.tolist() == [2] * runs
 
 
@@ -580,7 +580,7 @@ def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers
             first_bad.append((_rejection(exc)[1], "rejected"))
     rows = []
     try:
-        for chunk, _ in _ensemble_chunks(params, x0, cfg, runs, 1, workers):
+        for chunk, _ in dense_chunks(_ensemble_chunks(params, x0, cfg, runs, 1, workers)):
             rows.append(chunk.copy())
     except BlowupError as exc:
         # The ensemble stops at the first step where any of its paths fails, and
