@@ -13,10 +13,11 @@ worker threads.  Both functions reduce each chunk of recorded states as the
 driver yields it, 32 time rows at a time, into one preallocated result, so
 memory is O(runs x chunk) with no runs x recorded tensor: the driver's one
 runs x chunk buffer, in which the live runs' states are recorded compact
-behind the chunk's noise, two or three blocks of rows, and one (rows, 2,
-runs) block into which the compact rows are scattered by stream.  At 2,000
-runs x 4,000 steps the tracemalloc peak is 12.5 MB, and 13.0 MB for three
-moment orders.
+behind the chunk's noise, four blocks of rows for the bands, whose tree
+passes take both components at once, or three for the moments, and one
+(rows, 2, runs) block into which the compact rows are scattered by stream.
+At 2,000 runs x 4,000 steps the tracemalloc peak is 13.6 MB, and 13.0 MB for
+three moment orders.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class MomentSeries:
         self.values.flags.writeable = False
 
 
-# Time rows per block of the run-axis reduction, whose work buffers are two or
+# Time rows per block of the run-axis reduction, whose work buffer is four or
 # three such blocks of runs floats.
 _REDUCE_ROWS = 32
 
@@ -92,32 +93,36 @@ def _pairwise_sum(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """_reduced block step: the mean and variance over runs of n, then of p, of
-    the (rows, 2, runs) states into the (4, rows) out, through two work blocks."""
-    squares, scratch = work
+    the (rows, 2, runs) states into the (4, rows) out, through a work buffer
+    of 4 x rows x runs floats.  Both components go through one tree call per
+    pass, as the (2 rows, runs) rows of the block: the tree sums each row on
+    its own."""
+    count, runs = rows.shape[0], rows.shape[2]
+    squares, scratch = work.reshape(2, count, 2, runs)
+    # (rows, 2) views of out's (mean_n, mean_p) and (var_n, var_p) rows.
+    means, variances = out[0::2].T, out[1::2].T
     with np.errstate(over="ignore", invalid="ignore"):
-        for component in (0, 1):
-            values = rows[:, component]
-            mean, var = out[2 * component:2 * component + 2]
-            np.divide(_pairwise_sum(values, scratch), rows.shape[2], out=mean)
-            np.square(np.subtract(values, mean[:, None], out=squares), out=squares)
-            np.divide(_pairwise_sum(squares, scratch), rows.shape[2], out=var)
+        np.divide(_pairwise_sum(rows.reshape(2 * count, runs), scratch).reshape(count, 2), runs, out=means)
+        np.square(np.subtract(rows, means[:, :, None], out=squares), out=squares)
+        np.divide(_pairwise_sum(squares.reshape(2 * count, runs), scratch).reshape(count, 2), runs,
+                  out=variances)
 
 
 def _reduced(chunks, cfg: SimConfig, stride: int, width: int, buffers: int, step):
     """Reduce the driver's (rows, live, clamps) chunks over runs in blocks of
     _REDUCE_ROWS rows: step(times, rows, out, work) gets a block's times,
-    (rows, 2, runs) states, (width, rows) result columns and `buffers` (rows,
-    runs) buffers.  Once a run has died, each block of the compact rows is
-    scattered by stream into one (rows, 2, runs) block whose dead columns are
-    +0.0, so the pairwise tree sees every run in its place.  Returns the
-    recorded times, the result and the last clamps."""
+    (rows, 2, runs) states, (width, rows) result columns and a contiguous work
+    buffer of `buffers` x rows x runs floats.  Once a run has died, each block
+    of the compact rows is scattered by stream into one (rows, 2, runs) block
+    whose dead columns are +0.0, so the pairwise tree sees every run in its
+    place.  Returns the recorded times, the result and the last clamps."""
     lo = 0
     for chunk, live, clamps in chunks:
         if not lo:  # allocated once the driver has checked its arguments
             runs = len(clamps)
             times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
             out = np.empty((width, len(times)))
-            work = np.empty((buffers, _REDUCE_ROWS, runs))
+            work = np.empty(buffers * _REDUCE_ROWS * runs)
             block, placed = np.empty((_REDUCE_ROWS, 2, runs)), runs
         if len(live) < placed:  # the live set only shrinks: zero the columns that left it
             block.fill(0.0)
@@ -130,7 +135,7 @@ def _reduced(chunks, cfg: SimConfig, stride: int, width: int, buffers: int, step
                     block[: len(rows), component, live] = rows[:, component]
                 rows = block[: len(rows)]
             hi = lo + len(rows)
-            step(times[lo:hi], rows, out[:, lo:hi], work[:, : len(rows)])
+            step(times[lo:hi], rows, out[:, lo:hi], work[: buffers * len(rows) * runs])
             lo = hi
     return times, out, clamps
 
@@ -162,7 +167,7 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
-    times, moments, clamps = _reduced(chunks, cfg, stride, 4, 2, _mean_var)
+    times, moments, clamps = _reduced(chunks, cfg, stride, 4, 4, _mean_var)
     return _ensemble_stats(times, moments, runs, cfg.seed, int(clamps.sum()))
 
 
@@ -190,7 +195,7 @@ def ensemble_moments(
     proxies = np.full(runs, -np.inf)
 
     def moments(times, rows, out, work):
-        norms, powers, scratch = work
+        norms, powers, scratch = work.reshape(3, len(rows), runs)
         np.hypot(rows[:, 0], rows[:, 1], out=norms)
         # An overflowing moment is left inf; check_moment_bound rejects it.
         with np.errstate(over="ignore"):

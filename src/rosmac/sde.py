@@ -34,10 +34,11 @@ draw, so any path regenerates alone and ensembles are schedule-independent.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from threading import Thread
 from typing import Iterator
 
 import numpy as np
@@ -66,6 +67,13 @@ _CHUNK_STEPS = 256
 _DRAW_STREAMS = 64
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (numpy's are) and no bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation window, grid and noise seed for one or many paths."""
@@ -77,9 +85,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
-        if self.m_steps < 1:
+        if _integer("m_steps", self.m_steps) < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
-        if not (0 <= self.seed < _MAX_SEED):
+        if not (0 <= _integer("seed", self.seed) < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @cached_property
@@ -115,17 +123,16 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, stream_index: int):
-        if not (0 <= seed < _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if not (0 <= stream_index < _MAX_SEED):
-            raise ValueError(f"stream_index must be a 64-bit unsigned integer, got {stream_index!r}")
+        for name, value in (("seed", seed), ("stream_index", stream_index)):
+            if not (0 <= _integer(name, value) < _MAX_SEED):
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
         self.seed = seed
         self.stream_index = stream_index
         self._rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream_index], dtype=np.uint64)))
 
     def increments(self, m_steps: int, delta: float) -> np.ndarray:
         """The stream's next m_steps pairs of N(0, delta) increments, as an (m_steps, 2) array."""
-        if m_steps < 1:
+        if _integer("m_steps", m_steps) < 1:
             raise ValueError(f"m_steps must be >= 1, got {m_steps!r}")
         if not (delta > 0.0):
             raise ValueError(f"delta must be > 0, got {delta!r}")
@@ -226,21 +233,22 @@ def _ensemble_chunks(
     leading the first chunk; live their stream indices, ascending; clamps the
     per-path projection counts so far.  rows is a view of the one chunk
     buffer, which the next chunk overwrites.  One generator per stream makes
-    chunked draws equal a single draw; `workers` threads, at most one per
-    usable CPU, split the draws by stream.  Matches simulate_path bit for bit,
-    also in raising BlowupError at the first step with a non-finite state and
-    ValueError at the first projection that a drift part forces.
+    chunked draws equal a single draw; the calling thread and `workers` - 1
+    helper threads, at most one thread per usable CPU, split the draws by
+    stream.  Matches simulate_path bit for bit, also in raising BlowupError
+    at the first step with a non-finite state and ValueError at the first
+    projection that a drift part forces.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
     runs found there leave the live set, draw no more noise and stop
     stepping; their states from then on are +0.0, which is what stepping them
     would give.  A -0.0 component keeps its run live until it turns +0.
     """
-    if runs < 2:
+    if _integer("runs", runs) < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
-    if stride < 1 or cfg.m_steps % stride != 0:
+    if _integer("stride", stride) < 1 or cfg.m_steps % stride != 0:
         raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n0, p0 = checked_state(x0)
     steps, delta = cfg.m_steps, cfg.delta
@@ -261,75 +269,87 @@ def _ensemble_chunks(
     # streams in their own (step, component) order, then scales it into the
     # (chunk, 2, live) step layout.
     blocks = [np.empty((min(_DRAW_STREAMS, runs), chunk, 2)) for _ in range(parts)]
+    failures: list[BaseException] = []
 
     def draw(part: int, size: int) -> None:
-        block, stop = blocks[part], count * (part + 1) // parts
-        for lo in range(count * part // parts, stop, len(block)):
-            hi = min(lo + len(block), stop)
-            for i in range(lo, hi):
-                generators[live[i]].standard_normal(out=block[i - lo, :size])
-            np.multiply(block[: hi - lo, :size], math.sqrt(delta), out=noise[:size].transpose(2, 0, 1)[lo:hi])
+        try:
+            block, stop = blocks[part], count * (part + 1) // parts
+            for lo in range(count * part // parts, stop, len(block)):
+                hi = min(lo + len(block), stop)
+                for i in range(lo, hi):
+                    generators[live[i]].standard_normal(out=block[i - lo, :size])
+                np.multiply(block[: hi - lo, :size], math.sqrt(delta),
+                            out=noise[:size].transpose(2, 0, 1)[lo:hi])
+        except BaseException as error:  # raised by the calling thread once every part is drawn
+            failures.append(error)
 
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        for start in range(0, steps, chunk):
-            size = min(chunk, steps - start)
-            absorbed = _at_origin(x)
-            if start == 0 or absorbed.any():
-                kept = ~absorbed
-                # compress keeps x C-contiguous; x[:, kept] would not.
-                live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
-                count = len(live)
-                rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
-                noise = rows[1:]
-                if not start:
-                    rows[0] = x
-                n, p = x
-                (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
-                inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
-            if not count:  # every run is at +0.0: the rows have no columns
-                yield rows[: recorded + (start + size) // stride - start // stride], live, clamps
-                recorded = 0
-                continue
-            list(pool.map(draw, range(parts), [size] * parts))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(size):
-                    # Shared terms once per step: m n p / (1 + n) and n / k.
-                    np.multiply(np.multiply(n, m, out=inter), p, out=inter)
-                    inter /= np.add(n, 1.0, out=one_n)
-                    np.divide(n, k, out=n_k)
-                    # Drift and variances, operand for operand as in model._rates.
-                    np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
-                    dn -= inter
-                    np.add(np.multiply(p, -c, out=dp), inter, out=dp)
-                    np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
-                    v1 += inter
-                    np.add(np.multiply(p, c, out=v2), inter, out=v2)
-                    drift *= delta
-                    drift += x
-                    np.sqrt(var, out=var)
-                    var *= noise[i]
-                    np.add(drift, var, out=x)
-                    # fmin skips NaN, so a NaN path cannot hide another's negative.
-                    lowest = np.fmin.reduce(x, axis=None)
-                    if lowest < 0.0:
-                        if lowest == -math.inf:  # an overflow, not an extinction
-                            raise BlowupError(start + i + 1, delta)
-                        # Is a component below 0 whose drift part, still in drift, is too?
-                        # var, spent, holds the larger of the two.
-                        if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
-                            if not np.isfinite(x).all():  # a blow-up in the same step wins
-                                raise BlowupError(start + i + 1, delta)
-                            decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
-                            raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
-                        negative = x < 0.0
-                        live_clamps += negative.sum(axis=0)
-                        x[negative] = 0.0
-                    # False for NaN and +inf.
-                    if not np.maximum.reduce(x, axis=None) < math.inf:
-                        raise BlowupError(start + i + 1, delta)
-                    if (start + i + 1) % stride == 0:
-                        rows[recorded] = x
-                        recorded += 1
-            clamps[live] = live_clamps
-            yield rows[:recorded], live, clamps
+    for start in range(0, steps, chunk):
+        size = min(chunk, steps - start)
+        absorbed = _at_origin(x)
+        if start == 0 or absorbed.any():
+            kept = ~absorbed
+            # compress keeps x C-contiguous; x[:, kept] would not.
+            live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
+            count = len(live)
+            rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
+            noise = rows[1:]
+            if not start:
+                rows[0] = x
+            n, p = x
+            (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
+            inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
+        if not count:  # every run is at +0.0: the rows have no columns
+            yield rows[: recorded + (start + size) // stride - start // stride], live, clamps
             recorded = 0
+            continue
+        # The calling thread draws part 0 and a helper thread each other part.
+        helpers = [Thread(target=draw, args=(part, size)) for part in range(1, parts)]
+        for thread in helpers:
+            thread.start()
+        draw(0, size)
+        for thread in helpers:
+            thread.join()
+        if failures:
+            raise failures[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(size):
+                # Shared terms once per step: m n p / (1 + n) and n / k.
+                np.multiply(np.multiply(n, m, out=inter), p, out=inter)
+                inter /= np.add(n, 1.0, out=one_n)
+                np.divide(n, k, out=n_k)
+                # Drift and variances, operand for operand as in model._rates.
+                np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
+                dn -= inter
+                np.add(np.multiply(p, -c, out=dp), inter, out=dp)
+                np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
+                v1 += inter
+                np.add(np.multiply(p, c, out=v2), inter, out=v2)
+                drift *= delta
+                drift += x
+                np.sqrt(var, out=var)
+                var *= noise[i]
+                np.add(drift, var, out=x)
+                # fmin skips NaN, so a NaN path cannot hide another's negative.
+                lowest = np.fmin.reduce(x, axis=None)
+                if lowest < 0.0:
+                    if lowest == -math.inf:  # an overflow, not an extinction
+                        raise BlowupError(start + i + 1, delta)
+                    # Is a component below 0 whose drift part, still in drift, is too?
+                    # var, spent, holds the larger of the two.
+                    if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
+                        if not np.isfinite(x).all():  # a blow-up in the same step wins
+                            raise BlowupError(start + i + 1, delta)
+                        decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
+                        raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
+                    negative = x < 0.0
+                    live_clamps += negative.sum(axis=0)
+                    x[negative] = 0.0
+                # False for NaN and +inf.
+                if not np.maximum.reduce(x, axis=None) < math.inf:
+                    raise BlowupError(start + i + 1, delta)
+                if (start + i + 1) % stride == 0:
+                    rows[recorded] = x
+                    recorded += 1
+        clamps[live] = live_clamps
+        yield rows[:recorded], live, clamps
+        recorded = 0

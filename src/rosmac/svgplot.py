@@ -122,7 +122,12 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list[str]:
 
 
 def _polyline(frame: _Frame, xs, ys, color: str, width: float, dash: str | None = None) -> str:
-    points = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys))
+    # px and py on arrays: the operations of the per-point map in its order, so
+    # the bits of one point at a time, and Python floats overflow silently too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pixels = np.stack([frame.px(np.asarray(xs, dtype=float)),
+                           frame.py(np.asarray(ys, dtype=float))], axis=1)
+    points = " ".join(["%.2f,%.2f"] * len(pixels)) % tuple(pixels.ravel().tolist())
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline points="{points}" fill="none" stroke="{color}" '
@@ -183,7 +188,7 @@ def line_chart(
     for index, (curve, y, pick) in enumerate(zip(curves, ys, picks)):
         color = curve.get("color", PALETTE[index % len(PALETTE)])
         parts.append(
-            _polyline(frame, x[pick].tolist(), y[pick].tolist(), color, curve.get("width", 1.6),
+            _polyline(frame, x[pick], y[pick], color, curve.get("width", 1.6),
                       curve.get("dash"))
         )
         label = curve.get("label")

@@ -308,6 +308,19 @@ SMALL_RUNS = [
 ]
 
 
+def test_importing_the_cli_loads_no_thread_pool():
+    """The ensemble driver starts its draw threads itself: no process start pays
+    for concurrent.futures and the logging it imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rosmac.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import rosmac.cli, sys; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'logging')))"],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _assert_one_error_line(err, argv):
     assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
@@ -611,22 +624,24 @@ def test_ensemble_worker_count_invariance(tmp_path):
 
 
 def test_ensemble_threads_follow_the_usable_cpus(tmp_path, monkeypatch):
-    """--workers is capped by the affinity mask, not by the machine's CPU count."""
-    pools = []
+    """--workers is capped by the affinity mask, not by the machine's CPU count:
+    at 2 usable CPUs each drawn chunk starts one helper thread, at 1 none."""
+    started = []
 
-    class RecordingPool(sde.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    class RecordingThread(sde.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sde, "Thread", RecordingThread)
     argv = ["ensemble", *CYCLE_FLAGS, "-T", "1", "-M", "500", "--runs", "600", "--seed", "9",
             "--workers", "2", "--out"]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main([*argv, str(tmp_path / "two")]) == 0
+    assert len(started) == 2  # 500 steps: chunks of 256 and 244
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main([*argv, str(tmp_path / "one")]) == 0
-    assert pools == [2, 1]
+    assert len(started) == 2
     assert (tmp_path / "one" / "ensemble.csv").read_bytes() == (tmp_path / "two" / "ensemble.csv").read_bytes()
 
 
@@ -662,7 +677,7 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
     _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), np.zeros(4, dtype=np.int64))],
-                              cfg, 1, 4, 2, _mean_var)
+                              cfg, 1, 4, 4, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

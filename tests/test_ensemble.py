@@ -109,7 +109,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rows = _oracle_states(times, runs, rng)
     # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
-    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], grid, 1, 4, 2, _mean_var)
+    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], grid, 1, 4, 4, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -149,8 +149,8 @@ def test_reduction_scatters_compact_rows_by_stream(lives):
         compact.append((rows, live, clamps))
         expanded.append((states, np.arange(runs), clamps))
     cfg = SimConfig(t_end=77.0, m_steps=(sum(sizes) - 1) * stride)
-    _, moments, _ = _reduced(compact, cfg, stride, 4, 2, _mean_var)
-    _, expected, _ = _reduced(expanded, cfg, stride, 4, 2, _mean_var)
+    _, moments, _ = _reduced(compact, cfg, stride, 4, 4, _mean_var)
+    _, expected, _ = _reduced(expanded, cfg, stride, 4, 4, _mean_var)
     assert moments.tobytes() == expected.tobytes()
     _, seen, _ = _reduced(compact, cfg, stride, 2 * runs, 2, _copy_states)
     assert seen.T.tobytes() == np.concatenate([states for states, _, _ in expanded]).tobytes()
@@ -292,7 +292,7 @@ def test_ensemble_memory_is_one_chunk_buffer():
     # The driver holds one 257 x 2 x runs float buffer: row i + 1 holds step
     # i's noise, and live runs record their states compact behind it, so a
     # compact record adds no third buffer: it is the only one, shared with the
-    # noise.  The reductions add two or three blocks of rows and one (rows, 2,
+    # noise.  The reductions add four or three blocks of rows and one (rows, 2,
     # runs) block into which the compact rows are scattered by stream.  A
     # second chunk-sized buffer, for the noise, the states, a staging area for
     # the draws or whole-chunk norms and powers for the moments, would exceed

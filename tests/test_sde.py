@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -45,6 +46,37 @@ def test_simconfig_validation_and_delta():
         SimConfig(t_end=1.0, m_steps=0)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, seed=-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SimConfig(1.0, 100, seed=1.9),
+    lambda: SimConfig(1.0, 100, seed=True),
+    lambda: SimConfig(1.0, 10.5),
+    lambda: SimConfig(1.0, 10.0),
+    lambda: SimConfig(1.0, True),
+    lambda: NoiseStream(3.7, 0),
+    lambda: NoiseStream(0, False),
+    lambda: NoiseStream(0, 0).increments(2.5, 0.01),
+    lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(1.0, 10), stream_index=1.5),
+    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1.5, 1)),
+    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4.0, 1, 1)),
+    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1, 1.5)),
+], ids=["seed", "bool seed", "steps", "float steps", "bool steps", "stream seed", "bool stream",
+        "increments", "path stream", "ensemble stride", "ensemble runs", "ensemble workers"])
+def test_seeds_streams_and_step_counts_must_be_integers(make):
+    """A float would draw the noise of its integer part and report itself, and
+    a stride of 1.5 that divides m_steps = 12 records 5 of the 9 rows that its
+    time grid has; a bool is no count."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_seeds_streams_and_step_counts_are_accepted():
+    cfg = SimConfig(1.0, np.int64(300), seed=np.uint64(11))
+    path = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=np.int32(2))
+    plain = simulate_path(CYCLE_PARAMS, START, SimConfig(1.0, 300, seed=11), stream_index=2)
+    assert path.states.tobytes() == plain.states.tobytes()
+    assert NoiseStream(np.uint64(2**64 - 1), np.int8(1)).increments(np.int16(3), 0.01).shape == (3, 2)
 
 
 def _em_step(x, delta, dw1, dw2):
@@ -594,3 +626,46 @@ def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers
     states = np.concatenate(rows)
     assert np.isfinite(states).all() and (states >= 0.0).all()
     np.testing.assert_array_equal(states, np.stack(paths, axis=2))
+
+
+class _FailingNormals:
+    """The standard_normal of a numpy Generator, raising; records the thread it ran on."""
+
+    def __init__(self):
+        self.threads = []
+
+    def standard_normal(self, size=None, out=None):
+        self.threads.append(threading.current_thread())
+        raise RuntimeError("draw failed")
+
+
+def test_an_error_on_a_draw_thread_reaches_the_caller(monkeypatch):
+    """At two parts the last of 4 streams is drawn on a helper thread: its error
+    is raised by the driver once every helper is joined."""
+    failing = _FailingNormals()
+
+    class FailingStream(sde.NoiseStream):
+        def __init__(self, seed, stream_index):
+            super().__init__(seed, stream_index)
+            if stream_index == 3:
+                self._rng = failing
+
+    monkeypatch.setattr(sde, "NoiseStream", FailingStream)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 10), 4, 1, 2))
+    assert failing.threads and threading.main_thread() not in failing.threads
+    assert threading.active_count() == threads
+
+
+def test_no_draw_thread_outlives_its_chunk(monkeypatch):
+    """Between chunks and after the driver is closed mid-run, the thread count
+    is what it was before the driver started."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    chunks = _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 3 * _CHUNK_STEPS), 4, 1, 2)
+    next(chunks)
+    assert threading.active_count() == threads
+    chunks.close()
+    assert threading.active_count() == threads

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rosmac
 from rosmac import svgplot
@@ -179,6 +180,38 @@ def _frame_of(x, ys):
     y_lo, y_hi = min(y.min() for y in ys), max(y.max() for y in ys)
     pad = 0.05 * (y_hi - y_lo)
     return svgplot._Frame(x[0], x[-1], y_lo - pad, y_hi + pad, 640, 400)
+
+
+def _reference_points(frame, xs, ys):
+    """The polyline points as formatted before numpy mapped them: the frame's map
+    and _fmt on one Python float at a time."""
+    fmt = svgplot._fmt
+    return " ".join(f"{fmt(frame.px(x))},{fmt(frame.py(y))}" for x, y in zip(xs, ys))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.tuples(_FINITE, _FINITE, _FINITE, _FINITE),
+       size=st.sampled_from([(640, 400), (540, 540)]),
+       points=st.lists(st.tuples(_ANY, _ANY), max_size=12))
+@example(bounds=(0.0, 10.0, -1.7e308, 1.7e308), size=(640, 400),  # half-scale y
+         points=[(0.0, -1.7e308), (5.0, -0.0), (10.0, 1.7e308), (math.nan, math.inf), (-math.inf, -math.inf)])
+@example(bounds=(0.0, 1.0, 0.0, 1.0), size=(640, 400), points=[(-0.0, -0.0)])
+@example(bounds=(0.0, 1.0, 0.0, 1.0), size=(640, 400), points=[])
+@example(bounds=(-1.7e308, 1.7e308, 5e-324, 1e-323), size=(540, 540),
+         points=[(1.7e308, 5e-324), (-1.7e308, 1e-323), (1e300, 1e-300)])
+def test_polyline_points_match_the_per_point_formatter(bounds, size, points):
+    frame = svgplot._Frame(*bounds, *size)
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    expected = _reference_points(frame, xs, ys)
+    for args in ((xs, ys), (np.array(xs, dtype=float), np.array(ys, dtype=float))):
+        svg = svgplot._polyline(frame, *args, "#111", 1.6)
+        assert re.fullmatch(r'<polyline points="([^"]*)" fill="none" stroke="#111" stroke-width="1.6"/>',
+                            svg).group(1) == expected
 
 
 def test_m4_decimation_keeps_column_extremes_of_a_long_random_walk():
