@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,7 +48,7 @@ from .equilibria import (
 )
 from .model import GridSpec, ModelParams, State, checked_state
 from .ode import DEFAULT_DT, BlowupError, detect_asymptotics, integrate, vector_field_grid
-from .sde import DESK_STEPS, SimConfig, _usable_cpus, simulate_path
+from .sde import DESK_STEPS, SimConfig, simulate_path
 from .svgplot import line_chart, phase_portrait
 from .verification import (
     DEFAULT_GENERATOR_GRID,
@@ -173,7 +172,6 @@ def _parse_orders(text: str) -> list[float]:
 
 
 _CSV_BLOCK_ROWS = 16384  # bounds the Python floats and text held at once
-_CSV_FORK_ROWS = 4 * _CSV_BLOCK_ROWS  # smallest table formatted in forked slices; see _write_csv
 
 
 def _csv_blocks(table: np.ndarray, row: str):
@@ -183,99 +181,22 @@ def _csv_blocks(table: np.ndarray, row: str):
         yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
 
 
-def _slice_count(rows: int) -> int:
-    """One slice per usable CPU, at least a block each, for a table of _CSV_FORK_ROWS rows
-    or more.  One slice where os.sched_getaffinity is missing: that keeps fork to Linux."""
-    if rows < _CSV_FORK_ROWS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(_usable_cpus(), rows // _CSV_BLOCK_ROWS)
-
-
-def _fork_slice(part: np.ndarray, row: str, siblings: list[int]) -> tuple[int, int] | None:
-    """Fork a child that sends the bytes of `part` down a pipe: (pid, read end), or None
-    when the OS refuses a pipe or a process.
-
-    The child closes its siblings' read ends, so closing one in the parent breaks that
-    pipe, formats the whole slice before writing, so it never waits on a full pipe while
-    the parent formats, and leaves by os._exit: no parent cleanup, no flush of the
-    parent's stdout buffer.  Python 3.12 warns about fork with threads alive (numpy's
-    BLAS pool); the child runs no BLAS and never returns into the parent's code.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (read_fd, *siblings):
-                os.close(fd)
-            blocks = list(_csv_blocks(part, row))
-            with open(write_fd, "wb") as pipe:
-                pipe.writelines(blocks)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(pid: int, read_fd: int) -> int:
-    """Close a slice child's read end, then wait for it; its exit status, 0 on success."""
-    os.close(read_fd)  # first, so a child blocked on a full pipe gets EPIPE and leaves
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:  # reaped by the kernel (SIGCHLD ignored): its status is lost
-        return -1
-
-
 def _write_csv(path: Path, columns: dict[str, Any]) -> None:
     """Write named, equal-length columns as csv.writer would with format(x, ".17g")
     cells, formatting a block of rows at a time with one %-operation.
 
-    A table of _CSV_FORK_ROWS (65,536) rows or more is cut into contiguous slices,
-    one per usable CPU (_slice_count).  One forked child per slice after the first
-    formats it while this process formats the first; the slices are then written in
-    order.  A slice whose child could not start or did not exit 0 is formatted here, so
-    the bytes never depend on the slice count, and every child is reaped before this
-    returns or raises.  The threshold, measured on a 2-vCPU x86-64 host: formatting
-    costs 0.35 us a cell (a mostly zero path) to 0.75 us (random normals), and a fork
-    plus reap of a 46 MB process 2.7 ms, so at 65,536 three-column rows a second slice
-    takes 35-75 ms off this process for about 3 ms.  Smaller tables stay in one
-    process, where a busy second core would turn the fork into pure cost.
+    The trailing rows whose cells after the first are all +0.0 (an absorbed path's
+    tail) are formatted from their first cell alone: "%.17g" % 0.0 is "0".  A -0.0
+    prints "-0", so a row holding one is not part of that tail.
     """
     table = np.column_stack([np.asarray(column, dtype=float) for column in columns.values()])
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    count = _slice_count(len(table))
-    bounds = [len(table) * index // count for index in range(count + 1)]
-    parts = [table[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    children: dict[int, tuple[int, int]] = {}  # slice index -> (pid, read end), until reaped
-    try:
-        with path.open("wb") as handle:
-            for index in range(1, count):
-                child = _fork_slice(parts[index], row, [fd for _, fd in children.values()])
-                if child is not None:
-                    children[index] = child
-            handle.write((",".join(columns) + "\r\n").encode("ascii"))
-            for index, part in enumerate(parts):
-                sent = None
-                if index in children:
-                    with open(children[index][1], "rb", closefd=False) as pipe:
-                        sent = pipe.read()
-                    if _reap(*children.pop(index)) != 0:
-                        sent = None
-                handle.writelines(_csv_blocks(part, row) if sent is None else [sent])
-    finally:
-        for child in children.values():
-            _reap(*child)
+    rest = table[:, 1:]
+    live = ~((rest == 0) & ~np.signbit(rest)).all(axis=1)
+    end = np.flatnonzero(live).max(initial=-1) + 1
+    with path.open("wb") as handle:
+        handle.write((",".join(columns) + "\r\n").encode("ascii"))
+        handle.writelines(_csv_blocks(table[:end], ",".join(["%.17g"] * len(columns)) + "\r\n"))
+        handle.writelines(_csv_blocks(table[end:, :1], "%.17g" + ",0" * rest.shape[1] + "\r\n"))
 
 
 def _write_states(path: Path, times, states) -> None:

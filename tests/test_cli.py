@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -43,12 +42,6 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, 
                1.0 / 3.0, 2.0 / 3.0, 0.1, 1e-7, 123456789012345678.0, 2.5e-310]
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """At most two slices, so a CSV write forks at most one child."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def _edge_table(rows, width):
     rng = np.random.default_rng(rows * 10 + width)
     table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
@@ -60,123 +53,65 @@ def _edge_table(rows, width):
     return {f"c{i}": table[:, i] for i in range(width)}
 
 
-def _one_slice_bytes(path, columns):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_slice_count", lambda rows: 1)
-        cli._write_csv(path, columns)
-    return path.read_bytes()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _assert_reference_bytes(tmp_path, columns):
+    cli._write_csv(tmp_path / "block.csv", columns)
+    _reference_csv(tmp_path / "reference.csv", list(columns), list(columns.values()))
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("width", [3, 4, 9])
 @pytest.mark.parametrize(
     "rows",
     [1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1,
-     cli._CSV_FORK_ROWS - 1, cli._CSV_FORK_ROWS, cli._CSV_FORK_ROWS + 1,
-     5 * cli._CSV_BLOCK_ROWS + 3],  # an odd count: unequal slices
+     4 * cli._CSV_BLOCK_ROWS - 1, 4 * cli._CSV_BLOCK_ROWS, 4 * cli._CSV_BLOCK_ROWS + 1,
+     5 * cli._CSV_BLOCK_ROWS + 3],  # a partial last block
 )
-def test_csv_writer_matches_reference_bytes(tmp_path, two_cpus, width, rows):
-    columns = _edge_table(rows, width)
-    cli._write_csv(tmp_path / "block.csv", columns)
-    _reference_csv(tmp_path / "reference.csv", list(columns), list(columns.values()))
-    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+def test_csv_writer_matches_reference_bytes(tmp_path, width, rows):
+    _assert_reference_bytes(tmp_path, _edge_table(rows, width))
 
 
-def test_csv_slices_follow_the_usable_cpus(monkeypatch):
-    assert cli._slice_count(cli._CSV_FORK_ROWS - 1) == 1
+@pytest.mark.parametrize(
+    "rows", [cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1]
+)
+@pytest.mark.parametrize(
+    "case", ["no-tail", "one-row", "one-block", "every-row", "negative-zero-last", "zero-times"]
+)
+def test_csv_writer_matches_reference_bytes_over_an_absorbed_tail(tmp_path, case, rows):
+    """Trailing rows of +0.0 states take the time-cell shortcut; a -0.0 still prints -0."""
+    times, *states = _edge_table(rows, 3).values()
+    length = min({"no-tail": 0, "one-row": 1, "one-block": cli._CSV_BLOCK_ROWS}.get(case, rows),
+                 rows)
+    for column in states:
+        column[rows - length :] = 0.0
+    if case == "negative-zero-last":
+        states[0][-1] = -0.0
+    if case == "zero-times":
+        times[:] = np.where(np.arange(rows) % 2, -0.0, 0.0)
+    _assert_reference_bytes(tmp_path, {"t": times, "N": states[0], "P": states[1]})
+
+
+def test_csv_writer_starts_no_process(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("the CSV writer started a process")
+
+    # Two usable CPUs, so a writer that forked one process per CPU would fork here.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._slice_count(cli._CSV_FORK_ROWS) == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert cli._slice_count(10 * cli._CSV_FORK_ROWS) == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._slice_count(10 * cli._CSV_FORK_ROWS) == 1
+    monkeypatch.setattr(os, "fork", fork)
+    _assert_reference_bytes(tmp_path, _edge_table(65_537, 3))
 
 
-def test_csv_writer_formats_serially_when_fork_fails(tmp_path, two_cpus, monkeypatch):
-    columns = _edge_table(cli._CSV_FORK_ROWS + 1, 3)
-    expected = _one_slice_bytes(tmp_path / "one.csv", columns)
-
-    def refuse():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    cli._write_csv(tmp_path / "sliced.csv", columns)
-    assert (tmp_path / "sliced.csv").read_bytes() == expected
-
-
-@pytest.mark.parametrize("failure", ["raise", "kill"])
-def test_csv_writer_formats_a_failed_childs_slice_itself(tmp_path, two_cpus, monkeypatch, failure):
-    columns = _edge_table(cli._CSV_FORK_ROWS + 1, 3)
-    expected = _one_slice_bytes(tmp_path / "one.csv", columns)
-    parent_pid, blocks = os.getpid(), cli._csv_blocks
-
-    def fail_in_child(table, row):
-        if os.getpid() != parent_pid:
-            if failure == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("slice child fails")
-        return blocks(table, row)
-
-    monkeypatch.setattr(cli, "_csv_blocks", fail_in_child)
-    cli._write_csv(tmp_path / "sliced.csv", columns)
-    assert (tmp_path / "sliced.csv").read_bytes() == expected
-    _assert_no_child_left()
-
-
-def test_csv_writer_formats_serially_when_children_reap_themselves(tmp_path, two_cpus):
-    """SIG_IGN for SIGCHLD survives exec, and then waitpid cannot report an exit status."""
-    columns = _edge_table(cli._CSV_FORK_ROWS, 3)
-    expected = _one_slice_bytes(tmp_path / "one.csv", columns)
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        cli._write_csv(tmp_path / "sliced.csv", columns)
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert (tmp_path / "sliced.csv").read_bytes() == expected
-
-
-@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError, OSError])
-def test_csv_writer_reaps_its_child_when_the_parent_fails(tmp_path, two_cpus, monkeypatch, error):
-    parent_pid, blocks = os.getpid(), cli._csv_blocks
-
-    def fail_in_parent(table, row):
-        if os.getpid() == parent_pid:
-            raise error()
-        return blocks(table, row)
-
-    monkeypatch.setattr(cli, "_csv_blocks", fail_in_parent)
-    with pytest.raises(error):
-        cli._write_csv(tmp_path / "sliced.csv", _edge_table(cli._CSV_FORK_ROWS, 3))
-    _assert_no_child_left()
-
-
-def test_sliced_path_csv_keeps_stdout_and_bytes(tmp_path, capsys):
-    """A block-buffered stdout holds "clamp events:" when the slice child forks; the
-    child must leave by os._exit, or the line is flushed twice."""
+def test_readme_size_path_csv_formats_its_absorbed_tail_to_reference_bytes(tmp_path, capsys):
     argv = ["simulate-sde", *CYCLE_FLAGS, "--x0", "1,0.6", "-T", "50", "-M", "200000",
-            "--seed", "11", "--out"]
-    env = dict(os.environ, PYTHONPATH=str(Path(rosmac.__file__).resolve().parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a file is then block-buffered
-    usable = sorted(getattr(os, "sched_getaffinity", lambda pid: [])(0))
-    pin = (lambda: os.sched_setaffinity(0, usable[:2])) if usable else None  # one child at most
-    with open(tmp_path / "stdout.txt", "w") as stdout:
-        done = subprocess.run(
-            [sys.executable, "-m", "rosmac", *argv, str(tmp_path / "sliced")], stdout=stdout,
-            stderr=subprocess.PIPE, env=env, text=True, timeout=120, preexec_fn=pin,
-        )
-    assert done.returncode == 0 and done.stderr == ""
-    assert (tmp_path / "stdout.txt").read_text() == "clamp events: 2\n"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_slice_count", lambda rows: 1)
-        assert main([*argv, str(tmp_path / "one")]) == 0
+            "--seed", "11", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
     assert capsys.readouterr().out == "clamp events: 2\n"
-    sliced = (tmp_path / "sliced" / "path.csv").read_bytes()
-    assert sliced == (tmp_path / "one" / "path.csv").read_bytes()
-    assert sliced.count(b"\n") == 200_002
+    written = (tmp_path / "run" / "path.csv").read_bytes()
+    assert written.count(b"\n") == 200_002
+    header, rows = _read_csv(tmp_path / "run" / "path.csv")
+    live = [index for index, row in enumerate(rows) if row[1:] != ["0", "0"]]
+    assert len(rows) - 1 - live[-1] == 193_495  # the rows the shortcut formats
+    _reference_csv(tmp_path / "reference.csv", header, zip(*rows))
+    assert written == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_analyze_reports_structure(capsys):
