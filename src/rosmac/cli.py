@@ -54,10 +54,11 @@ from .verification import (
     DEFAULT_GENERATOR_GRID,
     DEFAULT_MONOTONICITY_GRID,
     VerificationReport,
-    bound_constants,
     check_generator_inequality,
     check_moment_bound,
     check_monotonicity,
+    lyapunov_constant,
+    moment_constant,
     monotonicity_constant,
 )
 
@@ -472,11 +473,12 @@ def _cmd_verify(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     proxy_bound = monotonicity_constant(params)
     worst_proxy = float(proxies.max())
     proxy_passed = bool(worst_proxy <= proxy_bound)
-    constants = bound_constants(params, p=max(max(orders), 2.0), alpha=alpha)
+    p = max(max(orders), 2.0)
     result = {
         "params": {"m": params.m, "c": params.c, "k": params.k},
         "alpha": alpha,
-        "constants": asdict(constants),
+        "constants": {"c_mono": proxy_bound, "c_moment_p": moment_constant(params, p),
+                      "c_lyap": lyapunov_constant(params, alpha), "p": p, "alpha": alpha},
         "checks": [_report_dict(report) for report in reports],
         "growth_proxy": {
             "bound": proxy_bound,

@@ -108,22 +108,19 @@ def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.nda
                   out=variances)
 
 
-def _reduced(chunks, cfg: SimConfig, stride: int, width: int, buffers: int, step):
-    """Reduce the driver's (rows, live, clamps) chunks over runs in blocks of
-    _REDUCE_ROWS rows: step(times, rows, out, work) gets a block's times,
-    (rows, 2, runs) states, (width, rows) result columns and a contiguous work
-    buffer of `buffers` x rows x runs floats.  Once a run has died, each block
-    of the compact rows is scattered by stream into one (rows, 2, runs) block
-    whose dead columns are +0.0, so the pairwise tree sees every run in its
-    place.  Returns the recorded times, the result and the last clamps."""
-    lo = 0
+def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers: int, step):
+    """Reduce the driver's (rows, live, clamps) chunks of `runs` runs over the
+    runs in blocks of _REDUCE_ROWS rows: step(times, rows, out, work) gets a block's
+    times, (rows, 2, runs) states, (width, rows) result columns and a contiguous
+    work buffer of `buffers` x rows x runs floats.  Once a run has died, each
+    block of the compact rows is scattered by stream into one (rows, 2, runs)
+    block whose dead columns are +0.0, so the pairwise tree sees every run in
+    its place.  Returns the recorded times, the result and the last clamps."""
+    times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
+    out = np.empty((width, len(times)))
+    work = np.empty(buffers * _REDUCE_ROWS * runs)
+    block, placed, lo = np.empty((_REDUCE_ROWS, 2, runs)), runs, 0
     for chunk, live, clamps in chunks:
-        if not lo:  # allocated once the driver has checked its arguments
-            runs = len(clamps)
-            times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
-            out = np.empty((width, len(times)))
-            work = np.empty(buffers * _REDUCE_ROWS * runs)
-            block, placed = np.empty((_REDUCE_ROWS, 2, runs)), runs
         if len(live) < placed:  # the live set only shrinks: zero the columns that left it
             block.fill(0.0)
             placed = len(live)
@@ -167,7 +164,7 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
-    times, moments, clamps = _reduced(chunks, cfg, stride, 4, 4, _mean_var)
+    times, moments, clamps = _reduced(chunks, runs, cfg, stride, 4, 4, _mean_var)
     return _ensemble_stats(times, moments, runs, cfg.seed, int(clamps.sum()))
 
 
@@ -192,6 +189,7 @@ def ensemble_moments(
             raise ValueError(f"moment orders must be > 0, got {p!r}")
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
+    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
     proxies = np.full(runs, -np.inf)
 
     def moments(times, rows, out, work):
@@ -210,6 +208,5 @@ def ensemble_moments(
             np.divide(np.log(norms[late:], out=rates), times[late:, None], out=rates)
         np.maximum(proxies, rates.max(axis=0, initial=-np.inf), out=proxies)
 
-    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
-    times, values, _ = _reduced(chunks, cfg, stride, len(p_values), 3, moments)
+    times, values, _ = _reduced(chunks, runs, cfg, stride, len(p_values), 3, moments)
     return [MomentSeries(float(p), times, row) for p, row in zip(p_values, values)], proxies

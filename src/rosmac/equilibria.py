@@ -9,7 +9,7 @@ is read off the 2x2 Jacobian in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "ExtinctionOutcome",
     "ExtinctionVerdict",
     "Stability",
-    "classify",
     "coexistence_exists",
     "coexistence_point",
     "extinction_check",
@@ -62,8 +61,8 @@ class Stability(Enum):
 class Equilibrium:
     point: State
     kind: EquilibriumKind
-    classification: Stability | None = None
-    eigenvalues: tuple[complex, complex] | None = None
+    classification: Stability
+    eigenvalues: tuple[complex, complex]
 
 
 class ExtinctionOutcome(Enum):
@@ -141,14 +140,13 @@ def _stability_from_real_parts(re_a: float, re_b: float) -> Stability:
     return Stability.SINK if re_a < 0.0 else Stability.SOURCE
 
 
-def classify(params: ModelParams, equilibrium: Equilibrium) -> Equilibrium:
-    """Fill in eigenvalues and a stability label for an equilibrium.
+def _classified(params: ModelParams, x: State, kind: EquilibriumKind) -> Equilibrium:
+    """The equilibrium at x with its eigenvalues and stability label.
 
     Refuses points that do not actually null the drift (residual above
     1e-10 or NaN), so stale or hand-mangled candidates fail loudly, and
     eigenvalues that are not finite (parameters too large for float64).
     """
-    x = equilibrium.point
     residual = drift(params, x)
     if not (abs(residual.dn) <= _RESIDUAL_TOL and abs(residual.dp) <= _RESIDUAL_TOL):
         raise ValueError(f"not an equilibrium: drift residual {residual!r} at {x!r}")
@@ -156,8 +154,7 @@ def classify(params: ModelParams, equilibrium: Equilibrium) -> Equilibrium:
         lams = _eigenvalues_2x2(jacobian(params, x))
     if not np.isfinite(lams).all():
         raise ValueError(f"eigenvalues at {x!r} are not finite; parameters too large")
-    label = _stability_from_real_parts(lams[0].real, lams[1].real)
-    return replace(equilibrium, classification=label, eigenvalues=lams)
+    return Equilibrium(x, kind, _stability_from_real_parts(lams[0].real, lams[1].real), lams)
 
 
 def find_equilibria(params: ModelParams) -> list[Equilibrium]:
@@ -169,12 +166,12 @@ def find_equilibria(params: ModelParams) -> list[Equilibrium]:
     prey-only point and is reported as absent.
     """
     found = [
-        Equilibrium(State(0.0, 0.0), EquilibriumKind.ORIGIN),
-        Equilibrium(State(params.k, 0.0), EquilibriumKind.PREY_ONLY),
+        _classified(params, State(0.0, 0.0), EquilibriumKind.ORIGIN),
+        _classified(params, State(params.k, 0.0), EquilibriumKind.PREY_ONLY),
     ]
     if coexistence_exists(params):
-        found.append(Equilibrium(coexistence_point(params), EquilibriumKind.COEXISTENCE))
-    return [classify(params, e) for e in found]
+        found.append(_classified(params, coexistence_point(params), EquilibriumKind.COEXISTENCE))
+    return found
 
 
 def hopf_threshold(m: float, c: float) -> float:

@@ -126,8 +126,6 @@ class NoiseStream:
         for name, value in (("seed", seed), ("stream_index", stream_index)):
             if not (0 <= _integer(name, value) < _MAX_SEED):
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
-        self.seed = seed
-        self.stream_index = stream_index
         self._rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream_index], dtype=np.uint64)))
 
     def increments(self, m_steps: int, delta: float) -> np.ndarray:
@@ -228,11 +226,12 @@ def _ensemble_chunks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Advance the paths on streams 0..runs-1 together, one step at a time.
 
-    Yields (rows, live, clamps) per chunk of steps: rows is the (recorded, 2,
-    count) states of every `stride`-th step for the count runs still live, x0
-    leading the first chunk; live their stream indices, ascending; clamps the
-    per-path projection counts so far.  rows is a view of the one chunk
-    buffer, which the next chunk overwrites.  One generator per stream makes
+    Checks its arguments when called and returns a generator that yields
+    (rows, live, clamps) per chunk of steps: rows is the (recorded, 2, count)
+    states of every `stride`-th step for the count runs still live, x0 leading
+    the first chunk; live their stream indices, ascending; clamps the per-path
+    projection counts so far.  rows is a view of the one chunk buffer, which
+    the next chunk overwrites.  One generator per stream makes
     chunked draws equal a single draw; the calling thread and `workers` - 1
     helper threads, at most one thread per usable CPU, split the draws by
     stream.  Matches simulate_path bit for bit, also in raising BlowupError
@@ -250,7 +249,11 @@ def _ensemble_chunks(
         raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
     if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n0, p0 = checked_state(x0)
+    return _stepped(params, *checked_state(x0), cfg, runs, stride, workers)
+
+
+def _stepped(params, n0, p0, cfg, runs, stride, workers):
+    """_ensemble_chunks' generator, from checked arguments."""
     steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)

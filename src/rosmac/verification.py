@@ -44,9 +44,7 @@ from .model import GridSpec, ModelParams, State, _rates
 __all__ = [
     "DEFAULT_GENERATOR_GRID",
     "DEFAULT_MONOTONICITY_GRID",
-    "BoundConstants",
     "VerificationReport",
-    "bound_constants",
     "check_generator_inequality",
     "check_moment_bound",
     "check_monotonicity",
@@ -78,15 +76,6 @@ class VerificationReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    c_mono: float
-    c_moment_p: float
-    c_lyap: float
-    p: float
-    alpha: float
-
-
 def monotonicity_constant(params: ModelParams) -> float:
     return (5.0 + 6.0 * params.m + params.c) / 4.0 + 1.0 / (2.0 * params.k)
 
@@ -112,16 +101,6 @@ def lyapunov_constant(params: ModelParams, alpha: float) -> float:
         + 0.5 * alpha * c
         + alpha / k
         + alpha * (alpha - 1.0) * (1.0 + 2.0 / k + 2.0 * m + c)
-    )
-
-
-def bound_constants(params: ModelParams, p: float = 2.0, alpha: float = 3.0) -> BoundConstants:
-    return BoundConstants(
-        c_mono=monotonicity_constant(params),
-        c_moment_p=moment_constant(params, p),
-        c_lyap=lyapunov_constant(params, alpha),
-        p=p,
-        alpha=alpha,
     )
 
 

@@ -159,6 +159,8 @@ def test_version_flag(capsys):
 def test_usage_errors_exit_2(capsys, tmp_path):
     a_file = tmp_path / "afile"
     a_file.write_text("")
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1]")
     small = ["-T", "1", "-M", "10"]
     cases = [
         ["simulate-ode", *CYCLE_FLAGS, "--x0", "1"],
@@ -168,6 +170,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["verify", *CYCLE_FLAGS, "--p", "0"],
         ["analyze", "-m", "-3", "-c", "1", "-k", "3"],
         ["analyze", *CYCLE_FLAGS, "--config", str(tmp_path / "missing.json")],
+        # The right count of values that are not numbers, and a config that is no object.
+        ["simulate-ode", *CYCLE_FLAGS, "--x0", "a,0.6"],
+        ["phase-portrait", *CYCLE_FLAGS, "--grid", "0,1,a,2"],
+        ["verify", *CYCLE_FLAGS, "--p", "1,x"],
+        ["analyze", *CYCLE_FLAGS, "--config", str(a_list)],
         # Starts outside the closed quadrant or not finite.
         ["simulate-ode", *CYCLE_FLAGS, "--x0", "inf,1"],
         ["simulate-sde", *CYCLE_FLAGS, *small, "--x0", "nan,1"],
@@ -612,7 +619,7 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
     _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), np.zeros(4, dtype=np.int64))],
-                              cfg, 1, 4, 4, _mean_var)
+                              4, cfg, 1, 4, 4, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

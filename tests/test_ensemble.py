@@ -109,7 +109,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rows = _oracle_states(times, runs, rng)
     # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
-    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], grid, 1, 4, 4, _mean_var)
+    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], runs, grid, 1, 4, 4, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -149,10 +149,10 @@ def test_reduction_scatters_compact_rows_by_stream(lives):
         compact.append((rows, live, clamps))
         expanded.append((states, np.arange(runs), clamps))
     cfg = SimConfig(t_end=77.0, m_steps=(sum(sizes) - 1) * stride)
-    _, moments, _ = _reduced(compact, cfg, stride, 4, 4, _mean_var)
-    _, expected, _ = _reduced(expanded, cfg, stride, 4, 4, _mean_var)
+    _, moments, _ = _reduced(compact, runs, cfg, stride, 4, 4, _mean_var)
+    _, expected, _ = _reduced(expanded, runs, cfg, stride, 4, 4, _mean_var)
     assert moments.tobytes() == expected.tobytes()
-    _, seen, _ = _reduced(compact, cfg, stride, 2 * runs, 2, _copy_states)
+    _, seen, _ = _reduced(compact, runs, cfg, stride, 2 * runs, 2, _copy_states)
     assert seen.T.tobytes() == np.concatenate([states for states, _, _ in expanded]).tobytes()
     # The driver yields the x0 row also when no run is live from the start.
     shapes = [rows.shape for rows, _, _ in
@@ -362,6 +362,9 @@ def test_ensemble_moments_validation():
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), workers=0)
     with pytest.raises(ValueError, match="stride"):
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), stride=0)
+    for runs in (-5, 1):
+        with pytest.raises(ValueError, match="need at least 2 runs"):
+            ensemble_moments(CYCLE_PARAMS, START, cfg, runs=runs, p_values=(2.0,))
     for x0 in BAD_STARTS:
         with pytest.raises(ValueError, match="x0"):
             ensemble_moments(CYCLE_PARAMS, x0, cfg, runs=4, p_values=(2.0,))

@@ -7,13 +7,11 @@ import pytest
 
 from rosmac import (
     HYPERBOLICITY_TOL,
-    Equilibrium,
     EquilibriumKind,
     ExtinctionOutcome,
     ModelParams,
     Stability,
     State,
-    classify,
     coexistence_exists,
     coexistence_point,
     drift,
@@ -23,6 +21,7 @@ from rosmac import (
     jacobian,
     trace_identity_check,
 )
+from rosmac.equilibria import _classified, _eigenvalues_2x2
 
 from conftest import CYCLE_PARAMS, SINK_PARAMS
 
@@ -100,7 +99,7 @@ def test_origin_eigenvalues_are_one_and_minus_c():
     rng = np.random.default_rng(7)
     for _ in range(50):
         params = _log_uniform_params(rng)
-        origin = classify(params, Equilibrium(State(0.0, 0.0), EquilibriumKind.ORIGIN))
+        origin = _classified(params, State(0.0, 0.0), EquilibriumKind.ORIGIN)
         values = sorted(origin.eigenvalues, key=lambda z: z.real)
         assert values[0] == pytest.approx(-params.c, rel=1e-14)
         assert values[1] == pytest.approx(1.0, rel=1e-14)
@@ -108,17 +107,17 @@ def test_origin_eigenvalues_are_one_and_minus_c():
 
 def test_classify_rejects_non_equilibrium():
     with pytest.raises(ValueError):
-        classify(CYCLE_PARAMS, Equilibrium(State(1.0, 1.0), EquilibriumKind.COEXISTENCE))
+        _classified(CYCLE_PARAMS, State(1.0, 1.0), EquilibriumKind.COEXISTENCE)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_classify_rejects_nan_residuals_and_non_finite_eigenvalues():
     with pytest.raises(ValueError, match="not an equilibrium"):
-        classify(CYCLE_PARAMS, Equilibrium(State(0.5, math.nan), EquilibriumKind.COEXISTENCE))
+        _classified(CYCLE_PARAMS, State(0.5, math.nan), EquilibriumKind.COEXISTENCE)
     # A finite prey-only point whose Jacobian entry m k / (1 + k) squares past float64.
     huge_m = ModelParams(m=1e300, c=1.0, k=3.0)
     with pytest.raises(ValueError, match="eigenvalues"):
-        classify(huge_m, Equilibrium(State(3.0, 0.0), EquilibriumKind.PREY_ONLY))
+        _classified(huge_m, State(3.0, 0.0), EquilibriumKind.PREY_ONLY)
     with pytest.raises(ValueError):
         find_equilibria(ModelParams(m=3.0, c=1.0, k=1e308))
 
@@ -150,6 +149,11 @@ def test_eigenvalues_match_lapack():
             lapack = np.sort_complex(np.linalg.eigvals(jacobian(params, eq.point)))
             scale = max(1.0, np.abs(lapack).max())
             assert np.abs(ours - lapack).max() < 1e-9 * scale
+
+
+def test_eigenvalues_of_the_zero_matrix_are_zero():
+    # Trace and discriminant are both 0: no larger root to recover the other from.
+    assert _eigenvalues_2x2(np.zeros((2, 2))) == (0j, 0j)
 
 
 def test_classification_law_over_random_parameters():
@@ -191,9 +195,9 @@ def test_classification_law_over_random_parameters():
 def _classify_by_trace_det(params, equilibrium):
     """Stability from the signs of the Jacobian's trace and determinant only.
 
-    An independent route to classify's answer: the smallest real-part
-    magnitude is bounded through the root product rather than by forming the
-    roots.
+    An independent route to find_equilibria's classification: the smallest
+    real-part magnitude is bounded through the root product rather than by
+    forming the roots.
     """
     jac = jacobian(params, equilibrium.point)
     tr = float(jac[0][0] + jac[1][1])

@@ -13,6 +13,7 @@ from rosmac import (
     GridSpec,
     ModelParams,
     State,
+    Trajectory,
     coexistence_point,
     detect_asymptotics,
     drift,
@@ -249,6 +250,17 @@ def test_detect_undecided_during_transient():
     traj = integrate(CYCLE_PARAMS, START, 15.0, dt=1e-2)
     verdict = detect_asymptotics(traj)
     assert verdict.kind is AsymptoticKind.UNDECIDED
+
+
+def test_detect_undecided_for_unstable_crossing_intervals():
+    # A chirp: n oscillates with a period that shrinks from about 0.27 to
+    # 0.2 over the tail t in [15, 20], so its many crossings are unevenly spaced.
+    times = np.arange(2000) * 0.01
+    states = np.column_stack([1.0 + 0.5 * np.sin(np.pi * times**2 / 4.0), np.ones_like(times)])
+    traj = Trajectory(times=times, states=states, params=CYCLE_PARAMS, dt=0.01, clamp_count=0)
+    verdict = detect_asymptotics(traj)
+    assert verdict.kind is AsymptoticKind.UNDECIDED
+    assert verdict.diagnostics.startswith("crossing intervals unstable")
 
 
 def test_detect_asymptotics_validation():

@@ -16,6 +16,7 @@ from rosmac import (
     NoiseStream,
     SimConfig,
     State,
+    ensemble_moments,
     simulate_path,
 )
 from rosmac import sde
@@ -58,17 +59,25 @@ def test_simconfig_validation_and_delta():
     lambda: NoiseStream(0, False),
     lambda: NoiseStream(0, 0).increments(2.5, 0.01),
     lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(1.0, 10), stream_index=1.5),
-    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1.5, 1)),
-    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4.0, 1, 1)),
-    lambda: next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1, 1.5)),
+    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1.5, 1),
+    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4.0, 1, 1),
+    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1, 1.5),
+    lambda: ensemble_moments(CYCLE_PARAMS, START, SimConfig(1.0, 12), 1.5, (2.0,), t_min=0.5),
 ], ids=["seed", "bool seed", "steps", "float steps", "bool steps", "stream seed", "bool stream",
-        "increments", "path stream", "ensemble stride", "ensemble runs", "ensemble workers"])
+        "increments", "path stream", "ensemble stride", "ensemble runs", "ensemble workers",
+        "moments runs"])
 def test_seeds_streams_and_step_counts_must_be_integers(make):
     """A float would draw the noise of its integer part and report itself, and
     a stride of 1.5 that divides m_steps = 12 records 5 of the 9 rows that its
     time grid has; a bool is no count."""
     with pytest.raises(ValueError, match="must be an integer"):
         make()
+
+
+def test_ensemble_chunks_checks_its_arguments_at_the_call():
+    """Not when first iterated: the callers allocate for `runs` before they iterate."""
+    with pytest.raises(ValueError, match="need at least 2 runs"):
+        _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 1, 1, 1)
 
 
 def test_numpy_integer_seeds_streams_and_step_counts_are_accepted():

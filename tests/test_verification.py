@@ -14,7 +14,6 @@ from rosmac import (
     MomentSeries,
     SimConfig,
     State,
-    bound_constants,
     check_generator_inequality,
     check_moment_bound,
     check_monotonicity,
@@ -44,10 +43,6 @@ def test_constant_domain_errors():
         moment_constant(CYCLE_PARAMS, 1.5)
     with pytest.raises(ValueError):
         lyapunov_constant(CYCLE_PARAMS, 2.0)
-    bundle = bound_constants(CYCLE_PARAMS, p=2.0, alpha=3.0)
-    assert bundle.c_mono == monotonicity_constant(CYCLE_PARAMS)
-    assert bundle.c_moment_p == moment_constant(CYCLE_PARAMS, 2.0)
-    assert bundle.c_lyap == lyapunov_constant(CYCLE_PARAMS, 3.0)
 
 
 def test_grid_spec_validation():
