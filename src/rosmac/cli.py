@@ -200,16 +200,16 @@ def _write_csv(path: Path, columns: dict[str, Any]) -> None:
         handle.writelines(_csv_blocks(table[end:, :1], "%.17g" + ",0" * rest.shape[1] + "\r\n"))
 
 
-def _write_states(path: Path, times, states) -> None:
-    _write_csv(path, {"t": times, "N": states[:, 0], "P": states[:, 1]})
+def _write_states(path: Path, traj: ode.Trajectory) -> None:
+    _write_csv(path, {"t": traj.times, "N": traj.states[:, 0], "P": traj.states[:, 1]})
 
 
-def _density_chart(times, states, title: str) -> str:
+def _density_chart(traj: ode.Trajectory, title: str) -> str:
     return line_chart(
-        times,
+        traj.times,
         [
-            {"y": states[:, 0], "label": "prey n", "color": "#1f77b4"},
-            {"y": states[:, 1], "label": "predator p", "color": "#d62728"},
+            {"y": traj.states[:, 0], "label": "prey n", "color": "#1f77b4"},
+            {"y": traj.states[:, 1], "label": "predator p", "color": "#d62728"},
         ],
         title=title,
         y_label="density",
@@ -356,10 +356,10 @@ def _cmd_simulate_ode(params: ModelParams, x0: State, options: dict[str, Any]) -
         print(f"long-run verdict: {verdict.kind.value} {verdict.diagnostics}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
-        _write_states(out_dir / "trajectory.csv", traj.times, traj.states)
+        _write_states(out_dir / "trajectory.csv", traj)
         if options["svg"]:
             title = f"m={params.m:g} c={params.c:g} k={params.k:g}"
-            (out_dir / "trajectory.svg").write_text(_density_chart(traj.times, traj.states, title))
+            (out_dir / "trajectory.svg").write_text(_density_chart(traj, title))
     return 0
 
 
@@ -372,7 +372,7 @@ def _cmd_phase_portrait(params: ModelParams, x0: State, options: dict[str, Any])
     out_dir = _prepare_out(options)
     if out_dir is not None:
         _write_csv(out_dir / "field.csv", dict(zip(("N", "P", "dN", "dP"), field.T)))
-        _write_states(out_dir / "trajectory.csv", traj.times, traj.states)
+        _write_states(out_dir / "trajectory.csv", traj)
         if options["svg"]:
             markers = []
             glyph_by_class = {"sink": "disc", "source": "circle"}
@@ -393,17 +393,17 @@ def _cmd_phase_portrait(params: ModelParams, x0: State, options: dict[str, Any])
 def _cmd_simulate_sde(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
     cfg = _sim_config(options)
     path = simulate_path(params, x0, cfg, stream_index=options["stream"])
-    print(f"clamp events: {path.clamp_events}")
+    print(f"clamp events: {path.clamp_count}")
     out_dir = _prepare_out(options)
     if out_dir is not None:
-        _write_states(out_dir / "path.csv", path.times, path.states)
+        _write_states(out_dir / "path.csv", path)
         if options["svg"]:
-            title = f"seed={cfg.seed} stream={path.stream_index}"
-            (out_dir / "path.svg").write_text(_density_chart(path.times, path.states, title))
+            title = f"seed={cfg.seed} stream={options['stream']}"
+            (out_dir / "path.svg").write_text(_density_chart(path, title))
     return 0
 
 
-def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
+def _ensemble_charts(stats: EnsembleStats, title: str, out_dir: Path) -> None:
     for tag, mean, lower, upper in (
         ("n", stats.mean_n, stats.band_lower_n, stats.band_upper_n),
         ("p", stats.mean_p, stats.band_lower_p, stats.band_upper_p),
@@ -416,7 +416,7 @@ def _ensemble_charts(stats: EnsembleStats, out_dir: Path) -> None:
                 {"y": lower, "label": "band low", "color": color, "width": 1.0, "dash": "5,4"},
                 {"y": upper, "label": "band high", "color": color, "width": 1.0, "dash": "5,4"},
             ],
-            title=f"{stats.runs} runs, seed {stats.seed}",
+            title=title,
             y_label=f"{tag} density",
         )
         (out_dir / f"ensemble_{tag}.svg").write_text(chart)
@@ -443,10 +443,9 @@ def _cmd_ensemble(params: ModelParams, x0: State, options: dict[str, Any]) -> in
             "band_lo_P": stats.band_lower_p, "band_hi_P": stats.band_upper_p,
         })
         for stream in range(save_paths):
-            path = simulate_path(params, x0, cfg, stream_index=stream)
-            _write_states(out_dir / f"path_{stream:04d}.csv", path.times, path.states)
+            _write_states(out_dir / f"path_{stream:04d}.csv", simulate_path(params, x0, cfg, stream))
         if options["svg"]:
-            _ensemble_charts(stats, out_dir)
+            _ensemble_charts(stats, f"{runs} runs, seed {cfg.seed}", out_dir)
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams, State
-from .sde import SimConfig, _ensemble_chunks
+from .sde import SimConfig, _ensemble_chunks, _run_sized
 
 __all__ = ["EnsembleStats", "MomentSeries", "ensemble_moments", "run_ensemble"]
 
@@ -45,9 +45,7 @@ class EnsembleStats:
     var_p: np.ndarray
     band_lower_p: np.ndarray
     band_upper_p: np.ndarray
-    runs: int
-    seed: int
-    clamp_events_total: int = 0
+    clamp_events_total: int
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -118,8 +116,8 @@ def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers
     its place.  Returns the recorded times, the result and the last clamps."""
     times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
     out = np.empty((width, len(times)))
-    work = np.empty(buffers * _REDUCE_ROWS * runs)
-    block, placed, lo = np.empty((_REDUCE_ROWS, 2, runs)), runs, 0
+    work = _run_sized(runs, (buffers * _REDUCE_ROWS * runs,))
+    block, placed, lo = _run_sized(runs, (_REDUCE_ROWS, 2, runs)), runs, 0
     for chunk, live, clamps in chunks:
         if len(live) < placed:  # the live set only shrinks: zero the columns that left it
             block.fill(0.0)
@@ -137,9 +135,7 @@ def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers
     return times, out, clamps
 
 
-def _ensemble_stats(
-    times: np.ndarray, moments: np.ndarray, runs: int, seed: int, clamp_events_total: int
-) -> EnsembleStats:
+def _ensemble_stats(times: np.ndarray, moments: np.ndarray, clamp_events_total: int) -> EnsembleStats:
     """Bands from (mean_n, var_n, mean_p, var_p); ValueError where a column is not
     finite.  The stats keep times, made read-only, not a copy."""
     mean_n, var_n, mean_p, var_p = moments
@@ -150,7 +146,7 @@ def _ensemble_stats(
     if not finite.all():
         t = float(times[finite.argmin()])
         raise ValueError(f"ensemble mean or variance is not finite at t={t}; states too large")
-    return EnsembleStats(times, *columns, runs, seed, clamp_events_total)
+    return EnsembleStats(times, *columns, clamp_events_total)
 
 
 def run_ensemble(
@@ -165,7 +161,7 @@ def run_ensemble(
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
     times, moments, clamps = _reduced(chunks, runs, cfg, stride, 4, 4, _mean_var)
-    return _ensemble_stats(times, moments, runs, cfg.seed, int(clamps.sum()))
+    return _ensemble_stats(times, moments, int(clamps.sum()))
 
 
 def ensemble_moments(
@@ -190,7 +186,7 @@ def ensemble_moments(
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
-    proxies = np.full(runs, -np.inf)
+    proxies = _run_sized(runs, (runs,), -np.inf)
 
     def moments(times, rows, out, work):
         norms, powers, scratch = work.reshape(3, len(rows), runs)

@@ -55,7 +55,8 @@ def _projected(n: float, p: float, clamps: int, step: int, dt: float) -> tuple[f
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled solution on the uniform grid times[i] = i * dt."""
+    """A path on the uniform grid times[i] = i * dt: integrate's RK4 solution or
+    simulate_path's EM path, with its projections to an axis in clamp_count."""
 
     times: np.ndarray
     states: np.ndarray

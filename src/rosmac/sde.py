@@ -44,12 +44,11 @@ from typing import Iterator
 import numpy as np
 
 from .model import ModelParams, State, _rates, checked_state
-from .ode import BlowupError, _projected
+from .ode import BlowupError, Trajectory, _projected
 
 __all__ = [
     "DESK_STEPS",
     "NoiseStream",
-    "SamplePath",
     "SimConfig",
     "simulate_path",
 ]
@@ -95,24 +94,6 @@ class SimConfig:
         return self.t_end / self.m_steps
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """One realized path on the grid times[i] = i * delta."""
-
-    times: np.ndarray
-    states: np.ndarray
-    clamp_events: int
-    seed: int
-    stream_index: int
-
-    def __post_init__(self) -> None:
-        self.times.flags.writeable = False
-        self.states.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 class NoiseStream:
     """Brownian increments addressed by (seed, stream_index).
 
@@ -147,6 +128,16 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_sized(runs: int, shape: tuple[int, ...], fill=None, dtype=float) -> np.ndarray:
+    """np.empty(shape), or np.full with fill, for an array that grows with runs;
+    one MemoryError naming runs and the bytes where numpy cannot allocate it."""
+    try:
+        return np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
+    except (MemoryError, ValueError, OverflowError):
+        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
+        raise MemoryError(f"cannot allocate {size} bytes for runs={runs}") from None
 
 
 def _too_coarse(step: int, delta: float, component: str) -> ValueError:
@@ -207,18 +198,18 @@ def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
 
 def simulate_path(
     params: ModelParams, x0: State, cfg: SimConfig, stream_index: int = 0
-) -> SamplePath:
+) -> Trajectory:
     """Simulate one path; deterministic in (params, x0, cfg, stream_index).
-    Its noise is drawn a chunk at a time, and none once the path is at the origin."""
+    Its noise is drawn a chunk at a time, and none once the path is at the origin.
+    The path is a Trajectory whose dt is the EM step and whose clamp_count
+    counts the projections."""
     n, p = checked_state(x0)
     # The times first, so that their integer temporary is gone before the states exist.
     times = np.arange(cfg.m_steps + 1) * cfg.delta
     stream = NoiseStream(cfg.seed, stream_index)
     states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps,
                               lambda size: stream.increments(size, cfg.delta))
-    return SamplePath(
-        times=times, states=states, clamp_events=clamps, seed=cfg.seed, stream_index=stream_index
-    )
+    return Trajectory(times, states, params, dt=cfg.delta, clamp_count=clamps)
 
 
 def _ensemble_chunks(
@@ -257,15 +248,14 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
     steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
-    x = np.repeat(np.array([[n0], [p0]]), runs, axis=1)
-    clamps = np.zeros(runs, dtype=np.int64)
+    x = _run_sized(runs, (2, runs), [[n0], [p0]])
+    clamps = _run_sized(runs, (runs,), 0, np.int64)
     # Row i + 1 holds step i's noise, the first 2 count floats, and the recorded
     # states follow it compact, at rows r <= i + 1: a step has read its noise
     # row before it records.
-    buffer = np.empty((chunk + 1, 2 * runs))
+    buffer = _run_sized(runs, (chunk + 1, 2 * runs))
     recorded = 1
-    # Stream index of each live run, and its projection counts.
-    live, live_clamps = np.arange(runs), clamps.copy()
+    live = np.arange(runs)  # the stream index of each live run
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
     parts = min(workers, runs, _usable_cpus())
     # Philox fills only contiguous arrays, so each thread draws a block of
@@ -292,7 +282,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
         if start == 0 or absorbed.any():
             kept = ~absorbed
             # compress keeps x C-contiguous; x[:, kept] would not.
-            live, x, live_clamps = live[kept], x.compress(kept, axis=1), live_clamps[kept]
+            live, x = live[kept], x.compress(kept, axis=1)
             count = len(live)
             rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
             noise = rows[1:]
@@ -345,7 +335,8 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                         decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
                         raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
                     negative = x < 0.0
-                    live_clamps += negative.sum(axis=0)
+                    # live is unique, so each run's count gains its own projections.
+                    clamps[live] += negative.sum(axis=0)
                     x[negative] = 0.0
                 # False for NaN and +inf.
                 if not np.maximum.reduce(x, axis=None) < math.inf:
@@ -353,6 +344,5 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                 if (start + i + 1) % stride == 0:
                     rows[recorded] = x
                     recorded += 1
-        clamps[live] = live_clamps
         yield rows[:recorded], live, clamps
         recorded = 0

@@ -285,7 +285,7 @@ def test_criterion_09_noise_induced_deviation(tmp_path):
         0.949559208803824, rel=1e-9
     )
 
-    se_n = np.sqrt(stats.var_n / stats.runs)
+    se_n = np.sqrt(stats.var_n / 2000)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(stats.mean_n - reference.states[:, 0]) / se_n
     max_z = float(z[np.isfinite(z)].max())

@@ -44,7 +44,7 @@ def test_readme_python_blocks_run_in_order():
         for block in blocks:
             exec(compile(block, str(README), "exec"), namespace)
     assert namespace["report"].passed
-    assert namespace["stats"].runs == 2000
+    assert namespace["path"].dt == namespace["cfg"].delta and len(namespace["stats"].times) == 4001
     assert namespace["field"].shape == (400, 4)
 
 

@@ -223,11 +223,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "-M", "1", "--runs", "2", "--out", str(tmp_path / "d")],
         ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--out", str(tmp_path / "d")],
     ]
-    for argv in cases + zero_noise_cases:
+    # Errors that must name their cause: a box of one point has no vector field,
+    # and no run count whose first buffer is past 2**47 bytes can be allocated.
+    named_cases = {
+        ("phase-portrait", *CYCLE_FLAGS, "--grid", "1,1,1,1", "--res", "1"):
+            "resolution must be >= 2, got 1",
+        ("ensemble", *CYCLE_FLAGS, "--runs", "100000000000000", "-M", "10"): "runs",
+        ("verify", *CYCLE_FLAGS, "--runs", "100000000000000", "-M", "10"): "runs",
+        ("ensemble", *CYCLE_FLAGS, "--runs", "9223372036854775808", "-M", "10"): "runs",
+    }
+    for argv in cases + zero_noise_cases + [list(argv) for argv in named_cases]:
         with zero_noise_streams(argv in zero_noise_cases):
             assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert named_cases.get(tuple(argv), "") in err, (argv, err)
     assert not (tmp_path / "d").exists()
 
 
@@ -495,6 +505,16 @@ def test_simulate_sde_reproducible_output(tmp_path, capsys):
     path = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=3)
     assert float(rows[-1][1]) == path.states[-1, 0]
     assert float(rows[-1][2]) == path.states[-1, 1]
+
+
+def test_chart_titles_name_the_noise_they_drew(tmp_path):
+    """A path's chart names its seed and stream, and an ensemble's its run count and seed."""
+    small = ["-T", "1", "-M", "10", "--seed", "11", "--svg"]
+    assert main(["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "3", "--out", str(tmp_path / "a")]) == 0
+    assert "seed=11 stream=3" in (tmp_path / "a" / "path.svg").read_text()
+    assert main(["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--out", str(tmp_path / "b")]) == 0
+    for tag in "np":
+        assert "4 runs, seed 11" in (tmp_path / "b" / f"ensemble_{tag}.svg").read_text()
 
 
 def test_ensemble_outputs_and_zero_noise_variance(tmp_path, capsys, zero_noise):

@@ -11,9 +11,9 @@ import pytest
 
 from rosmac import (
     MomentSeries,
-    SamplePath,
     SimConfig,
     State,
+    Trajectory,
     ensemble_moments,
     run_ensemble,
     simulate_path,
@@ -52,10 +52,10 @@ def _reference_mean_var(rows):
     return np.array(out)
 
 
-def _stats_from_states(times, states, seed, clamp_events_total=0):
+def _stats_from_states(times, states, clamp_events_total=0):
     """Ensemble statistics of a (runs, times, 2) tensor."""
     moments = _reference_mean_var(states.transpose(1, 2, 0))
-    return _ensemble_stats(times, moments, states.shape[0], seed, clamp_events_total)
+    return _ensemble_stats(times, moments, clamp_events_total)
 
 
 def _moment_series(paths, p):
@@ -73,12 +73,10 @@ def _lyapunov_exponent_proxy(path, t_min=1.0):
         return float((np.log(norms) / path.times[mask]).max())
 
 
-def _constant_path(n, p, samples=5, spacing=0.5, stream_index=0):
+def _constant_path(n, p, samples=5, spacing=0.5):
     times = np.arange(samples) * spacing
     states = np.tile([float(n), float(p)], (samples, 1))
-    return SamplePath(
-        times=times, states=states, clamp_events=0, seed=0, stream_index=stream_index
-    )
+    return Trajectory(times, states, CYCLE_PARAMS, dt=spacing, clamp_count=0)
 
 
 def test_pairwise_sum_agrees_with_flat_sum():
@@ -116,7 +114,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     # variance overflows as it did, and the bands reject it.
     assert math.isinf(got[1, times // 2])
     with pytest.raises(ValueError, match=f"t={float(times // 2)}"):
-        _ensemble_stats(np.arange(times, dtype=float), got, runs, 0, 0)
+        _ensemble_stats(np.arange(times, dtype=float), got, 0)
     # The moment sums of ensemble_moments, over the same tree.
     norms = np.hypot(rows[:, 0], rows[:, 1])
     scratch = np.empty(norms.size)
@@ -168,15 +166,13 @@ def test_stats_from_states_two_path_exactness():
             [[5.0, 6.0], [7.0, 8.0]],
         ]
     )
-    stats = _stats_from_states(times, states, seed=9, clamp_events_total=3)
+    stats = _stats_from_states(times, states, clamp_events_total=3)
     assert np.array_equal(stats.mean_n, [3.0, 5.0])
     assert np.array_equal(stats.mean_p, [4.0, 6.0])
     assert np.array_equal(stats.var_n, [4.0, 4.0])
     assert np.array_equal(stats.var_p, [4.0, 4.0])
     assert np.array_equal(stats.band_lower_n, [2.0, 4.0])
     assert np.array_equal(stats.band_upper_n, [4.0, 6.0])
-    assert stats.runs == 2
-    assert stats.seed == 9
     assert stats.clamp_events_total == 3
     assert not stats.mean_n.flags.writeable
 
@@ -186,8 +182,8 @@ def test_stats_reject_finite_states_whose_squares_overflow():
     times = np.array([0.0, 0.5])
     states = np.array([[[1.0, 1.0], [1.5e308, 1.0]], [[1.0, 1.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="t=0.5"):
-        _stats_from_states(times, states, seed=0)
-    stats = _stats_from_states(times, states[:, :1], seed=0)
+        _stats_from_states(times, states)
+    stats = _stats_from_states(times, states[:, :1])
     assert stats.var_n.tolist() == [0.0]
 
 
@@ -221,7 +217,7 @@ def test_two_run_ensemble_is_the_average_of_its_streams():
     path1 = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=1)
     assert np.array_equal(stats.mean_n, (path0.states[:, 0] + path1.states[:, 0]) / 2)
     assert np.array_equal(stats.mean_p, (path0.states[:, 1] + path1.states[:, 1]) / 2)
-    assert stats.clamp_events_total == path0.clamp_events + path1.clamp_events
+    assert stats.clamp_events_total == path0.clamp_count + path1.clamp_count
 
 
 def test_stride_thins_the_same_ensemble():
@@ -319,8 +315,6 @@ def test_noisy_ensemble_records_boundary_hits():
     cfg = SimConfig(t_end=10.0, m_steps=400, seed=1)
     stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs=16)
     assert stats.clamp_events_total > 0
-    assert stats.runs == 16
-    assert stats.seed == 1
 
 
 def test_moment_series_constant_path_values():
@@ -328,7 +322,7 @@ def test_moment_series_constant_path_values():
     series = _moment_series([path], 2.0)
     assert series.p == 2.0
     assert np.array_equal(series.values, np.full(5, 25.0))
-    mixed = _moment_series([path, _constant_path(0.0, 0.0, stream_index=1)], 2.0)
+    mixed = _moment_series([path, _constant_path(0.0, 0.0)], 2.0)
     assert np.array_equal(mixed.values, np.full(5, 12.5))
 
 
@@ -384,7 +378,7 @@ def _materialised(name):
     """simulate_path states of streams 0..1024 as (1025, m_steps + 1, 2), and clamps."""
     cfg = STREAMING_CONFIGS[name]
     paths = [simulate_path(CYCLE_PARAMS, START, cfg, stream_index=j) for j in range(1025)]
-    return np.stack([path.states for path in paths]), np.array([path.clamp_events for path in paths])
+    return np.stack([path.states for path in paths]), np.array([path.clamp_count for path in paths])
 
 
 def _reference(name, runs, stride):
@@ -403,7 +397,7 @@ def test_streaming_ensemble_matches_materialised_states(request, name, runs, str
         request.getfixturevalue("zero_noise")
     cfg = STREAMING_CONFIGS[name]
     times, states, clamps = _reference(name, runs, stride)
-    expected = _stats_from_states(times, states, cfg.seed, clamps)
+    expected = _stats_from_states(times, states, clamps)
     stats = run_ensemble(CYCLE_PARAMS, START, cfg, runs, stride=stride, workers=workers)
     for field in ("times", "mean_n", "var_n", "band_lower_n", "band_upper_n",
                   "mean_p", "var_p", "band_lower_p", "band_upper_p"):
@@ -422,7 +416,7 @@ def test_streaming_moments_match_materialised_paths(request, name, runs, stride,
         request.getfixturevalue("zero_noise")
     cfg = STREAMING_CONFIGS[name]
     times, states, _ = _reference(name, runs, stride)
-    paths = [SamplePath(times=times, states=states[j], clamp_events=0, seed=cfg.seed, stream_index=j)
+    paths = [Trajectory(times, states[j], CYCLE_PARAMS, dt=cfg.delta * stride, clamp_count=0)
              for j in range(runs)]
     orders = (1.0, 2.5)
     # 3.0, and the recorded times that start the second block of rows and the

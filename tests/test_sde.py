@@ -11,11 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from rosmac import (
     DESK_STEPS,
+    AsymptoticKind,
     BlowupError,
     ModelParams,
     NoiseStream,
     SimConfig,
     State,
+    Trajectory,
+    detect_asymptotics,
     ensemble_moments,
     simulate_path,
 )
@@ -240,14 +243,27 @@ def test_simulate_path_reproducibility():
     a = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=9)
     b = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=9)
     assert np.array_equal(a.states, b.states)
-    assert a.clamp_events == b.clamp_events
+    assert a.clamp_count == b.clamp_count
     c = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=10)
     assert not np.array_equal(a.states, c.states)
-    assert a.seed == 42 and a.stream_index == 9
+    assert isinstance(a, Trajectory) and a.params == CYCLE_PARAMS and a.dt == cfg.delta
     assert len(a) == 501
     assert (a.states >= 0.0).all()
     with pytest.raises(ValueError):
         simulate_path(CYCLE_PARAMS, State(1.0, -0.5), cfg)
+
+
+def test_detect_asymptotics_reads_an_em_path():
+    """A path of either driver is a Trajectory: the zero-noise EM path at
+    delta = 0.01 settles on Euler's cycle (period 12.26, against RK4's 12.05),
+    and a noisy path that was projected reads undecided at its EM step."""
+    with zero_noise_streams():
+        euler = simulate_path(CYCLE_PARAMS, START, SimConfig(t_end=300.0, m_steps=30_000))
+    verdict = detect_asymptotics(euler)
+    assert verdict.kind is AsymptoticKind.LIMIT_CYCLE and abs(verdict.period - 12.26) < 0.01
+    noisy = simulate_path(CYCLE_PARAMS, START, SimConfig(t_end=10.0, m_steps=1_000, seed=42))
+    assert noisy.clamp_count == 1
+    assert detect_asymptotics(noisy).diagnostics.startswith("1 projection(s) to an axis at dt=0.01:")
 
 
 def test_an_absorbed_path_draws_only_the_chunks_it_steps(monkeypatch):
@@ -268,7 +284,7 @@ def test_an_absorbed_path_draws_only_the_chunks_it_steps(monkeypatch):
     monkeypatch.undo()
     whole = _em_on(CYCLE_PARAMS.m, CYCLE_PARAMS.c, CYCLE_PARAMS.k, *START, cfg.delta,
                    _whole_increments(cfg, 0))
-    assert path.states.tobytes() == whole[0].tobytes() and path.clamp_events == whole[1]
+    assert path.states.tobytes() == whole[0].tobytes() and path.clamp_count == whole[1]
 
 
 def test_simulate_path_memory_is_its_two_arrays():
@@ -300,7 +316,7 @@ def test_zero_noise_path_is_plain_euler(zero_noise):
         n, p = n + (n * (1.0 - n / k) - inter) * delta, p + (-c * p + inter) * delta
         assert path.states[i + 1, 0] == n
         assert path.states[i + 1, 1] == p
-    assert path.clamp_events == 0
+    assert path.clamp_count == 0
 
 
 def _driver_states(cfg, runs, stride):
@@ -316,7 +332,7 @@ def test_block_simulation_matches_scalar_bitwise():
     for stream in range(3, 6):
         single = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=stream)
         assert np.array_equal(states[stream], single.states)
-        assert clamps[stream] == single.clamp_events
+        assert clamps[stream] == single.clamp_count
 
 
 def test_block_simulation_stride_subsamples_the_same_path():
@@ -345,6 +361,42 @@ def test_ensemble_driver_rejects_a_step_that_its_drift_decides():
             next(_ensemble_chunks(*_DRIFT_DECIDED, runs, 1, workers))
 
 
+class _NormalsWithNanPredator:
+    """The standard_normal of a numpy Generator: zeros, and NaN for every predator
+    normal where `nan` is set."""
+
+    def __init__(self, nan):
+        self.nan = nan
+
+    def standard_normal(self, size=None, out=None):
+        out = np.zeros(size) if out is None else out
+        out[...] = 0.0
+        if self.nan:
+            out[..., 1] = math.nan
+        return out
+
+
+def test_a_blowup_in_a_step_that_its_drift_decides_is_a_blowup(monkeypatch):
+    """Both runs' prey drift part is -22.33 at step 1, and stream 1's predator
+    increment is NaN.  Alone, stream 0 is rejected as too coarse and stream 1
+    blows up; together, the ensemble driver reports the blow-up as the scalar
+    loop of stream 1 does, not the coarse step."""
+
+    class NanPredatorStream(sde.NoiseStream):
+        def __init__(self, seed, stream_index):
+            super().__init__(seed, stream_index)
+            self._rng = _NormalsWithNanPredator(stream_index == 1)
+
+    monkeypatch.setattr(sde, "NoiseStream", NanPredatorStream)
+    params, x0, cfg = _DRIFT_DECIDED
+    with pytest.raises(ValueError, match=_DRIFT_DECIDED_MESSAGE):
+        simulate_path(params, x0, cfg, stream_index=0)
+    with pytest.raises(BlowupError, match="at step 1 "):
+        simulate_path(params, x0, cfg, stream_index=1)
+    with pytest.raises(BlowupError, match="at step 1 "):
+        next(_ensemble_chunks(params, x0, cfg, 2, 1, 1))
+
+
 def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
@@ -352,7 +404,7 @@ def test_projections_that_noise_forces_are_counted():
     for _, clamps in dense_chunks(_ensemble_chunks(params, START, cfg, 2_000, 1, 2)):
         pass
     assert clamps.sum() == 3_666
-    counts = [simulate_path(params, START, cfg, stream_index=j).clamp_events for j in range(20)]
+    counts = [simulate_path(params, START, cfg, stream_index=j).clamp_count for j in range(20)]
     assert sum(counts) > 0
     assert sum(counts) == int(list(dense_chunks(_ensemble_chunks(params, START, cfg, 20, 1, 1)))[-1][1].sum())
 
@@ -376,7 +428,7 @@ def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
 
     monkeypatch.setattr(sde, "_check_drift_part", recording)
     for stream in range(5):
-        assert simulate_path(CYCLE_PARAMS, START, cfg, stream).clamp_events == 2
+        assert simulate_path(CYCLE_PARAMS, START, cfg, stream).clamp_count == 2
     assert len(parts) == 10 and all(part >= 0.0 for part, _, _ in parts)
     smallest, stream, step = min(parts)
     assert (stream, step, f"{smallest:.2e}") == (3, 119, "3.70e-04")
