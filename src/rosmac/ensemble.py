@@ -22,13 +22,15 @@ three moment orders.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import ModelParams, State
-from .sde import SimConfig, _ensemble_chunks, _run_sized
+from .ode import _sized
+from .sde import SimConfig, _ensemble_chunks
 
 __all__ = ["EnsembleStats", "MomentSeries", "ensemble_moments", "run_ensemble"]
 
@@ -114,10 +116,11 @@ def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers
     block of the compact rows is scattered by stream into one (rows, 2, runs)
     block whose dead columns are +0.0, so the pairwise tree sees every run in
     its place.  Returns the recorded times, the result and the last clamps."""
+    runs = operator.index(runs)  # a Python int, so that the work size cannot wrap
     times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
     out = np.empty((width, len(times)))
-    work = _run_sized(runs, (buffers * _REDUCE_ROWS * runs,))
-    block, placed, lo = _run_sized(runs, (_REDUCE_ROWS, 2, runs)), runs, 0
+    work = _sized("runs", runs, np.empty, (buffers * _REDUCE_ROWS * runs,))
+    block, placed, lo = _sized("runs", runs, np.empty, (_REDUCE_ROWS, 2, runs)), runs, 0
     for chunk, live, clamps in chunks:
         if len(live) < placed:  # the live set only shrinks: zero the columns that left it
             block.fill(0.0)
@@ -186,7 +189,7 @@ def ensemble_moments(
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
-    proxies = _run_sized(runs, (runs,), -np.inf)
+    proxies = _sized("runs", runs, np.full, (runs,), -np.inf)
 
     def moments(times, rows, out, work):
         norms, powers, scratch = work.reshape(3, len(rows), runs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -53,23 +54,39 @@ def _projected(n: float, p: float, clamps: int, step: int, dt: float) -> tuple[f
     return n, p, clamps
 
 
+def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill, dtype=float) -> np.ndarray:
+    """make(shape, *fill, dtype=dtype), make being np.empty, np.zeros or np.full,
+    for an array whose size grows with the input `name`; one MemoryError naming
+    name=value and the bytes where numpy cannot allocate it."""
+    try:
+        return make(shape, *fill, dtype=dtype)
+    except (MemoryError, ValueError, OverflowError):
+        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
+        raise MemoryError(f"cannot allocate {size} bytes for {name}={value}") from None
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A path on the uniform grid times[i] = i * dt: integrate's RK4 solution or
     simulate_path's EM path, with its projections to an axis in clamp_count."""
 
-    times: np.ndarray
     states: np.ndarray
     params: ModelParams
     dt: float
     clamp_count: int
 
     def __post_init__(self) -> None:
-        self.times.flags.writeable = False
         self.states.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.states)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The read-only grid np.arange(len(self)) * dt, built on first read."""
+        times = np.arange(len(self.states)) * self.dt
+        times.flags.writeable = False
+        return times
 
 
 class AsymptoticKind(Enum):
@@ -115,9 +132,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     m, c, k = params.m, params.c, params.k
     # Negating c is exact, so nc * p is -c * p bit for bit.
     h2, sixth, nc, inf = 0.5 * dt, dt / 6.0, -c, math.inf
-    # Before the states, so that the integer temporary is gone when they arrive.
-    times = np.arange(steps + 1) * dt
-    out = np.empty((steps + 1, 2))
+    out = _sized("t_end/dt", steps, np.empty, (steps + 1, 2))
     clamps = 0
     # A cast needs a C-contiguous buffer, so the view cannot be a detached copy.
     with memoryview(out).cast("B").cast("d") as flat:
@@ -149,7 +164,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
                 n, p, clamps = _projected(n, p, clamps, j // 2, dt)
             flat[j] = n
             flat[j + 1] = p
-    return Trajectory(times=times, states=out, params=params, dt=dt, clamp_count=clamps)
+    return Trajectory(out, params, dt, clamps)
 
 
 def vector_field_grid(params: ModelParams, grid: GridSpec) -> np.ndarray:
@@ -207,7 +222,6 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
         )
     start = len(traj) - max(2, int(len(traj) * tail_fraction))
     window = traj.states[start:]
-    times = traj.times[start:]
     lo = window.min(axis=0)
     hi = window.max(axis=0)
     ranges = hi - lo
@@ -239,6 +253,8 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
                 f"residual {max(abs(residual.dn), abs(residual.dp)):.3e} too large"
             ),
         )
+    # The window's times alone, with the bits of traj.times[start:].
+    times = np.arange(start, len(traj), dtype=float) * traj.dt
     crossings = _upward_crossings(times, window[:, 0], float(window[:, 0].mean()))
     if len(crossings) >= _REQUIRED_INTERVALS + 1:
         intervals = np.diff(crossings)[-_REQUIRED_INTERVALS:]

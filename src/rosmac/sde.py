@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ModelParams, State, _rates, checked_state
-from .ode import BlowupError, Trajectory, _projected
+from .ode import BlowupError, Trajectory, _projected, _sized
 
 __all__ = [
     "DESK_STEPS",
@@ -130,16 +130,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_sized(runs: int, shape: tuple[int, ...], fill=None, dtype=float) -> np.ndarray:
-    """np.empty(shape), or np.full with fill, for an array that grows with runs;
-    one MemoryError naming runs and the bytes where numpy cannot allocate it."""
-    try:
-        return np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
-    except (MemoryError, ValueError, OverflowError):
-        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
-        raise MemoryError(f"cannot allocate {size} bytes for runs={runs}") from None
-
-
 def _too_coarse(step: int, delta: float, component: str) -> ValueError:
     return ValueError(f"the drift alone takes {component} below 0 at step {step} "
                       f"(t={step * delta}, delta={delta}); step too coarse")
@@ -163,7 +153,7 @@ def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
     its step; a projection that the drift part alone forces raises ValueError.
     The origin (+0, +0) is absorbing: a path found there at a chunk start draws
     no more noise and stops stepping; its later rows keep +0.0."""
-    states = np.zeros((steps + 1, 2))
+    states = _sized("m_steps", steps, np.zeros, (steps + 1, 2))
     clamps = 0
     nc, sqrt, inf = -c, math.sqrt, math.inf
     # Python floats: the same IEEE operations as numpy scalars, several times
@@ -204,12 +194,10 @@ def simulate_path(
     The path is a Trajectory whose dt is the EM step and whose clamp_count
     counts the projections."""
     n, p = checked_state(x0)
-    # The times first, so that their integer temporary is gone before the states exist.
-    times = np.arange(cfg.m_steps + 1) * cfg.delta
     stream = NoiseStream(cfg.seed, stream_index)
     states, clamps = _em_path(params.m, params.c, params.k, n, p, cfg.delta, cfg.m_steps,
                               lambda size: stream.increments(size, cfg.delta))
-    return Trajectory(times, states, params, dt=cfg.delta, clamp_count=clamps)
+    return Trajectory(states, params, cfg.delta, clamps)
 
 
 def _ensemble_chunks(
@@ -248,12 +236,12 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
     steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
-    x = _run_sized(runs, (2, runs), [[n0], [p0]])
-    clamps = _run_sized(runs, (runs,), 0, np.int64)
+    x = _sized("runs", runs, np.full, (2, runs), [[n0], [p0]])
+    clamps = _sized("runs", runs, np.zeros, (runs,), dtype=np.int64)
     # Row i + 1 holds step i's noise, the first 2 count floats, and the recorded
     # states follow it compact, at rows r <= i + 1: a step has read its noise
     # row before it records.
-    buffer = _run_sized(runs, (chunk + 1, 2 * runs))
+    buffer = _sized("runs", runs, np.empty, (chunk + 1, 2 * runs))
     recorded = 1
     live = np.arange(runs)  # the stream index of each live run
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
@@ -335,8 +323,9 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                         decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
                         raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
                     negative = x < 0.0
-                    # live is unique, so each run's count gains its own projections.
-                    clamps[live] += negative.sum(axis=0)
+                    # live is unique, so each projected run's count gains its own projections.
+                    hit = np.flatnonzero(negative[0] | negative[1])
+                    clamps[live[hit]] += negative.take(hit, axis=1).sum(axis=0)
                     x[negative] = 0.0
                 # False for NaN and +inf.
                 if not np.maximum.reduce(x, axis=None) < math.inf:

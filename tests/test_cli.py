@@ -224,13 +224,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--out", str(tmp_path / "d")],
     ]
     # Errors that must name their cause: a box of one point has no vector field,
-    # and no run count whose first buffer is past 2**47 bytes can be allocated.
+    # and no run or step count whose first buffer is past 2**47 bytes can be allocated.
     named_cases = {
         ("phase-portrait", *CYCLE_FLAGS, "--grid", "1,1,1,1", "--res", "1"):
             "resolution must be >= 2, got 1",
         ("ensemble", *CYCLE_FLAGS, "--runs", "100000000000000", "-M", "10"): "runs",
         ("verify", *CYCLE_FLAGS, "--runs", "100000000000000", "-M", "10"): "runs",
         ("ensemble", *CYCLE_FLAGS, "--runs", "9223372036854775808", "-M", "10"): "runs",
+        ("simulate-sde", *CYCLE_FLAGS, "-M", "1000000000000"):
+            "cannot allocate 16000000000016 bytes for m_steps=1000000000000",
+        ("simulate-ode", *CYCLE_FLAGS, "-T", "1e12", "--dt", "1e-3"):
+            "cannot allocate 16000000000000016 bytes for t_end/dt=1000000000000000",
     }
     for argv in cases + zero_noise_cases + [list(argv) for argv in named_cases]:
         with zero_noise_streams(argv in zero_noise_cases):

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,9 +75,8 @@ def _lyapunov_exponent_proxy(path, t_min=1.0):
 
 
 def _constant_path(n, p, samples=5, spacing=0.5):
-    times = np.arange(samples) * spacing
     states = np.tile([float(n), float(p)], (samples, 1))
-    return Trajectory(times, states, CYCLE_PARAMS, dt=spacing, clamp_count=0)
+    return Trajectory(states, CYCLE_PARAMS, dt=spacing, clamp_count=0)
 
 
 def test_pairwise_sum_agrees_with_flat_sum():
@@ -266,6 +266,21 @@ def test_ensemble_validation():
             run_ensemble(CYCLE_PARAMS, x0, cfg, runs=4)
 
 
+def test_unallocatable_numpy_run_count_names_runs_without_overflow():
+    # A run count in numpy's int64 whose work size would wrap: Python ints keep
+    # the size exact, so the error names runs and no overflow warning comes first.
+    cfg = SimConfig(t_end=2.0, m_steps=10)
+    runs = np.int64(2**61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ensemble in (
+            lambda: run_ensemble(CYCLE_PARAMS, START, cfg, runs),
+            lambda: ensemble_moments(CYCLE_PARAMS, START, cfg, runs, (2.0,)),
+        ):
+            with pytest.raises(MemoryError, match=f"bytes for runs={2**61}$"):
+                ensemble()
+
+
 def test_ensemble_memory_does_not_grow_with_steps():
     # Chunks are reduced as they are produced, so only the O(m_steps) outputs
     # grow with the grid; a (runs, recorded, 2) tensor would add 16 bytes per
@@ -416,7 +431,7 @@ def test_streaming_moments_match_materialised_paths(request, name, runs, stride,
         request.getfixturevalue("zero_noise")
     cfg = STREAMING_CONFIGS[name]
     times, states, _ = _reference(name, runs, stride)
-    paths = [Trajectory(times, states[j], CYCLE_PARAMS, dt=cfg.delta * stride, clamp_count=0)
+    paths = [Trajectory(states[j], CYCLE_PARAMS, dt=cfg.delta * stride, clamp_count=0)
              for j in range(runs)]
     orders = (1.0, 2.5)
     # 3.0, and the recorded times that start the second block of rows and the

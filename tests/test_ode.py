@@ -12,12 +12,14 @@ from rosmac import (
     BlowupError,
     GridSpec,
     ModelParams,
+    SimConfig,
     State,
     Trajectory,
     coexistence_point,
     detect_asymptotics,
     drift,
     integrate,
+    simulate_path,
     vector_field_grid,
 )
 from rosmac.model import _rates
@@ -159,10 +161,10 @@ def test_inlined_rk4_loop_matches_the_rk4_update_reference():
     assert any(clamps > 0 for _, clamps in outcomes[5:]), "no random case projects"
 
 
-def test_integrate_memory_is_its_two_arrays():
-    # The (steps + 1, 2) states and the times, half their size, are all that
-    # integrate allocates; storing each state as Python floats first would
-    # add 64 bytes a step.
+def test_integrate_memory_is_its_states():
+    # The (steps + 1, 2) states are all that integrate allocates: the times
+    # are derived from dt when read, and storing each state as Python floats
+    # first would add 64 bytes a step.
     steps = 200_000
     integrate(CYCLE_PARAMS, START, 1.0, dt=1e-3)
     tracemalloc.start()
@@ -172,7 +174,39 @@ def test_integrate_memory_is_its_two_arrays():
     finally:
         tracemalloc.stop()
     assert len(traj) == steps + 1
-    assert peak <= 1.5 * traj.states.nbytes + 65_536
+    assert peak <= traj.states.nbytes + 65_536
+
+
+def test_long_run_verdict_allocates_about_its_window():
+    # The verdict reads the trailing quarter: its times (8 bytes a sample) and
+    # three boolean masks for its crossings make 11 bytes a window sample.  The
+    # whole time axis, 8 bytes a step, would not fit.
+    traj = integrate(CYCLE_PARAMS, START, 600.0, dt=1e-3)
+    tracemalloc.start()
+    try:
+        verdict = detect_asymptotics(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind is AsymptoticKind.LIMIT_CYCLE
+    assert peak <= 11 * (len(traj) // 4) + 65_536
+    assert "times" not in vars(traj)  # the full axis was never built
+
+
+@pytest.mark.parametrize("driver", ["integrate", "simulate_path"])
+def test_times_are_the_grid_derived_from_dt(driver):
+    # The bits each driver built before its times were derived.
+    if driver == "integrate":
+        t_end, dt = 2.0, 3e-3
+        traj = integrate(CYCLE_PARAMS, START, t_end, dt=dt)
+        built = np.arange(round(t_end / dt) + 1) * dt
+    else:
+        cfg = SimConfig(t_end=3.0, m_steps=777, seed=2)
+        traj = simulate_path(CYCLE_PARAMS, START, cfg)
+        built = np.arange(cfg.m_steps + 1) * cfg.delta
+    times = traj.times
+    assert times.tobytes() == built.tobytes() == (np.arange(len(traj)) * traj.dt).tobytes()
+    assert not times.flags.writeable and traj.times is times
 
 
 def test_vector_field_grid_layout():
@@ -257,7 +291,7 @@ def test_detect_undecided_for_unstable_crossing_intervals():
     # 0.2 over the tail t in [15, 20], so its many crossings are unevenly spaced.
     times = np.arange(2000) * 0.01
     states = np.column_stack([1.0 + 0.5 * np.sin(np.pi * times**2 / 4.0), np.ones_like(times)])
-    traj = Trajectory(times=times, states=states, params=CYCLE_PARAMS, dt=0.01, clamp_count=0)
+    traj = Trajectory(states=states, params=CYCLE_PARAMS, dt=0.01, clamp_count=0)
     verdict = detect_asymptotics(traj)
     assert verdict.kind is AsymptoticKind.UNDECIDED
     assert verdict.diagnostics.startswith("crossing intervals unstable")

@@ -287,10 +287,9 @@ def test_an_absorbed_path_draws_only_the_chunks_it_steps(monkeypatch):
     assert path.states.tobytes() == whole[0].tobytes() and path.clamp_count == whole[1]
 
 
-def test_simulate_path_memory_is_its_two_arrays():
-    # The (steps + 1, 2) states and the times, half their size, are all that
-    # simulate_path holds: the noise is drawn a chunk at a time, and the
-    # times' integer temporary is gone before the states exist.
+def test_simulate_path_memory_is_its_states():
+    # The (steps + 1, 2) states are all that simulate_path holds: the noise is
+    # drawn a chunk at a time, and the times are derived from dt when read.
     steps = 200_000
     simulate_path(CYCLE_PARAMS, START, SimConfig(t_end=1.0, m_steps=10))
     tracemalloc.start()
@@ -301,7 +300,7 @@ def test_simulate_path_memory_is_its_two_arrays():
         tracemalloc.stop()
     # Never at the origin, so every chunk is drawn.
     assert len(path) == steps + 1 and path.states[-1].any()
-    assert peak <= 1.5 * path.states.nbytes + 65_536
+    assert peak <= path.states.nbytes + 65_536
 
 
 def test_zero_noise_path_is_plain_euler(zero_noise):
