@@ -175,29 +175,26 @@ def _parse_orders(text: str) -> list[float]:
 _CSV_BLOCK_ROWS = 16384  # bounds the Python floats and text held at once
 
 
-def _csv_blocks(table: np.ndarray, row: str):
-    """The CSV bytes of table's rows, one %-operation per block of rows."""
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
-
-
 def _write_csv(path: Path, columns: dict[str, Any]) -> None:
     """Write named, equal-length columns as csv.writer would with format(x, ".17g")
-    cells, formatting a block of rows at a time with one %-operation.
+    cells: one %-operation per block of rows, on a stack of that block's column slices.
 
     The trailing rows whose cells after the first are all +0.0 (an absorbed path's
     tail) are formatted from their first cell alone: "%.17g" % 0.0 is "0".  A -0.0
     prints "-0", so a row holding one is not part of that tail.
     """
-    table = np.column_stack([np.asarray(column, dtype=float) for column in columns.values()])
-    rest = table[:, 1:]
-    live = ~((rest == 0) & ~np.signbit(rest)).all(axis=1)
-    end = np.flatnonzero(live).max(initial=-1) + 1
+    first, *rest = [np.asarray(column, dtype=float) for column in columns.values()]
+    tail = np.ones(len(first), dtype=bool)
+    for column in rest:  # +0.0 is the one float whose bits are all zero
+        tail &= column.view(np.uint64) == 0
+    end = 0 if tail.all() else len(tail) - int(tail[::-1].argmin())
     with path.open("wb") as handle:
         handle.write((",".join(columns) + "\r\n").encode("ascii"))
-        handle.writelines(_csv_blocks(table[:end], ",".join(["%.17g"] * len(columns)) + "\r\n"))
-        handle.writelines(_csv_blocks(table[end:, :1], "%.17g" + ",0" * rest.shape[1] + "\r\n"))
+        for lo, hi, cells in ((0, end, [first, *rest]), (end, len(first), [first])):
+            row = ",".join(["%.17g"] * len(cells) + ["0"] * (len(columns) - len(cells))) + "\r\n"
+            for start in range(lo, hi, _CSV_BLOCK_ROWS):
+                block = np.column_stack([cell[start:hi][:_CSV_BLOCK_ROWS] for cell in cells])
+                handle.write((row * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
 def _write_states(path: Path, traj: ode.Trajectory) -> None:

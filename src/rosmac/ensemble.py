@@ -22,14 +22,12 @@ three moment orders.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, State
-from .ode import _sized
+from .model import ModelParams, State, _integer, _sized
 from .sde import SimConfig, _ensemble_chunks
 
 __all__ = ["EnsembleStats", "MomentSeries", "ensemble_moments", "run_ensemble"]
@@ -116,7 +114,7 @@ def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers
     block of the compact rows is scattered by stream into one (rows, 2, runs)
     block whose dead columns are +0.0, so the pairwise tree sees every run in
     its place.  Returns the recorded times, the result and the last clamps."""
-    runs = operator.index(runs)  # a Python int, so that the work size cannot wrap
+    runs = _integer("runs", runs)  # a Python int, so that the work size cannot wrap
     times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
     out = np.empty((width, len(times)))
     work = _sized("runs", runs, np.empty, (buffers * _REDUCE_ROWS * runs,))

@@ -27,6 +27,7 @@ conversions) of each species.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,9 +53,27 @@ class State(NamedTuple):
     p: float
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (numpy's are) and no bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill, dtype=float) -> np.ndarray:
+    """make(shape, *fill, dtype=dtype), make being np.empty, np.zeros, np.full or a
+    linspace, for an array whose size grows with the input `name`; one MemoryError
+    naming name=value and the bytes where numpy cannot allocate it."""
+    try:
+        return make(shape, *fill, dtype=dtype)
+    except (MemoryError, ValueError, OverflowError):
+        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
+        raise MemoryError(f"cannot allocate {size} bytes for {name}={value}") from None
+
+
 def checked_state(x, what: str = "x0") -> State:
-    """x as a float State; ValueError unless both components are finite and >= 0."""
-    n, p = float(x[0]), float(x[1])
+    """x as a float State; ValueError unless it is exactly two finite components >= 0."""
+    n, p = (float(x[0]), float(x[1])) if np.shape(x) == (2,) else (math.nan, math.nan)
     if not (0.0 <= n < math.inf and 0.0 <= p < math.inf):
         raise ValueError(f"{what} must be a finite point of the closed quadrant, got {x!r}")
     return State(n, p)
@@ -76,7 +95,7 @@ class GridSpec:
             and 0.0 <= self.p_min <= self.p_max < math.inf
         ):
             raise ValueError("grid bounds must be finite, ordered and >= 0")
-        if self.resolution < 1:
+        if _integer("resolution", self.resolution) < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         # One sample would stand for the whole box: its corner (n_min, p_min).
         box = self.n_min < self.n_max or self.p_min < self.p_max
@@ -84,9 +103,11 @@ class GridSpec:
             raise ValueError("resolution 1 samples one corner; a box needs resolution >= 2")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.n_min, self.n_max, self.resolution),
-            np.linspace(self.p_min, self.p_max, self.resolution),
+        """np.linspace over each axis, allocated through _sized, which names res."""
+        res = self.resolution
+        return tuple(
+            _sized("res", res, lambda shape, dtype: np.linspace(lo, hi, *shape, dtype=dtype), (res,))
+            for lo, hi in ((self.n_min, self.n_max), (self.p_min, self.p_max))
         )
 
 

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .equilibria import HYPERBOLICITY_TOL, _eigenvalues_2x2, jacobian
-from .model import GridSpec, ModelParams, State, _rates, checked_state, drift
+from .model import GridSpec, ModelParams, State, _rates, _sized, checked_state, drift
 
 __all__ = [
     "AsymptoticKind",
@@ -52,17 +52,6 @@ def _projected(n: float, p: float, clamps: int, step: int, dt: float) -> tuple[f
         p = 0.0
         clamps += 1
     return n, p, clamps
-
-
-def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill, dtype=float) -> np.ndarray:
-    """make(shape, *fill, dtype=dtype), make being np.empty, np.zeros or np.full,
-    for an array whose size grows with the input `name`; one MemoryError naming
-    name=value and the bytes where numpy cannot allocate it."""
-    try:
-        return make(shape, *fill, dtype=dtype)
-    except (MemoryError, ValueError, OverflowError):
-        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
-        raise MemoryError(f"cannot allocate {size} bytes for {name}={value}") from None
 
 
 @dataclass(frozen=True)
@@ -172,10 +161,12 @@ def vector_field_grid(params: ModelParams, grid: GridSpec) -> np.ndarray:
     a drift that is not finite raises ValueError naming the first such point."""
     if grid.resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {grid.resolution}")
-    n, p = np.meshgrid(*grid.axes(), indexing="ij")
+    ns, ps = grid.axes()
+    field = _sized("res", grid.resolution, np.empty, (len(ns), len(ps), 4))
+    field[..., 0], field[..., 1] = ns[:, None], ps  # the "ij" mesh
     with np.errstate(over="ignore", invalid="ignore"):
-        dn, dp, _, _ = _rates(params.m, params.c, params.k, n, p)
-    field = np.stack([n, p, dn, dp], axis=-1).reshape(-1, 4)
+        field[..., 2], field[..., 3], _, _ = _rates(params.m, params.c, params.k, ns[:, None], ps)
+    field = field.reshape(-1, 4)
     finite = np.isfinite(field[:, 2:]).all(axis=1)
     if not finite.all():
         x = tuple(field[finite.argmin(), :2].tolist())

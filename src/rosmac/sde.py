@@ -34,7 +34,6 @@ draw, so any path regenerates alone and ensembles are schedule-independent.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +42,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, _rates, checked_state
-from .ode import BlowupError, Trajectory, _projected, _sized
+from .model import ModelParams, State, _integer, _rates, _sized, checked_state
+from .ode import BlowupError, Trajectory, _projected
 
 __all__ = [
     "DESK_STEPS",
@@ -64,13 +63,6 @@ _CHUNK_STEPS = 256
 
 # Streams that one ensemble thread draws into its scratch block at a time.
 _DRAW_STREAMS = 64
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer (numpy's are) and no bool."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

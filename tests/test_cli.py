@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,24 @@ def test_csv_writer_starts_no_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
     _assert_reference_bytes(tmp_path, _edge_table(65_537, 3))
+
+
+def test_csv_writer_memory_is_one_block_not_the_table(tmp_path):
+    """Each block is stacked from its slices of the columns: beyond one block's floats
+    and text, the writer holds at most two booleans per row (the tail mask and a test)."""
+    rows = 2**19 + 3
+    states = np.random.default_rng(1).random((rows, 2)) + 0.5  # live throughout: no tail
+    columns = {"t": np.arange(rows) * 1e-3, "N": states[:, 0], "P": states[:, 1]}
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "live.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows + 100 * 3 * cli._CSV_BLOCK_ROWS  # about 6.0 MB
+    header, written = _read_csv(tmp_path / "live.csv")
+    assert header == ["t", "N", "P"] and len(written) == rows
+    assert [float(cell) for cell in written[-1]] == [columns[name][-1] for name in header]
 
 
 def test_readme_size_path_csv_formats_its_absorbed_tail_to_reference_bytes(tmp_path, capsys):
@@ -224,7 +243,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["simulate-sde", *CYCLE_FLAGS, *small, "--stream", "-1", "--out", str(tmp_path / "d")],
     ]
     # Errors that must name their cause: a box of one point has no vector field,
-    # and no run or step count whose first buffer is past 2**47 bytes can be allocated.
+    # and no run count, step count or resolution whose first buffer is past 2**42
+    # bytes can be allocated.
     named_cases = {
         ("phase-portrait", *CYCLE_FLAGS, "--grid", "1,1,1,1", "--res", "1"):
             "resolution must be >= 2, got 1",
@@ -235,6 +255,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             "cannot allocate 16000000000016 bytes for m_steps=1000000000000",
         ("simulate-ode", *CYCLE_FLAGS, "-T", "1e12", "--dt", "1e-3"):
             "cannot allocate 16000000000000016 bytes for t_end/dt=1000000000000000",
+        ("phase-portrait", *CYCLE_FLAGS, "--res", "1000000000000"):
+            "cannot allocate 8000000000000 bytes for res=1000000000000",
+        ("verify", *CYCLE_FLAGS, "--res", "1000000000000"):
+            "cannot allocate 8000000000000 bytes for res=1000000000000",
+        ("phase-portrait", *CYCLE_FLAGS, "--res", "1000000"):  # the axes fit, the mesh not
+            "cannot allocate 32000000000000 bytes for res=1000000",
     }
     for argv in cases + zero_noise_cases + [list(argv) for argv in named_cases]:
         with zero_noise_streams(argv in zero_noise_cases):

@@ -9,11 +9,13 @@ from rosmac import (
     GridSpec,
     ModelParams,
     RawParams,
+    SimConfig,
     State,
     check_generator_inequality,
     drift,
     integrate,
     nondimensionalize,
+    simulate_path,
     verification,
 )
 from rosmac.model import _rates, checked_state
@@ -32,9 +34,17 @@ def test_param_validation_rejects_nonpositive():
 
 def test_checked_state_accepts_finite_points_of_the_closed_quadrant_only():
     assert checked_state((0, 2)) == State(0.0, 2.0)
-    for bad in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 1.0)):
+    for good in (State(1.0, 0.6), [1, 0.6], np.array([1.0, 0.6])):
+        assert checked_state(good) == State(1.0, 0.6)
+    # Exactly two components: a third is not dropped, a missing one is no traceback.
+    for bad in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 1.0),
+                (1, 0.6, 5), 5, [1], None, "10", np.array([[1.0, 0.6]])):
         with pytest.raises(ValueError, match="finite point of the closed quadrant"):
             checked_state(bad)
+    with pytest.raises(ValueError, match="finite point of the closed quadrant"):
+        integrate(CYCLE_PARAMS, (1, 0.6, 5), 1.0, 0.01)
+    with pytest.raises(ValueError, match="finite point of the closed quadrant"):
+        simulate_path(CYCLE_PARAMS, (1, 0.6, 7), SimConfig(t_end=1.0, m_steps=10))
 
 
 def test_nondimensionalize_reference_point():

@@ -48,6 +48,11 @@ def test_constant_domain_errors():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 0)
+    for resolution in (2.5, "3", True):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            GridSpec(0.0, 1.0, 0.0, 1.0, resolution)
+    assert [axis.tolist() for axis in GridSpec(0.0, 1.0, 0.0, 1.0, np.int64(3)).axes()] == [
+        [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
     # One sample covers a point, not a box: each axis needs both endpoints.
     for bounds in ((0.0, 1.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0)):
         with pytest.raises(ValueError, match="resolution 1"):
