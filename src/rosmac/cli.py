@@ -326,10 +326,7 @@ def _cmd_analyze(params: ModelParams, x0: None, options: dict[str, Any]) -> int:
         "coexistence_exists": coexistence_exists(params),
         "extinction": {"outcome": verdict.outcome.value, "rationale": verdict.rationale},
     }
-    if params.m > params.c:
-        result["hopf_k"] = hopf_threshold(params.m, params.c)
-    else:
-        result["hopf_k"] = None
+    result["hopf_k"] = hopf_threshold(params.m, params.c) if params.m > params.c else None
     if coexistence_exists(params):
         lhs, rhs = trace_identity_check(params)
         result["trace_identity"] = {"lhs": lhs, "rhs": rhs}

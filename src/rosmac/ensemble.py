@@ -113,7 +113,7 @@ def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers
     work buffer of `buffers` x rows x runs floats.  Once a run has died, each
     block of the compact rows is scattered by stream into one (rows, 2, runs)
     block whose dead columns are +0.0, so the pairwise tree sees every run in
-    its place.  Returns the recorded times, the result and the last clamps."""
+    its place.  Returns the recorded times, the result and the projection total."""
     runs = _integer("runs", runs)  # a Python int, so that the work size cannot wrap
     times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
     out = np.empty((width, len(times)))
@@ -162,7 +162,7 @@ def run_ensemble(
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
     times, moments, clamps = _reduced(chunks, runs, cfg, stride, 4, 4, _mean_var)
-    return _ensemble_stats(times, moments, int(clamps.sum()))
+    return _ensemble_stats(times, moments, clamps)
 
 
 def ensemble_moments(

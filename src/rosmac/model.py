@@ -73,7 +73,11 @@ def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill, dtype=flo
 
 def checked_state(x, what: str = "x0") -> State:
     """x as a float State; ValueError unless it is exactly two finite components >= 0."""
-    n, p = (float(x[0]), float(x[1])) if np.shape(x) == (2,) else (math.nan, math.nan)
+    try:
+        shape = np.shape(x)
+    except ValueError:  # a ragged sequence
+        shape = None
+    n, p = (float(x[0]), float(x[1])) if shape == (2,) else (math.nan, math.nan)
     if not (0.0 <= n < math.inf and 0.0 <= p < math.inf):
         raise ValueError(f"{what} must be a finite point of the closed quadrant, got {x!r}")
     return State(n, p)

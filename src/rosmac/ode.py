@@ -179,8 +179,6 @@ def _upward_crossings(times: np.ndarray, values: np.ndarray, level: float) -> np
     below = values[:-1] < level
     at_or_above = values[1:] >= level
     idx = np.nonzero(below & at_or_above)[0]
-    if len(idx) == 0:
-        return np.empty(0)
     frac = (level - values[idx]) / (values[idx + 1] - values[idx])
     return times[idx] + frac * (times[idx + 1] - times[idx])
 

@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
         if _integer("m_steps", self.m_steps) < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
+        if not (self.t_end / self.m_steps > 0.0):
+            raise ValueError(f"t_end / m_steps must be > 0, got {self.t_end!r} / {self.m_steps!r}")
         if not (0 <= _integer("seed", self.seed) < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -194,14 +196,14 @@ def simulate_path(
 
 def _ensemble_chunks(
     params: ModelParams, x0: State, cfg: SimConfig, runs: int, stride: int, workers: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Advance the paths on streams 0..runs-1 together, one step at a time.
 
     Checks its arguments when called and returns a generator that yields
     (rows, live, clamps) per chunk of steps: rows is the (recorded, 2, count)
     states of every `stride`-th step for the count runs still live, x0 leading
-    the first chunk; live their stream indices, ascending; clamps the per-path
-    projection counts so far.  rows is a view of the one chunk buffer, which
+    the first chunk; live their stream indices, ascending; clamps the number of
+    projections so far.  rows is a view of the one chunk buffer, which
     the next chunk overwrites.  One generator per stream makes
     chunked draws equal a single draw; the calling thread and `workers` - 1
     helper threads, at most one thread per usable CPU, split the draws by
@@ -229,7 +231,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
     x = _sized("runs", runs, np.full, (2, runs), [[n0], [p0]])
-    clamps = _sized("runs", runs, np.zeros, (runs,), dtype=np.int64)
+    clamps = 0
     # Row i + 1 holds step i's noise, the first 2 count floats, and the recorded
     # states follow it compact, at rows r <= i + 1: a step has read its noise
     # row before it records.
@@ -315,9 +317,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                         decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
                         raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
                     negative = x < 0.0
-                    # live is unique, so each projected run's count gains its own projections.
-                    hit = np.flatnonzero(negative[0] | negative[1])
-                    clamps[live[hit]] += negative.take(hit, axis=1).sum(axis=0)
+                    clamps += np.count_nonzero(negative)
                     x[negative] = 0.0
                 # False for NaN and +inf.
                 if not np.maximum.reduce(x, axis=None) < math.inf:

@@ -50,11 +50,12 @@ def zero_noise_streams(active: bool = True):
         sde.NoiseStream = saved
 
 
-def dense_chunks(chunks):
-    """The ensemble driver's (rows, live, clamps) chunks as (states, clamps): each
-    chunk's rows of the live runs scattered by stream into a new (recorded, 2,
-    runs) array whose dead runs' columns are +0.0."""
+def dense_chunks(chunks, runs):
+    """The ensemble driver's (rows, live, clamps) chunks of `runs` runs as (states,
+    clamps): each chunk's rows of the live runs scattered by stream into a new
+    (recorded, 2, runs) array whose dead runs' columns are +0.0, and the total
+    of projections so far."""
     for rows, live, clamps in chunks:
-        states = np.zeros((len(rows), 2, len(clamps)))
+        states = np.zeros((len(rows), 2, runs))
         states[:, :, live] = rows
         yield states, clamps

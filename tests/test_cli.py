@@ -210,6 +210,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["simulate-ode", *CYCLE_FLAGS, "-T", "1", "--dt", "nan"],
         # A stride of 0: both ensemble functions reject it before building a time grid.
         ["ensemble", *CYCLE_FLAGS, *small, "--runs", "4", "--stride", "0"],
+        # A step t_end / m_steps that underflows to 0.
+        ["ensemble", *CYCLE_FLAGS, "-T", "5e-324", "-M", "10", "--runs", "2", "--out", str(tmp_path / "d")],
         ["verify", *CYCLE_FLAGS, "-T", "2", "-M", "10", "--runs", "4", "--stride", "0"],
         # Too large for float64: grid slacks and SDE states that are not finite.
         ["verify", *CYCLE_FLAGS, "--grid", "1e-3,1e60,1e-3,1e60", "--res", "3"],
@@ -668,8 +670,7 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # The bands come from the compacted driver: its means and variances are
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
-    _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), np.zeros(4, dtype=np.int64))],
-                              4, cfg, 1, 4, 4, _mean_var)
+    _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), 0)], 4, cfg, 1, 4, 4, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

@@ -107,7 +107,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rows = _oracle_states(times, runs, rng)
     # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
-    _, got, _ = _reduced([(rows, np.arange(runs), np.zeros(runs, dtype=np.int64))], runs, grid, 1, 4, 4, _mean_var)
+    _, got, _ = _reduced([(rows, np.arange(runs), 0)], runs, grid, 1, 4, 4, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -143,9 +143,8 @@ def test_reduction_scatters_compact_rows_by_stream(lives):
         rows = _oracle_states(size, runs, rng)[:, :, : len(live)]
         states = np.zeros((size, 2, runs))
         states[:, :, live] = rows
-        clamps = np.zeros(runs, dtype=np.int64)
-        compact.append((rows, live, clamps))
-        expanded.append((states, np.arange(runs), clamps))
+        compact.append((rows, live, 0))
+        expanded.append((states, np.arange(runs), 0))
     cfg = SimConfig(t_end=77.0, m_steps=(sum(sizes) - 1) * stride)
     _, moments, _ = _reduced(compact, runs, cfg, stride, 4, 4, _mean_var)
     _, expected, _ = _reduced(expanded, runs, cfg, stride, 4, 4, _mean_var)

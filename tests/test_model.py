@@ -38,7 +38,7 @@ def test_checked_state_accepts_finite_points_of_the_closed_quadrant_only():
         assert checked_state(good) == State(1.0, 0.6)
     # Exactly two components: a third is not dropped, a missing one is no traceback.
     for bad in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 1.0),
-                (1, 0.6, 5), 5, [1], None, "10", np.array([[1.0, 0.6]])):
+                (1, 0.6, 5), 5, [1], None, "10", np.array([[1.0, 0.6]]), [1, [2, 3]]):
         with pytest.raises(ValueError, match="finite point of the closed quadrant"):
             checked_state(bad)
     with pytest.raises(ValueError, match="finite point of the closed quadrant"):

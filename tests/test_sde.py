@@ -48,6 +48,8 @@ def test_simconfig_validation_and_delta():
         SimConfig(t_end=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, m_steps=0)
+    with pytest.raises(ValueError, match="t_end / m_steps must be > 0, got 5e-324 / 10"):
+        SimConfig(t_end=5e-324, m_steps=10)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, seed=-1)
 
@@ -319,19 +321,18 @@ def test_zero_noise_path_is_plain_euler(zero_noise):
 
 
 def _driver_states(cfg, runs, stride):
-    """Concatenate the driver's chunks into (runs, recorded, 2) plus clamps."""
-    chunks = [(rows, clamps.copy()) for rows, clamps in
-              dense_chunks(_ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1))]
+    """Concatenate the driver's chunks into (runs, recorded, 2) plus the projection total."""
+    chunks = list(dense_chunks(_ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1), runs))
     return np.concatenate([rows for rows, _ in chunks]).transpose(2, 0, 1), chunks[-1][1]
 
 
 def test_block_simulation_matches_scalar_bitwise():
     cfg = SimConfig(t_end=2.0, m_steps=500, seed=7)
     states, clamps = _driver_states(cfg, runs=6, stride=1)
+    singles = [simulate_path(CYCLE_PARAMS, START, cfg, stream_index=stream) for stream in range(6)]
     for stream in range(3, 6):
-        single = simulate_path(CYCLE_PARAMS, START, cfg, stream_index=stream)
-        assert np.array_equal(states[stream], single.states)
-        assert clamps[stream] == single.clamp_count
+        assert np.array_equal(states[stream], singles[stream].states)
+    assert clamps == sum(single.clamp_count for single in singles)
 
 
 def test_block_simulation_stride_subsamples_the_same_path():
@@ -400,12 +401,12 @@ def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
     params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
-    for _, clamps in dense_chunks(_ensemble_chunks(params, START, cfg, 2_000, 1, 2)):
+    for _, _, clamps in _ensemble_chunks(params, START, cfg, 2_000, 1, 2):
         pass
-    assert clamps.sum() == 3_666
+    assert clamps == 3_666
     counts = [simulate_path(params, START, cfg, stream_index=j).clamp_count for j in range(20)]
     assert sum(counts) > 0
-    assert sum(counts) == int(list(dense_chunks(_ensemble_chunks(params, START, cfg, 20, 1, 1)))[-1][1].sum())
+    assert sum(counts) == list(_ensemble_chunks(params, START, cfg, 20, 1, 1))[-1][2]
 
 
 def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
@@ -477,14 +478,15 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
 
 
 def _check_against_dense(params, x0, cfg, runs, stride, workers):
-    """Assert that every chunk's rows and clamp counts equal the dense reference's,
-    stream by stream and sign bits included; return the runs at (+0, +0) after each chunk.
+    """Assert that every chunk's rows equal the dense reference's, stream by stream
+    and sign bits included, and its projection total the sum of the reference's
+    counts up to that chunk; return the runs at (+0, +0) after each chunk.
     Where the reference rejects a step of some stream, because its drift part leaves
     the quadrant, the chunk must raise that ValueError at the first such step; return
     None then."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
     increments = [_whole_increments(cfg, stream) for stream in range(runs)]
-    chunks = dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, workers))
+    chunks = dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, workers), runs)
     absorbed, first = [], 0
     for end in range(_CHUNK_STEPS, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
         expected, rejected = [], []
@@ -503,7 +505,7 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
         rows, clamps = next(chunks)
         for stream, (states, count) in enumerate(expected):
             assert rows[:, :, stream].tobytes() == states[::stride][first:].tobytes(), (stream, end)
-            assert clamps[stream] == count, (stream, end)
+        assert clamps == sum(count for _, count in expected), end
         first += len(rows)
         absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
     assert next(chunks, None) is None
@@ -530,8 +532,8 @@ def test_compacted_ensemble_matches_dense_reference_across_chunks(x0, stride):
         params, cfg = _COARSE
         _check_against_dense(params, x0, cfg, runs, stride, workers)
     if x0 == START:  # the coarse steps project both components of every run
-        clamps = list(dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, 1)))[-1][1]
-        assert clamps.tolist() == [2] * runs
+        clamps = list(_ensemble_chunks(params, x0, cfg, runs, stride, 1))[-1][2]
+        assert clamps == 2 * runs
 
 
 @settings(max_examples=25, deadline=None)
@@ -672,7 +674,7 @@ def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers
             first_bad.append((_rejection(exc)[1], "rejected"))
     rows = []
     try:
-        for chunk, _ in dense_chunks(_ensemble_chunks(params, x0, cfg, runs, 1, workers)):
+        for chunk, _ in dense_chunks(_ensemble_chunks(params, x0, cfg, runs, 1, workers), runs):
             rows.append(chunk.copy())
     except BlowupError as exc:
         # The ensemble stops at the first step where any of its paths fails, and
