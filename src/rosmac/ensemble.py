@@ -9,15 +9,13 @@ Estimators follow the plain Monte Carlo forms
 with half-width bands mean +/- sqrt(var)/2.  Sums over runs are reduced with
 an explicit pairwise tree whose shape depends only on the run count, and path
 j always uses noise stream j, so results are bit-identical for any number of
-worker threads.  Both functions reduce each chunk of recorded states as the
-driver yields it, 32 time rows at a time, into one preallocated result, so
+worker threads.  Both functions reduce each block of recorded states as the
+driver yields it, 32 time rows of every run, into one preallocated result, so
 memory is O(runs x chunk) with no runs x recorded tensor: the driver's one
-runs x chunk buffer, in which the live runs' states are recorded compact
-behind the chunk's noise, four blocks of rows for the bands, whose tree
-passes take both components at once, or three for the moments, and one
-(rows, 2, runs) block into which the compact rows are scattered by stream.
-At 2,000 runs x 4,000 steps the tracemalloc peak is 13.6 MB, and 13.0 MB for
-three moment orders.
+runs x chunk buffer and its one (32, 2, runs) block, and four blocks of rows
+for the bands, whose tree passes take both components at once, or three for
+the moments.  At 2,000 runs x 4,000 steps the tracemalloc peak is 13.5 MB,
+and 13.0 MB for three moment orders.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams, State, _integer, _sized
-from .sde import SimConfig, _ensemble_chunks
+from .sde import _BLOCK_ROWS, SimConfig, _ensemble_chunks
 
 __all__ = ["EnsembleStats", "MomentSeries", "ensemble_moments", "run_ensemble"]
 
@@ -66,11 +64,6 @@ class MomentSeries:
         self.values.flags.writeable = False
 
 
-# Time rows per block of the run-axis reduction, whose work buffer is four or
-# three such blocks of runs floats.
-_REDUCE_ROWS = 32
-
-
 def _pairwise_sum(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Sum the (rows, count) values over count with a fixed halving tree whose
     shape depends only on count: each level adds neighbours 2i and 2i + 1 and
@@ -106,33 +99,19 @@ def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.nda
                   out=variances)
 
 
-def _reduced(chunks, runs: int, cfg: SimConfig, stride: int, width: int, buffers: int, step):
-    """Reduce the driver's (rows, live, clamps) chunks of `runs` runs over the
-    runs in blocks of _REDUCE_ROWS rows: step(times, rows, out, work) gets a block's
-    times, (rows, 2, runs) states, (width, rows) result columns and a contiguous
-    work buffer of `buffers` x rows x runs floats.  Once a run has died, each
-    block of the compact rows is scattered by stream into one (rows, 2, runs)
-    block whose dead columns are +0.0, so the pairwise tree sees every run in
-    its place.  Returns the recorded times, the result and the projection total."""
+def _reduced(blocks, runs: int, cfg: SimConfig, stride: int, width: int, buffers: int, step):
+    """Reduce the driver's (rows, clamps) blocks over their `runs` runs: step(times,
+    rows, out, work) gets a block's times, (rows, 2, runs) states, (width, rows)
+    result columns and a contiguous work buffer of `buffers` x rows x runs
+    floats.  Returns the recorded times, the result and the projection total."""
     runs = _integer("runs", runs)  # a Python int, so that the work size cannot wrap
     times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
     out = np.empty((width, len(times)))
-    work = _sized("runs", runs, np.empty, (buffers * _REDUCE_ROWS * runs,))
-    block, placed, lo = _sized("runs", runs, np.empty, (_REDUCE_ROWS, 2, runs)), runs, 0
-    for chunk, live, clamps in chunks:
-        if len(live) < placed:  # the live set only shrinks: zero the columns that left it
-            block.fill(0.0)
-            placed = len(live)
-        for start in range(0, len(chunk), _REDUCE_ROWS):
-            rows = chunk[start:start + _REDUCE_ROWS]
-            if placed < runs:
-                # A component at a time: 3x faster than block[:, :, live] = rows.
-                for component in (0, 1):
-                    block[: len(rows), component, live] = rows[:, component]
-                rows = block[: len(rows)]
-            hi = lo + len(rows)
-            step(times[lo:hi], rows, out[:, lo:hi], work[: buffers * len(rows) * runs])
-            lo = hi
+    work, lo = _sized("runs", runs, np.empty, (buffers * _BLOCK_ROWS * runs,)), 0
+    for rows, clamps in blocks:
+        hi = lo + len(rows)
+        step(times[lo:hi], rows, out[:, lo:hi], work[: buffers * len(rows) * runs])
+        lo = hi
     return times, out, clamps
 
 

@@ -60,14 +60,14 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
-def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill, dtype=float) -> np.ndarray:
-    """make(shape, *fill, dtype=dtype), make being np.empty, np.zeros, np.full or a
-    linspace, for an array whose size grows with the input `name`; one MemoryError
-    naming name=value and the bytes where numpy cannot allocate it."""
+def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill) -> np.ndarray:
+    """make(shape, *fill, dtype=float), make being np.empty, np.zeros, np.full or a
+    linspace, for a float array whose size grows with the input `name`; one
+    MemoryError naming name=value and the bytes where numpy cannot allocate it."""
     try:
-        return make(shape, *fill, dtype=dtype)
+        return make(shape, *fill, dtype=float)
     except (MemoryError, ValueError, OverflowError):
-        size = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
+        size = math.prod(map(int, shape)) * 8
         raise MemoryError(f"cannot allocate {size} bytes for {name}={value}") from None
 
 
@@ -178,17 +178,17 @@ def nondimensionalize(raw: RawParams) -> tuple[ModelParams, Scales]:
     """Reduce dimensional parameters to (m, c, k) plus the scale factors.
 
     The map is fixed: prey scale X = 1/(s*tau), predator scale Y = d*X,
-    time scale 1/r, then m = d/(tau*r), c = c_raw/r, k = K/X.  Only the
-    forward direction is provided; the scales suffice to undo it by hand.
+    time scale 1/r, then m = d/(tau*r), c = c_raw/r, k = K/X; ValueError names
+    the first scale that is 0 or not finite.  Only the forward direction is
+    provided; the scales suffice to undo it by hand.
     """
-    x_scale = 1.0 / (raw.s * raw.tau)
-    y_scale = raw.d * x_scale
-    params = ModelParams(
-        m=raw.d / (raw.tau * raw.r),
-        c=raw.c / raw.r,
-        k=raw.K / x_scale,
-    )
-    return params, Scales(prey=x_scale, predator=y_scale, time=1.0 / raw.r)
+    s_tau, tau_r = raw.s * raw.tau, raw.tau * raw.r
+    x_scale = 1.0 / s_tau if s_tau else math.inf  # a product that underflows to 0 gives inf
+    scales = Scales(prey=x_scale, predator=raw.d * x_scale, time=1.0 / raw.r)
+    for name, value in zip(Scales._fields, scales):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"the {name} scale must be finite and > 0, got {value!r}")
+    return ModelParams(m=raw.d / tau_r if tau_r else math.inf, c=raw.c / raw.r, k=raw.K / x_scale), scales
 
 
 def _rates(m, c, k, n, p):

@@ -64,6 +64,9 @@ _CHUNK_STEPS = 256
 # Streams that one ensemble thread draws into its scratch block at a time.
 _DRAW_STREAMS = 64
 
+# Recorded rows per block that the ensemble driver yields.  Sets memory, not results.
+_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -78,7 +81,11 @@ class SimConfig:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
         if _integer("m_steps", self.m_steps) < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
-        if not (self.t_end / self.m_steps > 0.0):
+        try:
+            delta = self.t_end / self.m_steps
+        except OverflowError:  # an int past the float maximum
+            raise ValueError("m_steps must be less than the float maximum") from None
+        if not (delta > 0.0):
             raise ValueError(f"t_end / m_steps must be > 0, got {self.t_end!r} / {self.m_steps!r}")
         if not (0 <= _integer("seed", self.seed) < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -196,25 +203,24 @@ def simulate_path(
 
 def _ensemble_chunks(
     params: ModelParams, x0: State, cfg: SimConfig, runs: int, stride: int, workers: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+) -> Iterator[tuple[np.ndarray, int]]:
     """Advance the paths on streams 0..runs-1 together, one step at a time.
 
     Checks its arguments when called and returns a generator that yields
-    (rows, live, clamps) per chunk of steps: rows is the (recorded, 2, count)
-    states of every `stride`-th step for the count runs still live, x0 leading
-    the first chunk; live their stream indices, ascending; clamps the number of
-    projections so far.  rows is a view of the one chunk buffer, which
-    the next chunk overwrites.  One generator per stream makes
-    chunked draws equal a single draw; the calling thread and `workers` - 1
-    helper threads, at most one thread per usable CPU, split the draws by
-    stream.  Matches simulate_path bit for bit, also in raising BlowupError
-    at the first step with a non-finite state and ValueError at the first
-    projection that a drift part forces.
+    (rows, clamps) per block of recorded states: rows is the (recorded, 2,
+    runs) states of every `stride`-th step, at most _BLOCK_ROWS of them, for
+    every run, x0 leading the first block; clamps the number of projections
+    so far.  rows is a view that the next block may overwrite.  One generator
+    per stream makes chunked draws equal a single draw; the calling thread
+    and `workers` - 1 helper threads, at most one thread per usable CPU,
+    split the draws by stream.  Matches simulate_path bit for bit, also in
+    raising BlowupError at the first step with a non-finite state and
+    ValueError at the first projection that a drift part forces.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
-    runs found there leave the live set, draw no more noise and stop
-    stepping; their states from then on are +0.0, which is what stepping them
-    would give.  A -0.0 component keeps its run live until it turns +0.
+    runs found there draw no more noise and stop stepping; their columns are
+    +0.0 from then on, which is what stepping them would give.  A -0.0
+    component keeps its run stepping until it turns +0.
     """
     if _integer("runs", runs) < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
@@ -236,6 +242,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
     # states follow it compact, at rows r <= i + 1: a step has read its noise
     # row before it records.
     buffer = _sized("runs", runs, np.empty, (chunk + 1, 2 * runs))
+    dense = _sized("runs", runs, np.empty, (_BLOCK_ROWS, 2, runs))
     recorded = 1
     live = np.arange(runs)  # the stream index of each live run
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
@@ -258,6 +265,17 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
         except BaseException as error:  # raised by the calling thread once every part is drawn
             failures.append(error)
 
+    def dense_blocks(recorded: int):
+        """The chunk's first `recorded` rows as blocks of every run, and the projections so far."""
+        for lo in range(0, recorded, _BLOCK_ROWS):
+            part = rows[lo:min(lo + _BLOCK_ROWS, recorded)]
+            if count < runs:
+                # A component at a time: 3x faster than dense[:, :, live] = part.
+                for component in (0, 1):
+                    dense[: len(part), component, live] = part[:, component]
+                part = dense[: len(part)]
+            yield part, clamps
+
     for start in range(0, steps, chunk):
         size = min(chunk, steps - start)
         absorbed = _at_origin(x)
@@ -266,6 +284,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
             # compress keeps x C-contiguous; x[:, kept] would not.
             live, x = live[kept], x.compress(kept, axis=1)
             count = len(live)
+            dense.fill(0.0)  # the columns of runs that have left the live set read +0.0
             rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
             noise = rows[1:]
             if not start:
@@ -273,8 +292,8 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
             n, p = x
             (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
             inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
-        if not count:  # every run is at +0.0: the rows have no columns
-            yield rows[: recorded + (start + size) // stride - start // stride], live, clamps
+        if not count:  # every run is at +0.0: nothing to draw or step
+            yield from dense_blocks(recorded + (start + size) // stride - start // stride)
             recorded = 0
             continue
         # The calling thread draws part 0 and a helper thread each other part.
@@ -325,5 +344,5 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                 if (start + i + 1) % stride == 0:
                     rows[recorded] = x
                     recorded += 1
-        yield rows[:recorded], live, clamps
+        yield from dense_blocks(recorded)
         recorded = 0

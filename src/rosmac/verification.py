@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import MomentSeries
-from .model import GridSpec, ModelParams, State, _rates
+from .model import GridSpec, ModelParams, State, _rates, checked_state
 
 __all__ = [
     "DEFAULT_GENERATOR_GRID",
@@ -189,13 +189,13 @@ def check_moment_bound(
 
     For p >= 2 the envelope is 2^((p-2)/2) (1 + ||x0||^p) exp(p c_moment t);
     for 0 < p < 2 it is (1 + ||x0||^2)^(p/2) exp(p c_mono t).  The start is
-    deterministic, so expectations of the initial norm are plain powers.
-    A gap that is NaN or +inf (the moment overflows) raises ValueError.
+    deterministic, so expectations of the initial norm are plain powers.  A
+    start off the closed quadrant or a NaN or +inf gap raises ValueError.
     """
     p = stats.p
     if not (p > 0.0):
         raise ValueError(f"moment order must be > 0, got {p!r}")
-    n0, p0 = float(x0[0]), float(x0[1])
+    n0, p0 = checked_state(x0)
     times = stats.times
     rate = moment_constant(params, p) if p >= 2.0 else monotonicity_constant(params)
     try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rosmac import BlowupError, ModelParams, State, sde
 from rosmac.model import _rates
-from rosmac.sde import _em_path
+from rosmac.sde import _BLOCK_ROWS, _em_path, _ensemble_chunks
 
 from fakes import zero_noise_streams
 
@@ -75,6 +75,14 @@ class ChunkReader:
         start = sum(self.sizes)
         self.sizes.append(size)
         return self.increments[start:start + size]
+
+
+def driver_blocks(params, x0, cfg, runs, stride, workers):
+    """The ensemble driver's (rows, clamps) blocks, each checked to hold every
+    run and at most _BLOCK_ROWS rows."""
+    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
+        assert rows.shape[1:] == (2, runs) and len(rows) <= _BLOCK_ROWS, rows.shape
+        yield rows, clamps
 
 
 def _em_on(m, c, k, n, p, delta, increments):

@@ -6,8 +6,6 @@ increments(); only the standard normals behind them are zeros, so an EM step
 reduces to an Euler step of the drift.  Install it with zero_noise_streams(), or
 in a fresh process by assigning it to rosmac.sde.NoiseStream; pytest tests use
 conftest's zero_noise fixture.
-
-dense_chunks() expands the ensemble driver's compact chunks to every run.
 """
 
 from __future__ import annotations
@@ -48,14 +46,3 @@ def zero_noise_streams(active: bool = True):
         yield
     finally:
         sde.NoiseStream = saved
-
-
-def dense_chunks(chunks, runs):
-    """The ensemble driver's (rows, live, clamps) chunks of `runs` runs as (states,
-    clamps): each chunk's rows of the live runs scattered by stream into a new
-    (recorded, 2, runs) array whose dead runs' columns are +0.0, and the total
-    of projections so far."""
-    for rows, live, clamps in chunks:
-        states = np.zeros((len(rows), 2, runs))
-        states[:, :, live] = rows
-        yield states, clamps

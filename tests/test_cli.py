@@ -263,6 +263,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             "cannot allocate 8000000000000 bytes for res=1000000000000",
         ("phase-portrait", *CYCLE_FLAGS, "--res", "1000000"):  # the axes fit, the mesh not
             "cannot allocate 32000000000000 bytes for res=1000000",
+        # A step count past the float maximum, whose step t_end / m_steps is no float.
+        ("simulate-sde", *CYCLE_FLAGS, "-M", "1" + "0" * 400): "m_steps must be less than the float maximum",
+        ("ensemble", *CYCLE_FLAGS, "-M", "1" + "0" * 400): "m_steps must be less than the float maximum",
+        ("verify", *CYCLE_FLAGS, "-M", "1" + "0" * 400): "m_steps must be less than the float maximum",
     }
     for argv in cases + zero_noise_cases + [list(argv) for argv in named_cases]:
         with zero_noise_streams(argv in zero_noise_cases):
@@ -670,7 +674,9 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     # The bands come from the compacted driver: its means and variances are
     # those of the dense states, -0 included.
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
-    _, expected, _ = _reduced([(np.stack(dense, axis=2), np.arange(4), 0)], 4, cfg, 1, 4, 4, _mean_var)
+    states = np.stack(dense, axis=2)
+    blocks = [(states[lo:lo + sde._BLOCK_ROWS], 0) for lo in range(0, len(states), sde._BLOCK_ROWS)]
+    _, expected, _ = _reduced(blocks, 4, cfg, 1, 4, 4, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

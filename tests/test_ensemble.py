@@ -19,8 +19,8 @@ from rosmac import (
     run_ensemble,
     simulate_path,
 )
-from rosmac.ensemble import _REDUCE_ROWS, _ensemble_stats, _mean_var, _pairwise_sum, _reduced
-from rosmac.sde import _CHUNK_STEPS, _ensemble_chunks
+from rosmac.ensemble import _ensemble_stats, _mean_var, _pairwise_sum, _reduced
+from rosmac.sde import _BLOCK_ROWS, _CHUNK_STEPS
 
 from conftest import CYCLE_PARAMS, START
 
@@ -105,9 +105,10 @@ def _oracle_states(times, runs, rng):
 def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     rng = np.random.default_rng(runs * 1000 + times)
     rows = _oracle_states(times, runs, rng)
-    # The library's block loop over the rows as one chunk, on the grid t = 0, 1, ...
+    # The library's block loop over the rows in the driver's blocks, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
-    _, got, _ = _reduced([(rows, np.arange(runs), 0)], runs, grid, 1, 4, 4, _mean_var)
+    blocks = [(rows[lo:lo + _BLOCK_ROWS], 0) for lo in range(0, times, _BLOCK_ROWS)]
+    _, got, _ = _reduced(blocks, runs, grid, 1, 4, 4, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -122,39 +123,6 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
         for p in (1.0, 2.5):
             moments = _pairwise_sum(norms ** p, scratch) / runs
             assert moments.tobytes() == (_reference_pairwise_sum(norms.T ** p) / runs).tobytes()
-
-
-def _copy_states(times, rows, out, work):
-    """_reduced block step that keeps the (rows, 2, runs) states it is given, as
-    (2 runs, rows) result columns."""
-    out[...] = rows.reshape(len(rows), -1).T
-
-
-@pytest.mark.parametrize("lives", [[range(5), [1, 3], []], [[], [], []]])
-def test_reduction_scatters_compact_rows_by_stream(lives):
-    """Compact chunks, whose live set shrinks to a subset and then to none (or is
-    empty from the start, as from x0 at the origin), reduce to the bits of the
-    same chunks expanded by hand: dead runs' columns +0.0, -0.0 kept."""
-    runs, stride, sizes = 5, 7, (37, 37, 37)  # recorded counts that are not multiples of 32
-    rng = np.random.default_rng(17)
-    compact, expanded = [], []
-    for size, live in zip(sizes, lives):
-        live = np.array(live, dtype=np.intp)
-        rows = _oracle_states(size, runs, rng)[:, :, : len(live)]
-        states = np.zeros((size, 2, runs))
-        states[:, :, live] = rows
-        compact.append((rows, live, 0))
-        expanded.append((states, np.arange(runs), 0))
-    cfg = SimConfig(t_end=77.0, m_steps=(sum(sizes) - 1) * stride)
-    _, moments, _ = _reduced(compact, runs, cfg, stride, 4, 4, _mean_var)
-    _, expected, _ = _reduced(expanded, runs, cfg, stride, 4, 4, _mean_var)
-    assert moments.tobytes() == expected.tobytes()
-    _, seen, _ = _reduced(compact, runs, cfg, stride, 2 * runs, 2, _copy_states)
-    assert seen.T.tobytes() == np.concatenate([states for states, _, _ in expanded]).tobytes()
-    # The driver yields the x0 row also when no run is live from the start.
-    shapes = [rows.shape for rows, _, _ in
-              _ensemble_chunks(CYCLE_PARAMS, State(0.0, 0.0), SimConfig(1.0, 770), runs, stride, 1)]
-    assert shapes == [(37, 2, 0), (37, 2, 0), (36, 2, 0), (1, 2, 0)]
 
 
 def test_stats_from_states_two_path_exactness():
@@ -302,11 +270,11 @@ def test_ensemble_memory_is_one_chunk_buffer():
     # The driver holds one 257 x 2 x runs float buffer: row i + 1 holds step
     # i's noise, and live runs record their states compact behind it, so a
     # compact record adds no third buffer: it is the only one, shared with the
-    # noise.  The reductions add four or three blocks of rows and one (rows, 2,
-    # runs) block into which the compact rows are scattered by stream.  A
-    # second chunk-sized buffer, for the noise, the states, a staging area for
-    # the draws or whole-chunk norms and powers for the moments, would exceed
-    # the bound.
+    # noise.  The driver adds one (rows, 2, runs) block into which it scatters
+    # the compact rows by stream, and the reductions four or three blocks of
+    # rows.  A second chunk-sized buffer, for the noise, the states, a staging
+    # area for the draws or whole-chunk norms and powers for the moments, would
+    # exceed the bound.
     runs, m_steps = 2_000, 512
     cfg = SimConfig(t_end=10.0 * m_steps / 4_000, m_steps=m_steps, seed=11)
     # numpy.random imports modules on its first Philox key (about 0.7 MB traced):
@@ -435,7 +403,7 @@ def test_streaming_moments_match_materialised_paths(request, name, runs, stride,
     orders = (1.0, 2.5)
     # 3.0, and the recorded times that start the second block of rows and the
     # driver's second chunk: the growth proxy's rows start there.
-    for t_min in (3.0, times[_REDUCE_ROWS], times[1 + _CHUNK_STEPS // stride]):
+    for t_min in (3.0, times[_BLOCK_ROWS], times[1 + _CHUNK_STEPS // stride]):
         series, proxies = ensemble_moments(
             CYCLE_PARAMS, START, cfg, runs, orders, t_min=t_min, stride=stride, workers=workers
         )

@@ -53,6 +53,17 @@ def test_nondimensionalize_reference_point():
     assert scales == (1.0, 3.0, 1.0)
 
 
+def test_nondimensionalize_rejects_scales_outside_float64():
+    # s tau underflows to 0, so 1/(s tau) is no float; d/(s tau) overflows.
+    with pytest.raises(ValueError, match="^the prey scale must be finite and > 0, got inf$"):
+        nondimensionalize(RawParams(r=1, K=1, s=1e-200, tau=1e-200, c=1, d=1))
+    with pytest.raises(ValueError, match="^the predator scale must be finite and > 0, got inf$"):
+        nondimensionalize(RawParams(r=1, K=1, s=1e-150, tau=1e-150, c=1, d=1e10))
+    # Finite scales, but tau r underflows to 0: m = d/(tau r) is no float.
+    with pytest.raises(ValueError, match="^ModelParams.m must be finite and > 0, got inf$"):
+        nondimensionalize(RawParams(r=1e-200, K=1, s=1e200, tau=1e-200, c=1, d=1))
+
+
 def test_nondimensionalize_identity_scaling_keeps_capacity():
     for capacity in (0.5, 1.0, 7.25):
         params, scales = nondimensionalize(

@@ -36,8 +36,9 @@ from conftest import (
     _reference_em,
     _rejection,
     _whole_increments,
+    driver_blocks,
 )
-from fakes import dense_chunks, zero_noise_streams
+from fakes import zero_noise_streams
 
 
 def test_simconfig_validation_and_delta():
@@ -50,6 +51,8 @@ def test_simconfig_validation_and_delta():
         SimConfig(t_end=1.0, m_steps=0)
     with pytest.raises(ValueError, match="t_end / m_steps must be > 0, got 5e-324 / 10"):
         SimConfig(t_end=5e-324, m_steps=10)
+    with pytest.raises(ValueError, match="^m_steps must be less than the float maximum$"):
+        SimConfig(1.0, 10**400)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, seed=-1)
 
@@ -321,9 +324,10 @@ def test_zero_noise_path_is_plain_euler(zero_noise):
 
 
 def _driver_states(cfg, runs, stride):
-    """Concatenate the driver's chunks into (runs, recorded, 2) plus the projection total."""
-    chunks = list(dense_chunks(_ensemble_chunks(CYCLE_PARAMS, START, cfg, runs, stride, workers=1), runs))
-    return np.concatenate([rows for rows, _ in chunks]).transpose(2, 0, 1), chunks[-1][1]
+    """Concatenate the driver's blocks into (runs, recorded, 2) plus the projection total."""
+    blocks = [(rows.copy(), clamps)
+              for rows, clamps in driver_blocks(CYCLE_PARAMS, START, cfg, runs, stride, 1)]
+    return np.concatenate([rows for rows, _ in blocks]).transpose(2, 0, 1), blocks[-1][1]
 
 
 def test_block_simulation_matches_scalar_bitwise():
@@ -401,12 +405,12 @@ def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
     params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
-    for _, _, clamps in _ensemble_chunks(params, START, cfg, 2_000, 1, 2):
+    for _, clamps in driver_blocks(params, START, cfg, 2_000, 1, 2):
         pass
     assert clamps == 3_666
     counts = [simulate_path(params, START, cfg, stream_index=j).clamp_count for j in range(20)]
     assert sum(counts) > 0
-    assert sum(counts) == list(_ensemble_chunks(params, START, cfg, 20, 1, 1))[-1][2]
+    assert sum(counts) == list(driver_blocks(params, START, cfg, 20, 1, 1))[-1][1]
 
 
 def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
@@ -445,7 +449,7 @@ def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
 
 
 def _drain_chunks(params, x0, cfg, runs, stride):
-    for _ in _ensemble_chunks(params, x0, cfg, runs, stride, workers=1):
+    for _ in driver_blocks(params, x0, cfg, runs, stride, 1):
         pass
 
 
@@ -478,15 +482,15 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
 
 
 def _check_against_dense(params, x0, cfg, runs, stride, workers):
-    """Assert that every chunk's rows equal the dense reference's, stream by stream
-    and sign bits included, and its projection total the sum of the reference's
-    counts up to that chunk; return the runs at (+0, +0) after each chunk.
-    Where the reference rejects a step of some stream, because its drift part leaves
-    the quadrant, the chunk must raise that ValueError at the first such step; return
-    None then."""
+    """Assert that the rows of every block of every chunk equal the dense
+    reference's, stream by stream and sign bits included, and its projection
+    total the sum of the reference's counts up to that chunk; return the runs at
+    (+0, +0) after each chunk.  Where the reference rejects a step of some
+    stream, because its drift part leaves the quadrant, the chunk's first block
+    must raise that ValueError at the first such step; return None then."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
     increments = [_whole_increments(cfg, stream) for stream in range(runs)]
-    chunks = dense_chunks(_ensemble_chunks(params, x0, cfg, runs, stride, workers), runs)
+    blocks = driver_blocks(params, x0, cfg, runs, stride, workers)
     absorbed, first = [], 0
     for end in range(_CHUNK_STEPS, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
         expected, rejected = [], []
@@ -499,16 +503,21 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
         if rejected:
             step = min(step for _, step in rejected)
             with pytest.raises(ValueError) as info:
-                next(chunks)
+                next(blocks)
             assert _rejection(info.value) == (min(c for c, s in rejected if s == step), step)
             return None
-        rows, clamps = next(chunks)
-        for stream, (states, count) in enumerate(expected):
-            assert rows[:, :, stream].tobytes() == states[::stride][first:].tobytes(), (stream, end)
-        assert clamps == sum(count for _, count in expected), end
-        first += len(rows)
+        # The rows recorded up to the chunk's end, x0 included.
+        recorded = len(expected[0][0][::stride])
+        while first < recorded:
+            rows, clamps = next(blocks)
+            for stream, (states, count) in enumerate(expected):
+                want = states[::stride][first:first + len(rows)]
+                assert rows[:, :, stream].tobytes() == want.tobytes(), (stream, end)
+            assert clamps == sum(count for _, count in expected), end
+            first += len(rows)
+        assert first == recorded, end
         absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
-    assert next(chunks, None) is None
+    assert next(blocks, None) is None
     return absorbed
 
 
@@ -532,7 +541,7 @@ def test_compacted_ensemble_matches_dense_reference_across_chunks(x0, stride):
         params, cfg = _COARSE
         _check_against_dense(params, x0, cfg, runs, stride, workers)
     if x0 == START:  # the coarse steps project both components of every run
-        clamps = list(_ensemble_chunks(params, x0, cfg, runs, stride, 1))[-1][2]
+        clamps = list(driver_blocks(params, x0, cfg, runs, stride, 1))[-1][1]
         assert clamps == 2 * runs
 
 
@@ -548,6 +557,56 @@ def test_compacted_ensemble_matches_dense_reference_property(
 ):
     cfg = SimConfig(t_end=t_end, m_steps=steps + -steps % stride, seed=seed)
     _check_against_dense(ModelParams(m, c, k), x0, cfg, runs, stride, workers)
+
+
+class _NormalsThatKill:
+    """The standard_normal of a numpy Generator: zeros, except -1e6 for both
+    components of the last step of the `kill`-th draw (counted from 0), which
+    takes a path whose prey is +0 to the origin."""
+
+    def __init__(self, kill):
+        self.kill, self.draws = kill, 0
+
+    def standard_normal(self, size=None, out=None):
+        out = np.zeros(size) if out is None else out
+        out[...] = 0.0
+        if self.draws == self.kill:
+            out[-1] = -1e6
+        self.draws += 1
+        return out
+
+
+@pytest.mark.parametrize("x0", [State(-0.0, 0.6), State(0.0, 0.0)], ids=["shrinking", "origin"])
+def test_driver_blocks_hold_every_run_in_its_place(monkeypatch, x0):
+    """From (-0, 0.6) runs 0, 2 and 4 reach the origin at the last step of the
+    first chunk and runs 1 and 3 at that of the second, so the live set shrinks
+    to a subset and then to none; from the origin no run is live from the start.
+    Stride 7 over 770 steps records 37, 37, 36 and 1 rows per chunk, counts
+    that are not multiples of 32.  Every block holds every run in its place, in
+    the bytes of that stream's single path: dead runs' columns +0.0, and the
+    -0.0 of x0 kept."""
+
+    class KillingStream(sde.NoiseStream):
+        def __init__(self, seed, stream_index):
+            super().__init__(seed, stream_index)
+            self._rng = _NormalsThatKill(stream_index % 2)
+
+    monkeypatch.setattr(sde, "NoiseStream", KillingStream)
+    runs, stride, cfg = 5, 7, SimConfig(1.0, 770)
+    blocks = [(rows.copy(), clamps) for rows, clamps in driver_blocks(CYCLE_PARAMS, x0, cfg, runs, stride, 1)]
+    assert [len(rows) for rows, _ in blocks] == [32, 5, 32, 5, 32, 4, 1]
+    states = np.concatenate([rows for rows, _ in blocks])
+    for stream in range(runs):
+        path = simulate_path(CYCLE_PARAMS, x0, cfg, stream_index=stream)
+        assert states[:, :, stream].tobytes() == path.states[::stride].tobytes(), stream
+    live = ~((states == 0.0) & ~np.signbit(states)).all(axis=1)  # (rows, runs): not at +0.0
+    if x0 == State(0.0, 0.0):
+        assert not live.any() and blocks[-1][1] == 0
+        return
+    assert np.signbit(states[0, 0]).all() and live[:37].all()
+    assert (live[37:74] == [False, True, False, True, False]).all()
+    assert not live[74:].any()
+    assert blocks[-1][1] == runs  # one predator projection per run
 
 
 def _self_convergence_gaps(seed, zero_noise=False):
@@ -674,8 +733,8 @@ def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers
             first_bad.append((_rejection(exc)[1], "rejected"))
     rows = []
     try:
-        for chunk, _ in dense_chunks(_ensemble_chunks(params, x0, cfg, runs, 1, workers), runs):
-            rows.append(chunk.copy())
+        for block, _ in driver_blocks(params, x0, cfg, runs, 1, workers):
+            rows.append(block.copy())
     except BlowupError as exc:
         # The ensemble stops at the first step where any of its paths fails, and
         # there a blow-up of one path wins over a rejected step of another.

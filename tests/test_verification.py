@@ -323,3 +323,7 @@ def test_moment_bound_validation():
         series = MomentSeries(p=p, times=np.array([0.0]), values=np.array([1.0]))
         with pytest.raises(ValueError, match="moment order"):
             check_moment_bound(series, CYCLE_PARAMS, START)
+    series = MomentSeries(p=2.0, times=np.array([0.0]), values=np.array([1.0]))
+    for x0 in ((-1.0, 0.6), (math.inf, 0.0), (1.0,), None):
+        with pytest.raises(ValueError, match="x0 must be a finite point of the closed quadrant"):
+            check_moment_bound(series, CYCLE_PARAMS, x0)
