@@ -53,13 +53,20 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Estimated E||X_t||^p on a recorded time grid."""
+    """Estimated E||X_t||^p on a recorded time grid: times and values are 1-D
+    arrays of one equal, nonzero length."""
 
     p: float
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        arrays = self.times, self.values
+        if not (all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays)
+                and len(self.times) == len(self.values) > 0):
+            got = [getattr(a, "shape", type(a).__name__) for a in arrays]
+            raise ValueError("times and values must be 1-D arrays of one equal, nonzero length, "
+                             f"got {got[0]} and {got[1]}")
         self.times.flags.writeable = False
         self.values.flags.writeable = False
 
@@ -161,8 +168,8 @@ def ensemble_moments(
     per-path max over recorded t >= t_min of log||X_t|| / t.
     """
     for p in p_values:
-        if not (p > 0.0):
-            raise ValueError(f"moment orders must be > 0, got {p!r}")
+        if not (0.0 < p < np.inf):
+            raise ValueError(f"moment orders must be finite and > 0, got {p!r}")
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
     chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)

@@ -4,14 +4,14 @@ Discretization on the equidistant grid tau_i = i * delta, delta = t_end / m:
 
     Y_{i+1} = Y_i + mu(Y_i) delta + g(Y_i) dW_i,   dW_i ~ N(0, delta I)
 
-Negative components produced by a step are projected back to zero; each
-projection is counted so the caller can judge how often the boundary bites.
-When a component ends a step below zero and its drift part alone,
-Y_i + mu(Y_i) delta, is below zero too, the step is too coarse: the
-projection, not the noise, would decide that component, so ValueError names
-the step, t, delta and the component.  A state that is not finite raises
-BlowupError naming the first such step, ahead of that rule; a component
-that overflows to -inf counts as not finite, not as extinct.
+One step rule, in one order.  First, a state that is not finite is a
+blow-up: BlowupError names the step; a component that overflows to -inf
+counts as not finite, not as extinct.  Then, a component that ends the step
+below zero while its drift part alone, Y_i + mu(Y_i) delta, is below zero
+too means the step is too coarse: the projection, not the noise, would
+decide that component, so ValueError names the step, t, delta and the
+component.  Last, each remaining negative component is projected back to
+zero and counted, so the caller can judge how often the boundary bites.
 
 Two drivers share these rules and agree bit for bit: simulate_path steps one
 path through the scalar loop _em_path, and _ensemble_chunks steps the paths of
@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, State, _integer, _rates, _sized, checked_state
+from .model import ModelParams, State, _integer, _sized, checked_state
 from .ode import BlowupError, Trajectory, _projected
 
 __all__ = [
@@ -114,8 +114,8 @@ class NoiseStream:
         """The stream's next m_steps pairs of N(0, delta) increments, as an (m_steps, 2) array."""
         if _integer("m_steps", m_steps) < 1:
             raise ValueError(f"m_steps must be >= 1, got {m_steps!r}")
-        if not (delta > 0.0):
-            raise ValueError(f"delta must be > 0, got {delta!r}")
+        if not (0.0 < delta < math.inf):
+            raise ValueError(f"delta must be finite and > 0, got {delta!r}")
         return self._rng.standard_normal((m_steps, 2)) * math.sqrt(delta)
 
 
@@ -136,32 +136,22 @@ def _too_coarse(step: int, delta: float, component: str) -> ValueError:
                       f"(t={step * delta}, delta={delta}); step too coarse")
 
 
-def _check_drift_part(m, c, k, n, p, delta, below, step) -> None:
-    """ValueError if step `step` from (n, p) took a component below 0 (flagged in
-    `below`) whose drift part, recomputed through _rates as _em_path inlines it,
-    is below 0 too."""
-    dn, dp, _, _ = _rates(m, c, k, n, p)
-    for component, negative, part in zip("np", below, (n + dn * delta, p + dp * delta)):
-        if negative and part < 0.0:
-            raise _too_coarse(step, delta, component)
-
-
 def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
-    """Scalar EM from (n, p) with projection to zero: the (steps + 1, 2) states,
-    row i after step i, and the number of projections.  draw(size) gives the
-    next (size, 2) increments; it is called at each chunk start where the path
-    is live.  A state that is not finite, -inf included, raises BlowupError at
-    its step; a projection that the drift part alone forces raises ValueError.
-    The origin (+0, +0) is absorbing: a path found there at a chunk start draws
-    no more noise and stops stepping; its later rows keep +0.0."""
+    """Scalar EM from (n, p) under the module's step rule: the (steps + 1, 2)
+    states, row i after step i, and the number of projections.  draw(size)
+    gives the next (size, 2) increments; it is called at each chunk start
+    where the path is live.  The origin (+0, +0) is absorbing: a path found
+    there at a chunk start draws no more noise and stops stepping; its later
+    rows keep +0.0."""
     states = _sized("m_steps", steps, np.zeros, (steps + 1, 2))
     clamps = 0
     nc, sqrt, inf = -c, math.sqrt, math.inf
     # Python floats: the same IEEE operations as numpy scalars, several times
-    # faster.  The rates are model._rates inlined operand for operand, each state
-    # goes through a flat view of the states, and one guard per step skips the
-    # projection.  Increments are drawn and converted to floats a chunk at a
-    # time, so an absorbed path draws and converts no more of them.
+    # faster.  The rates are model._rates inlined operand for operand, the drift
+    # part is held for the step rule, each state goes through a flat view of the
+    # states, and one guard per step skips the rule.  Increments are drawn and
+    # converted to floats a chunk at a time, so an absorbed path draws and
+    # converts no more of them.
     with memoryview(states).cast("B").cast("d") as flat:
         flat[0] = n
         flat[1] = p
@@ -174,13 +164,15 @@ def _em_path(m, c, k, n, p, delta, steps, draw) -> tuple[np.ndarray, int]:
                 n_k = n / k
                 dn, dp = n * (1.0 - n_k) - inter, nc * p + inter
                 v1, v2 = n * (1.0 + n_k) + inter, c * p + inter
-                n = n + dn * delta + sqrt(v1) * dw1
-                p = p + dp * delta + sqrt(v2) * dw2
+                n_drift, p_drift = n + dn * delta, p + dp * delta
+                n = n_drift + sqrt(v1) * dw1
+                p = p_drift + sqrt(v2) * dw2
                 # False for a negative, NaN or infinite component (or a sum past the float maximum).
                 if not (n >= 0.0 and p >= 0.0 and n + p < inf):
-                    below = n < 0.0, p < 0.0
+                    decided = n < 0.0 and n_drift < 0.0, p < 0.0 and p_drift < 0.0
                     n, p, clamps = _projected(n, p, clamps, j // 2, delta)
-                    _check_drift_part(m, c, k, flat[j - 2], flat[j - 1], delta, below, j // 2)
+                    if any(decided):
+                        raise _too_coarse(j // 2, delta, "np"[decided.index(True)])
                 flat[j] = n
                 flat[j + 1] = p
                 j += 2
@@ -213,9 +205,10 @@ def _ensemble_chunks(
     so far.  rows is a view that the next block may overwrite.  One generator
     per stream makes chunked draws equal a single draw; the calling thread
     and `workers` - 1 helper threads, at most one thread per usable CPU,
-    split the draws by stream.  Matches simulate_path bit for bit, also in
-    raising BlowupError at the first step with a non-finite state and
-    ValueError at the first projection that a drift part forces.
+    split the draws by stream.  Matches simulate_path bit for bit and
+    applies the module's step rule to all runs at once: at the first step
+    where a run breaks it, a blow-up in any run wins over a coarse step, and
+    a coarse step names n if any run's n is decided, else p.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
     runs found there draw no more noise and stop stepping; their columns are
@@ -325,22 +318,19 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                 np.add(drift, var, out=x)
                 # fmin skips NaN, so a NaN path cannot hide another's negative.
                 lowest = np.fmin.reduce(x, axis=None)
+                # A blow-up first: -inf is an overflow, not an extinction, and the
+                # maximum is NaN or +inf where another component is not finite.
+                if lowest == -math.inf or not np.maximum.reduce(x, axis=None) < math.inf:
+                    raise BlowupError(start + i + 1, delta)
                 if lowest < 0.0:
-                    if lowest == -math.inf:  # an overflow, not an extinction
-                        raise BlowupError(start + i + 1, delta)
                     # Is a component below 0 whose drift part, still in drift, is too?
                     # var, spent, holds the larger of the two.
                     if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
-                        if not np.isfinite(x).all():  # a blow-up in the same step wins
-                            raise BlowupError(start + i + 1, delta)
                         decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
                         raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
                     negative = x < 0.0
                     clamps += np.count_nonzero(negative)
                     x[negative] = 0.0
-                # False for NaN and +inf.
-                if not np.maximum.reduce(x, axis=None) < math.inf:
-                    raise BlowupError(start + i + 1, delta)
                 if (start + i + 1) % stride == 0:
                     rows[recorded] = x
                     recorded += 1

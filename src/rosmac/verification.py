@@ -193,8 +193,8 @@ def check_moment_bound(
     start off the closed quadrant or a NaN or +inf gap raises ValueError.
     """
     p = stats.p
-    if not (p > 0.0):
-        raise ValueError(f"moment order must be > 0, got {p!r}")
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"moment order must be finite and > 0, got {p!r}")
     n0, p0 = checked_state(x0)
     times = stats.times
     rate = moment_constant(params, p) if p >= 2.0 else monotonicity_constant(params)

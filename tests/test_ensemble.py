@@ -330,8 +330,9 @@ def test_ensemble_moments_zero_noise_reference(zero_noise):
 
 def test_ensemble_moments_validation():
     cfg = SimConfig(t_end=2.0, m_steps=200, seed=0)
-    with pytest.raises(ValueError):
-        ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0, -1.0))
+    for p in (-1.0, math.inf):
+        with pytest.raises(ValueError, match=f"moment orders must be finite and > 0, got {p!r}"):
+            ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0, p))
     with pytest.raises(ValueError):
         ensemble_moments(CYCLE_PARAMS, START, cfg, runs=4, p_values=(2.0,), t_min=5.0)
     with pytest.raises(ValueError, match="workers"):

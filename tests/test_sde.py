@@ -239,8 +239,9 @@ def test_noise_stream_validation():
         NoiseStream(0, 2**64)
     with pytest.raises(ValueError):
         NoiseStream(0, 0).increments(0, 0.01)
-    with pytest.raises(ValueError):
-        NoiseStream(0, 0).increments(10, 0.0)
+    for delta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            NoiseStream(0, 0).increments(10, delta)
 
 
 def test_simulate_path_reproducibility():
@@ -413,39 +414,59 @@ def test_projections_that_noise_forces_are_counted():
     assert sum(counts) == list(driver_blocks(params, START, cfg, 20, 1, 1))[-1][1]
 
 
-def test_coarse_step_rule_is_not_vacuous_on_the_readme_path(monkeypatch):
+def test_coarse_step_rule_is_not_vacuous_on_the_readme_path():
     """The README simulate-sde run's projections all have a drift part >= 0, so
-    the rule passes them; a threshold one ulp above the smallest such part must
-    reject that stream's run at that step.  This shows the rule is reached and
-    sees the parts it decides on, on the common path."""
-    cfg = SimConfig(t_end=10.0, m_steps=4_000, seed=11)
-    check, parts = sde._check_drift_part, []
-
-    def drift_parts(m, c, k, n, p, delta, below):
-        dn, dp, _, _ = _rates(m, c, k, n, p)
-        return [(part, component) for component, negative, part
-                in zip("np", below, (n + dn * delta, p + dp * delta)) if negative]
-
-    def recording(m, c, k, n, p, delta, below, step):
-        parts.extend((part, stream, step) for part, _ in drift_parts(m, c, k, n, p, delta, below))
-        check(m, c, k, n, p, delta, below, step)
-
-    monkeypatch.setattr(sde, "_check_drift_part", recording)
-    for stream in range(5):
-        assert simulate_path(CYCLE_PARAMS, START, cfg, stream).clamp_count == 2
-    assert len(parts) == 10 and all(part >= 0.0 for part, _, _ in parts)
-    smallest, stream, step = min(parts)
+    the rule passes them.  Re-stepped from the state before the smallest such
+    part, with that step's own increment, _em_path projects at delta and
+    rejects at the smallest larger step whose drift part is below 0.  This
+    shows the rule is reached on the common path and decides on the sign of
+    the drift part that the step holds."""
+    params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
+    m, c, k, delta = params.m, params.c, params.k, cfg.delta
+    paths, parts = [simulate_path(params, START, cfg, stream) for stream in range(5)], []
+    for stream, path in enumerate(paths):
+        assert path.clamp_count == 2
+        increments = _whole_increments(cfg, stream).tolist()
+        # Each step's drift part and noise, from _rates at the recorded state; an
+        # absorbed tail stays at the origin, where both are 0.
+        for step, ((n, p), (dw1, dw2)) in enumerate(zip(path.states[:-1].tolist(), increments), 1):
+            dn, dp, v1, v2 = _rates(m, c, k, n, p)
+            for component, part, noise in (("n", n + dn * delta, math.sqrt(v1) * dw1),
+                                           ("p", p + dp * delta, math.sqrt(v2) * dw2)):
+                if part + noise < 0.0:
+                    parts.append((part, stream, step, component))
+    assert len(parts) == 10 and all(part >= 0.0 for part, *_ in parts)
+    smallest, stream, step, component = min(parts)
     assert (stream, step, f"{smallest:.2e}") == (3, 119, "3.70e-04")
-    threshold = math.nextafter(smallest, math.inf)
 
-    def sabotaged(m, c, k, n, p, delta, below, step):
-        for part, component in drift_parts(m, c, k, n, p, delta, below):
-            if part < threshold:
-                raise sde._too_coarse(step, delta, component)
+    path = paths[stream]
+    n, p = path.states[step - 1].tolist()
+    increment = _whole_increments(cfg, stream)[step - 1:step]
 
-    monkeypatch.setattr(sde, "_check_drift_part", sabotaged)
-    with pytest.raises(ValueError, match=rf"below 0 at step {step} \("):
-        simulate_path(CYCLE_PARAMS, START, cfg, stream)
+    def restep(h):
+        return _em_path(m, c, k, n, p, h, 1, ChunkReader(increment))
+
+    def step_of(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    states, clamps = restep(delta)
+    assert clamps == 1 and states[1].tobytes() == path.states[step].tobytes()
+    # The drift part x + d h falls with h in floats too: bisect the bits of the
+    # positive steps for the smallest h above delta where it is below 0.
+    dn, dp, _, _ = _rates(m, c, k, n, p)
+    x, d = (n, dn) if component == "n" else (p, dp)
+    lo, hi = (int(np.float64(h).view(np.int64)) for h in (delta, 2.0 * x / -d))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x + d * step_of(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    passed, coarse = step_of(lo), step_of(hi)
+    assert x + d * passed >= 0.0 > x + d * coarse and delta < coarse
+    assert restep(passed)[1] == 1
+    with pytest.raises(ValueError, match=rf"takes {component} below 0 at step 1 \("):
+        restep(coarse)
 
 
 def _drain_chunks(params, x0, cfg, runs, stride):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -319,11 +320,29 @@ def test_moment_bound_start_whose_square_overflows():
 
 
 def test_moment_bound_validation():
-    for p in (0.0, -1.0, math.nan):
+    for p in (0.0, -1.0, math.nan, math.inf):
         series = MomentSeries(p=p, times=np.array([0.0]), values=np.array([1.0]))
-        with pytest.raises(ValueError, match="moment order"):
+        with pytest.raises(ValueError, match="moment order must be finite and > 0"):
             check_moment_bound(series, CYCLE_PARAMS, START)
     series = MomentSeries(p=2.0, times=np.array([0.0]), values=np.array([1.0]))
     for x0 in ((-1.0, 0.6), (math.inf, 0.0), (1.0,), None):
         with pytest.raises(ValueError, match="x0 must be a finite point of the closed quadrant"):
             check_moment_bound(series, CYCLE_PARAMS, x0)
+
+
+def test_moment_series_needs_one_equal_nonzero_length_of_1d_arrays():
+    """A single value would broadcast against every time and pass the bound;
+    empty arrays and lists would fail later with numpy's or Python's text."""
+    one = np.array([1.0])
+    for times, values, got in [
+        (np.array([0.0, 1.0]), one, "(2,) and (1,)"),
+        (np.array([]), np.array([]), "(0,) and (0,)"),
+        ([0.0], [1.0], "list and list"),
+        (np.array([[0.0]]), np.array([[1.0]]), "(1, 1) and (1, 1)"),
+        (np.array([0.0]), 1.0, "(1,) and float"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^times and values must be 1-D arrays of one equal, "
+                                             rf"nonzero length, got {re.escape(got)}$"):
+            MomentSeries(p=2.0, times=times, values=values)
+    series = MomentSeries(p=2.0, times=np.array([0.0, 1.0]), values=np.array([1.0, 1.0]))
+    assert check_moment_bound(series, CYCLE_PARAMS, START).passed
