@@ -9,18 +9,19 @@ Subcommands
     verify          growth-bound certification -> JSON, exit 1 on failure
 
 Every option is one row of OPTIONS: its config key, flag, type, default, help
-and the subcommands that take it.  The row drives the argparse flag, the
---config merge (the same names, strict JSON types), the one coercion step in
-_resolve_options and the manifest.  Every file-writing run drops a
+and the subcommands that take it.  The row drives the argparse flag (spelled
+in full: no prefix of it is taken), the --config merge (the same names, strict
+JSON types), the one coercion step in _resolve_options and the manifest; no
+environment variable sets an option.  Every file-writing run drops a
 manifest.json echoing the subcommand's resolved options; feeding it back
 through --config replays the run byte-for-byte (the manifest itself differs
 only in its timestamp).  Config keys the subcommand does not take are
-ignored, but a removed option's key (_REMOVED) only at its old default.  main
-resolves what every subcommand shares and writes the manifest last, so a
---out directory without one holds an incomplete run.  Exit codes: 0 success,
-1 failed verification (verify only), 2 usage or validation error, a closed
-stdout or an output file that cannot be written, reported as a single
-"error:" line on stderr.
+ignored, but a removed option's key (_REMOVED) only at its old default, of its
+JSON type.  main resolves what every subcommand shares and writes the
+manifest last, so a --out directory without one holds an incomplete run.
+Exit codes: 0 success, 1 failed verification (verify only), 2 usage or
+validation error, a closed stdout or an output file that cannot be written,
+reported as a single "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ from .verification import (
     monotonicity_constant,
 )
 
-SEED_ENV_VAR = "RM_SEED"
-
-
 @dataclass(frozen=True)
 class Option:
     """One option: config key (dest), flag, type, default, help, subcommands."""
@@ -92,13 +90,11 @@ OPTIONS = (
     Option("x0", "--x0", str, "1,0.6", "initial state 'N,P'", _FROM_X0),
     Option("T", "-T", float, 10.0, "end time", _FROM_X0),
     Option("dt", "--dt", float, DEFAULT_DT, "integration step", ("simulate-ode", "phase-portrait")),
-    Option("tail_fraction", "--tail-fraction", float, 0.25,
-           "trailing fraction inspected for the long-run verdict", ("simulate-ode",)),
     Option("grid", "--grid", str, None, "bounds 'NMIN,NMAX,PMIN,PMAX'", _GRID),
     Option("res", "--res", int, None, "grid resolution per axis (20; verify 200)", _GRID),
     Option("M", "-M", int, DESK_STEPS, "number of steps", _NOISY),
     Option("runs", "--runs", int, 2000, "number of paths", _ENSEMBLE),
-    Option("seed", "--seed", int, None, f"noise seed (env {SEED_ENV_VAR}, else 0)", _NOISY),
+    Option("seed", "--seed", int, 0, "noise seed", _NOISY),
     Option("stream", "--stream", int, 0, "noise stream index", ("simulate-sde",)),
     Option("stride", "--stride", int, 1, "record every stride-th step", _ENSEMBLE),
     Option("workers", "--workers", int, 1, "worker threads (no effect on results)", _ENSEMBLE),
@@ -111,7 +107,7 @@ OPTIONS = (
 )
 
 # Keys of removed options, which older manifests hold, and the one value each may still have.
-_REMOVED = {"zero_noise": False, "c_override": None}
+_REMOVED = {"zero_noise": False, "c_override": None, "tail_fraction": 0.25}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -225,11 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosmac",
         description="Predator-prey dynamics: analysis, simulation, certification.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"rosmac {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("--config", help="JSON file of option values (flags win)")
         for option in _options_of(name):
             if option.type is bool:
@@ -252,10 +249,11 @@ def _read_config(path: str) -> dict[str, Any]:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
-    """Layer defaults < config file < explicit flags, coerce each value; resolve the seed."""
+    """Layer defaults < config file < explicit flags and coerce each value."""
     config = _read_config(args.config) if args.config else {}
     for key, default in _REMOVED.items():
-        if config.get(key, default) is not default:
+        value = config.get(key, default)
+        if not (type(value) is type(default) and value == default):  # JSON 0 is no false
             raise ValueError(f"config key {key!r} was removed; only {json.dumps(default)} "
                              f"is accepted, got {json.dumps(config[key])}")
     options = {}
@@ -264,12 +262,6 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
         if value is None:
             value = config.get(option.dest, option.default)
         options[option.dest] = _coerce(option, value)
-    if "seed" in options and options["seed"] is None:
-        env_seed = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            options["seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     return options
 
 
@@ -341,12 +333,9 @@ def _cmd_analyze(params: ModelParams, x0: None, options: dict[str, Any]) -> int:
 
 
 def _cmd_simulate_ode(params: ModelParams, x0: State, options: dict[str, Any]) -> int:
-    tail_fraction = options["tail_fraction"]
-    if not (0.0 < tail_fraction <= 0.5):
-        raise ValueError(f"--tail-fraction must lie in (0, 0.5], got {tail_fraction!r}")
     traj = integrate(params, x0, options["T"], options["dt"])
     if len(traj) >= ode._MIN_SAMPLES:
-        verdict = detect_asymptotics(traj, tail_fraction)
+        verdict = detect_asymptotics(traj)
         print(f"long-run verdict: {verdict.kind.value} {verdict.diagnostics}")
     out_dir = _prepare_out(options)
     if out_dir is not None:

@@ -172,6 +172,8 @@ class ModelParams:
             value = getattr(self, name)
             if not (value > 0.0) or not np.isfinite(value):
                 raise ValueError(f"ModelParams.{name} must be finite and > 0, got {value!r}")
+            # A Python float: a numpy scalar would run the scalar loops in its own precision.
+            object.__setattr__(self, name, float(value))
 
 
 def nondimensionalize(raw: RawParams) -> tuple[ModelParams, Scales]:

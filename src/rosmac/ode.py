@@ -96,11 +96,11 @@ class AsymptoticVerdict:
 def _step_count(t_end: float, dt: float) -> int:
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if not (t_end >= dt and math.isfinite(t_end / dt)):
+    if not (t_end >= dt and math.isfinite(float(t_end) / float(dt))):
         raise ValueError(
             f"t_end must be a finite number of steps >= 1, got t_end={t_end!r}, dt={dt!r}"
         )
-    return max(1, round(t_end / dt))
+    return max(1, round(float(t_end) / float(dt)))
 
 
 def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_DT) -> Trajectory:
@@ -118,6 +118,7 @@ def integrate(params: ModelParams, x0: State, t_end: float, dt: float = DEFAULT_
     """
     n, p = checked_state(x0)
     steps = _step_count(t_end, dt)
+    dt = float(dt)  # a numpy scalar would run the loop in its own precision
     m, c, k = params.m, params.c, params.k
     # Negating c is exact, so nc * p is -c * p bit for bit.
     h2, sixth, nc, inf = 0.5 * dt, dt / 6.0, -c, math.inf
@@ -183,8 +184,8 @@ def _upward_crossings(times: np.ndarray, values: np.ndarray, level: float) -> np
     return times[idx] + frac * (times[idx + 1] - times[idx])
 
 
-def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> AsymptoticVerdict:
-    """Diagnose the trailing window of a trajectory.
+def detect_asymptotics(traj: Trajectory) -> AsymptoticVerdict:
+    """Diagnose the trailing quarter of a trajectory, its last len(traj) // 4 states.
 
     A window whose per-component range is below 1e-6 is an equilibrium
     (confirmed against the drift); otherwise stable spacing of the last five
@@ -199,8 +200,6 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
     """
     if len(traj) < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {len(traj)}")
-    if not (0.0 < tail_fraction <= 0.5):
-        raise ValueError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction!r}")
     if traj.clamp_count:
         return AsymptoticVerdict(
             kind=AsymptoticKind.UNDECIDED,
@@ -209,7 +208,7 @@ def detect_asymptotics(traj: Trajectory, tail_fraction: float = 0.25) -> Asympto
                 f"the flow never leaves the quadrant, so the step decided the answer"
             ),
         )
-    start = len(traj) - max(2, int(len(traj) * tail_fraction))
+    start = len(traj) - len(traj) // 4
     window = traj.states[start:]
     lo = window.min(axis=0)
     hi = window.max(axis=0)

@@ -79,16 +79,21 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
-        if _integer("m_steps", self.m_steps) < 1:
-            raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
+        # Python numbers, so that delta and the scalar loop are too, whatever was passed.
+        t_end, m_steps = float(self.t_end), _integer("m_steps", self.m_steps)
+        if m_steps < 1:
+            raise ValueError(f"m_steps must be >= 1, got {m_steps!r}")
         try:
-            delta = self.t_end / self.m_steps
+            delta = t_end / m_steps
         except OverflowError:  # an int past the float maximum
             raise ValueError("m_steps must be less than the float maximum") from None
         if not (delta > 0.0):
-            raise ValueError(f"t_end / m_steps must be > 0, got {self.t_end!r} / {self.m_steps!r}")
-        if not (0 <= _integer("seed", self.seed) < _MAX_SEED):
+            raise ValueError(f"t_end / m_steps must be > 0, got {t_end!r} / {m_steps!r}")
+        seed = _integer("seed", self.seed)
+        if not (0 <= seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        for name, value in (("t_end", t_end), ("m_steps", m_steps), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def delta(self) -> float:

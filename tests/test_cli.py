@@ -359,12 +359,44 @@ def test_ensemble_rejects_nonpositive_workers(capsys):
     assert "workers" in capsys.readouterr().err
 
 
-def test_simulate_ode_rejects_tail_fraction_outside_range(capsys):
-    for fraction in ("0.9", "0", "-0.1"):
-        argv = ["simulate-ode", *CYCLE_FLAGS, "-T", "20", "--dt", "0.01", "--tail-fraction", fraction]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "tail-fraction" in err and err.count("\n") == 1
+def test_simulate_ode_rejects_tail_fraction_outside_range(tmp_path, capsys):
+    """simulate-ode takes no --tail-fraction; a manifest's tail_fraction key replays at 0.25 only."""
+    argv = ["simulate-ode", *CYCLE_FLAGS, "-T", "300", "--dt", "0.01"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tail-fraction", "0.25"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tail-fraction" in capsys.readouterr().err
+    first = tmp_path / "first"
+    assert main([*argv, "--out", str(first)]) == 0
+    verdict = capsys.readouterr().out
+    assert verdict.startswith("long-run verdict: limit_cycle")
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert "tail_fraction" not in manifest["options"]
+    config = tmp_path / "old.json"
+    manifest["options"]["tail_fraction"] = 0.1
+    config.write_text(json.dumps(manifest))
+    assert main(["simulate-ode", "--config", str(config), "--out", str(tmp_path / "bad")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config key 'tail_fraction' was removed; only 0.25 is accepted, got 0.1\n"
+    )
+    manifest["options"]["tail_fraction"] = 0.25
+    config.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    assert main(["simulate-ode", "--config", str(config), "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == verdict
+    assert (replay / "trajectory.csv").read_bytes() == (first / "trajectory.csv").read_bytes()
+
+
+def test_flags_are_spelled_in_full(capsys):
+    """No unique prefix stands for a flag: --run is not --runs, --see not --seed."""
+    for argv in (["ensemble", *CYCLE_FLAGS, "--run", "3", "--save", "2"],
+                 ["simulate-sde", *CYCLE_FLAGS, "--see", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -718,33 +750,25 @@ def test_manifest_replay_is_byte_identical(tmp_path):
     assert original == replayed
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
+def test_seed_has_no_env_fallback(tmp_path, capsys, monkeypatch):
+    """The seed is --seed, else the config's, else 0; the environment (RM_SEED) plays no part."""
+    args = ["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "100", "--out"]
+    for run, extra in [("plain", []), ("seed77", ["--seed", "77"])]:
+        assert main([*args, str(tmp_path / run), *extra]) == 0
     monkeypatch.setenv("RM_SEED", "77")
-    out = tmp_path / "env"
-    args = ["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "100", "--out", str(out)]
-    assert main(args) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 77
-
-    explicit = tmp_path / "explicit"
-    args = [
-        "simulate-sde",
-        *CYCLE_FLAGS,
-        "-T",
-        "1",
-        "-M",
-        "100",
-        "--seed",
-        "5",
-        "--out",
-        str(explicit),
-    ]
-    assert main(args) == 0
-    assert json.loads((explicit / "manifest.json").read_text())["seed"] == 5
-
-    monkeypatch.setenv("RM_SEED", "not-a-number")
-    assert main(["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "100"]) == 2
-    assert "RM_SEED" in capsys.readouterr().err
+    assert main([*args, str(tmp_path / "env")]) == 0
+    path = (tmp_path / "env" / "path.csv").read_bytes()
+    assert path == (tmp_path / "plain" / "path.csv").read_bytes()
+    assert path != (tmp_path / "seed77" / "path.csv").read_bytes()
+    assert json.loads((tmp_path / "env" / "manifest.json").read_text())["seed"] == 0
+    assert main([*args, str(tmp_path / "explicit"), "--seed", "5"]) == 0
+    assert json.loads((tmp_path / "explicit" / "manifest.json").read_text())["seed"] == 5
+    # A null seed is no integer: manifests always hold one.
+    config = tmp_path / "null.json"
+    config.write_text(json.dumps({"seed": None}))
+    capsys.readouterr()
+    assert main(["simulate-sde", *CYCLE_FLAGS, "-T", "1", "-M", "100", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: --seed expects an integer, got None\n"
 
 
 def test_verify_passes_and_reports(tmp_path, capsys):

@@ -40,7 +40,6 @@ VALUES = {
     "x0": _joined(_floats(0.0, 3.0), 2),
     "T": _floats(1e-3, 5.0),
     "dt": _floats(1e-3, 1.0),
-    "tail_fraction": _floats(0.0, 1.0),
     "grid": _joined(_floats(-1.0, 5.0), 4),
     "res": st.integers(-1, 5),
     "M": st.integers(-1, 50),

@@ -42,6 +42,31 @@ def test_integrate_grid_and_validation():
         integrate(CYCLE_PARAMS, START, 1e-4, dt=1e-3)
 
 
+F32 = np.float32
+CYCLE_F32 = ModelParams(F32(3.0), F32(1.0), F32(3.0))
+
+
+@pytest.mark.parametrize("run, twin", [
+    (lambda: integrate(CYCLE_PARAMS, START, 10.0, F32(0.0625)),
+     lambda: integrate(CYCLE_PARAMS, START, 10.0, 0.0625)),
+    (lambda: integrate(CYCLE_F32, START, 10.0, 0.0625),
+     lambda: integrate(CYCLE_PARAMS, START, 10.0, 0.0625)),
+    (lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(F32(10.0), 4000, 11)),
+     lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(10.0, 4000, 11))),
+    (lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(10.0, np.int64(4000), np.uint64(11))),
+     lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(10.0, 4000, 11))),
+    (lambda: simulate_path(CYCLE_F32, START, SimConfig(10.0, 4000, 11)),
+     lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(10.0, 4000, 11))),
+], ids=["ode-dt", "ode-params", "sde-t_end", "sde-m_steps-seed", "sde-params"])
+def test_exact_numpy_scalars_give_the_bits_of_their_python_twins(run, twin):
+    """Both scalar loops run on Python numbers whatever type the inputs had:
+    exact float32 or int64 inputs give their twin's states and a float dt."""
+    traj, expected = run(), twin()
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert type(traj.dt) is float and traj.dt == expected.dt
+    assert traj.clamp_count == expected.clamp_count
+
+
 def test_prey_axis_matches_logistic_closed_form():
     """With no predator the prey follows the logistic solution exactly."""
     k = CYCLE_PARAMS.k
@@ -301,11 +326,6 @@ def test_detect_asymptotics_validation():
     short = integrate(CYCLE_PARAMS, START, 0.5, dt=1e-3)
     with pytest.raises(ValueError):
         detect_asymptotics(short)
-    long_enough = integrate(CYCLE_PARAMS, START, 2.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        detect_asymptotics(long_enough, tail_fraction=0.0)
-    with pytest.raises(ValueError):
-        detect_asymptotics(long_enough, tail_fraction=0.75)
 
 
 @pytest.mark.parametrize("dt", [0.25, 0.5, 1.25, 1.5, 2.25, 2.5])

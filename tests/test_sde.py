@@ -402,6 +402,16 @@ def test_a_blowup_in_a_step_that_its_drift_decides_is_a_blowup(monkeypatch):
         next(_ensemble_chunks(params, x0, cfg, 2, 1, 1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_integer_step_count_of_numpy_blows_up_as_its_python_twin():
+    """An np.int64 m_steps gives a Python-float delta, so the scalar loop raises
+    BlowupError, not numpy's overflow RuntimeWarning."""
+    params = ModelParams(1.0, 1.0, 1e300)
+    for m_steps in (10, np.int64(10)):
+        with pytest.raises(BlowupError, match="at step 1 "):
+            simulate_path(params, (1e300, 1e300), SimConfig(2.0, m_steps))
+
+
 def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
