@@ -34,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -217,8 +217,13 @@ def _report_dict(report: VerificationReport) -> dict[str, Any]:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # one "error:" line, as every exit 2; subparsers too
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rosmac",
         description="Predator-prey dynamics: analysis, simulation, certification.",
         allow_abbrev=False,

@@ -9,13 +9,13 @@ Estimators follow the plain Monte Carlo forms
 with half-width bands mean +/- sqrt(var)/2.  Sums over runs are reduced with
 an explicit pairwise tree whose shape depends only on the run count, and path
 j always uses noise stream j, so results are bit-identical for any number of
-worker threads.  Both functions reduce each block of recorded states as the
-driver yields it, 32 time rows of every run, into one preallocated result, so
-memory is O(runs x chunk) with no runs x recorded tensor: the driver's one
-runs x chunk buffer and its one (32, 2, runs) block, and four blocks of rows
-for the bands, whose tree passes take both components at once, or three for
-the moments.  At 2,000 runs x 4,000 steps the tracemalloc peak is 13.5 MB,
-and 13.0 MB for three moment orders.
+worker threads.  The driver yields x0, then every step, in blocks of 32 time
+rows of every run; both functions reduce every `stride`-th step's rows as they
+come into one preallocated result, so memory is O(runs x chunk) with no runs x
+recorded tensor: the driver's one runs x chunk buffer and its one (32, 2, runs)
+block, and four blocks of rows for the bands, whose tree passes take both
+components at once, or three for the moments.  At 2,000 runs x 4,000 steps the
+tracemalloc peak is 13.5 MB, and 13.0 MB for three moment orders.
 """
 
 from __future__ import annotations
@@ -107,18 +107,24 @@ def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.nda
 
 
 def _reduced(blocks, runs: int, cfg: SimConfig, stride: int, width: int, buffers: int, step):
-    """Reduce the driver's (rows, clamps) blocks over their `runs` runs: step(times,
-    rows, out, work) gets a block's times, (rows, 2, runs) states, (width, rows)
-    result columns and a contiguous work buffer of `buffers` x rows x runs
-    floats.  Returns the recorded times, the result and the projection total."""
+    """Reduce every `stride`-th step of the driver's (rows, clamps) blocks over their
+    `runs` runs: step(times, rows, out, work) gets those rows' times, (rows, 2, runs)
+    states, (width, rows) result columns and a contiguous work buffer of `buffers` x
+    rows x runs floats.  Returns the recorded times, the result and the projection total."""
     runs = _integer("runs", runs)  # a Python int, so that the work size cannot wrap
-    times = np.arange(cfg.m_steps // stride + 1) * (cfg.delta * stride)
-    out = np.empty((width, len(times)))
-    work, lo = _sized("runs", runs, np.empty, (buffers * _BLOCK_ROWS * runs,)), 0
+    if _integer("stride", stride) < 1 or cfg.m_steps % stride != 0:
+        raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
+    recorded = cfg.m_steps // stride + 1
+    times = _sized("m_steps", cfg.m_steps, lambda shape, dtype: np.arange(*shape, dtype=dtype), (recorded,))
+    times *= cfg.delta * stride
+    out = _sized("m_steps", cfg.m_steps, np.empty, (width, recorded))
+    work, first = _sized("runs", runs, np.empty, (buffers * _BLOCK_ROWS * runs,)), 0
     for rows, clamps in blocks:
-        hi = lo + len(rows)
-        step(times[lo:hi], rows, out[:, lo:hi], work[: buffers * len(rows) * runs])
-        lo = hi
+        # The block holds steps first, first + 1, ...: keep the multiples of stride.
+        kept, lo = rows[-first % stride::stride], -(-first // stride)
+        hi = lo + len(kept)
+        step(times[lo:hi], kept, out[:, lo:hi], work[: buffers * len(kept) * runs])
+        first += len(rows)
     return times, out, clamps
 
 
@@ -146,7 +152,7 @@ def run_ensemble(
     workers: int = 1,
 ) -> EnsembleStats:
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
-    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
+    chunks = _ensemble_chunks(params, x0, cfg, runs, workers)
     times, moments, clamps = _reduced(chunks, runs, cfg, stride, 4, 4, _mean_var)
     return _ensemble_stats(times, moments, clamps)
 
@@ -172,7 +178,7 @@ def ensemble_moments(
             raise ValueError(f"moment orders must be finite and > 0, got {p!r}")
     if not (0.0 < t_min < cfg.t_end):
         raise ValueError(f"t_min must lie in (0, t_end), got {t_min!r}")
-    chunks = _ensemble_chunks(params, x0, cfg, runs, stride, workers)
+    chunks = _ensemble_chunks(params, x0, cfg, runs, workers)
     proxies = _sized("runs", runs, np.full, (runs,), -np.inf)
 
     def moments(times, rows, out, work):

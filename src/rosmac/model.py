@@ -61,8 +61,8 @@ def _integer(name: str, value) -> int:
 
 
 def _sized(name: str, value: int, make, shape: tuple[int, ...], *fill) -> np.ndarray:
-    """make(shape, *fill, dtype=float), make being np.empty, np.zeros, np.full or a
-    linspace, for a float array whose size grows with the input `name`; one
+    """make(shape, *fill, dtype=float), make being np.empty, np.zeros, np.full, a
+    linspace or an arange, for a float array whose size grows with the input `name`; one
     MemoryError naming name=value and the bytes where numpy cannot allocate it."""
     try:
         return make(shape, *fill, dtype=float)

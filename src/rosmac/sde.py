@@ -64,7 +64,7 @@ _CHUNK_STEPS = 256
 # Streams that one ensemble thread draws into its scratch block at a time.
 _DRAW_STREAMS = 64
 
-# Recorded rows per block that the ensemble driver yields.  Sets memory, not results.
+# Steps per block that the ensemble driver yields.  Sets memory, not results.
 _BLOCK_ROWS = 32
 
 
@@ -199,21 +199,21 @@ def simulate_path(
 
 
 def _ensemble_chunks(
-    params: ModelParams, x0: State, cfg: SimConfig, runs: int, stride: int, workers: int
+    params: ModelParams, x0: State, cfg: SimConfig, runs: int, workers: int
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Advance the paths on streams 0..runs-1 together, one step at a time.
 
     Checks its arguments when called and returns a generator that yields
-    (rows, clamps) per block of recorded states: rows is the (recorded, 2,
-    runs) states of every `stride`-th step, at most _BLOCK_ROWS of them, for
-    every run, x0 leading the first block; clamps the number of projections
-    so far.  rows is a view that the next block may overwrite.  One generator
-    per stream makes chunked draws equal a single draw; the calling thread
-    and `workers` - 1 helper threads, at most one thread per usable CPU,
-    split the draws by stream.  Matches simulate_path bit for bit and
-    applies the module's step rule to all runs at once: at the first step
-    where a run breaks it, a blow-up in any run wins over a coarse step, and
-    a coarse step names n if any run's n is decided, else p.
+    (rows, clamps) blocks of the (rows, 2, runs) states of every run: x0 as a
+    one-row block, then every step's states, at most _BLOCK_ROWS steps a
+    block; clamps is the number of projections so far.  rows is a view that
+    the next block may overwrite.  One generator per stream makes chunked
+    draws equal a single draw; the calling thread and `workers` - 1 helper
+    threads, at most one thread per usable CPU, split the draws by stream.
+    Matches simulate_path bit for bit and applies the module's step rule to
+    all runs at once: at the first step where a run breaks it, a blow-up in
+    any run wins over a coarse step, and a coarse step names n if any run's n
+    is decided, else p.
 
     The origin (+0, +0) is absorbing, and both drivers check at chunk starts:
     runs found there draw no more noise and stop stepping; their columns are
@@ -222,26 +222,21 @@ def _ensemble_chunks(
     """
     if _integer("runs", runs) < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
-    if _integer("stride", stride) < 1 or cfg.m_steps % stride != 0:
-        raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
     if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _stepped(params, *checked_state(x0), cfg, runs, stride, workers)
+    return _stepped(params, *checked_state(x0), cfg, runs, workers)
 
 
-def _stepped(params, n0, p0, cfg, runs, stride, workers):
+def _stepped(params, n0, p0, cfg, runs, workers):
     """_ensemble_chunks' generator, from checked arguments."""
     steps, delta = cfg.m_steps, cfg.delta
     m, c, k = params.m, params.c, params.k
     chunk = min(_CHUNK_STEPS, steps)
     x = _sized("runs", runs, np.full, (2, runs), [[n0], [p0]])
     clamps = 0
-    # Row i + 1 holds step i's noise, the first 2 count floats, and the recorded
-    # states follow it compact, at rows r <= i + 1: a step has read its noise
-    # row before it records.
-    buffer = _sized("runs", runs, np.empty, (chunk + 1, 2 * runs))
+    # Row i holds step i's noise, the first 2 count floats, until step i writes its states there.
+    buffer = _sized("runs", runs, np.empty, (chunk, 2 * runs))
     dense = _sized("runs", runs, np.empty, (_BLOCK_ROWS, 2, runs))
-    recorded = 1
     live = np.arange(runs)  # the stream index of each live run
     generators = [NoiseStream(cfg.seed, j)._rng for j in range(runs)]
     parts = min(workers, runs, _usable_cpus())
@@ -259,14 +254,14 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                 for i in range(lo, hi):
                     generators[live[i]].standard_normal(out=block[i - lo, :size])
                 np.multiply(block[: hi - lo, :size], math.sqrt(delta),
-                            out=noise[:size].transpose(2, 0, 1)[lo:hi])
+                            out=rows[:size].transpose(2, 0, 1)[lo:hi])
         except BaseException as error:  # raised by the calling thread once every part is drawn
             failures.append(error)
 
-    def dense_blocks(recorded: int):
-        """The chunk's first `recorded` rows as blocks of every run, and the projections so far."""
-        for lo in range(0, recorded, _BLOCK_ROWS):
-            part = rows[lo:min(lo + _BLOCK_ROWS, recorded)]
+    def dense_blocks(size: int):
+        """The chunk's `size` rows as blocks of every run, and the projections so far."""
+        for lo in range(0, size, _BLOCK_ROWS):
+            part = rows[lo:min(lo + _BLOCK_ROWS, size)]
             if count < runs:
                 # A component at a time: 3x faster than dense[:, :, live] = part.
                 for component in (0, 1):
@@ -274,6 +269,7 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
                 part = dense[: len(part)]
             yield part, clamps
 
+    yield x[None], clamps
     for start in range(0, steps, chunk):
         size = min(chunk, steps - start)
         absorbed = _at_origin(x)
@@ -283,61 +279,52 @@ def _stepped(params, n0, p0, cfg, runs, stride, workers):
             live, x = live[kept], x.compress(kept, axis=1)
             count = len(live)
             dense.fill(0.0)  # the columns of runs that have left the live set read +0.0
-            rows = buffer[:, : 2 * count].reshape(chunk + 1, 2, count)
-            noise = rows[1:]
-            if not start:
-                rows[0] = x
+            rows = buffer[:, : 2 * count].reshape(chunk, 2, count)
             n, p = x
             (dn, dp), (v1, v2) = drift, var = np.empty_like(x), np.empty_like(x)
             inter, one_n, n_k = np.empty_like(n), np.empty_like(n), np.empty_like(n)
-        if not count:  # every run is at +0.0: nothing to draw or step
-            yield from dense_blocks(recorded + (start + size) // stride - start // stride)
-            recorded = 0
-            continue
-        # The calling thread draws part 0 and a helper thread each other part.
-        helpers = [Thread(target=draw, args=(part, size)) for part in range(1, parts)]
-        for thread in helpers:
-            thread.start()
-        draw(0, size)
-        for thread in helpers:
-            thread.join()
-        if failures:
-            raise failures[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(size):
-                # Shared terms once per step: m n p / (1 + n) and n / k.
-                np.multiply(np.multiply(n, m, out=inter), p, out=inter)
-                inter /= np.add(n, 1.0, out=one_n)
-                np.divide(n, k, out=n_k)
-                # Drift and variances, operand for operand as in model._rates.
-                np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
-                dn -= inter
-                np.add(np.multiply(p, -c, out=dp), inter, out=dp)
-                np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
-                v1 += inter
-                np.add(np.multiply(p, c, out=v2), inter, out=v2)
-                drift *= delta
-                drift += x
-                np.sqrt(var, out=var)
-                var *= noise[i]
-                np.add(drift, var, out=x)
-                # fmin skips NaN, so a NaN path cannot hide another's negative.
-                lowest = np.fmin.reduce(x, axis=None)
-                # A blow-up first: -inf is an overflow, not an extinction, and the
-                # maximum is NaN or +inf where another component is not finite.
-                if lowest == -math.inf or not np.maximum.reduce(x, axis=None) < math.inf:
-                    raise BlowupError(start + i + 1, delta)
-                if lowest < 0.0:
-                    # Is a component below 0 whose drift part, still in drift, is too?
-                    # var, spent, holds the larger of the two.
-                    if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
-                        decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
-                        raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
-                    negative = x < 0.0
-                    clamps += np.count_nonzero(negative)
-                    x[negative] = 0.0
-                if (start + i + 1) % stride == 0:
-                    rows[recorded] = x
-                    recorded += 1
-        yield from dense_blocks(recorded)
-        recorded = 0
+        if count:  # else every run is at +0.0: nothing to draw or step
+            # The calling thread draws part 0 and a helper thread each other part.
+            helpers = [Thread(target=draw, args=(part, size)) for part in range(1, parts)]
+            for thread in helpers:
+                thread.start()
+            draw(0, size)
+            for thread in helpers:
+                thread.join()
+            if failures:
+                raise failures[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(size):
+                    # Shared terms once per step: m n p / (1 + n) and n / k.
+                    np.multiply(np.multiply(n, m, out=inter), p, out=inter)
+                    inter /= np.add(n, 1.0, out=one_n)
+                    np.divide(n, k, out=n_k)
+                    # Drift and variances, operand for operand as in model._rates.
+                    np.multiply(np.subtract(1.0, n_k, out=dn), n, out=dn)
+                    dn -= inter
+                    np.add(np.multiply(p, -c, out=dp), inter, out=dp)
+                    np.multiply(np.add(n_k, 1.0, out=v1), n, out=v1)
+                    v1 += inter
+                    np.add(np.multiply(p, c, out=v2), inter, out=v2)
+                    drift *= delta
+                    drift += x
+                    np.sqrt(var, out=var)
+                    var *= rows[i]
+                    np.add(drift, var, out=x)
+                    # fmin skips NaN, so a NaN path cannot hide another's negative.
+                    lowest = np.fmin.reduce(x, axis=None)
+                    # A blow-up first: -inf is an overflow, not an extinction, and the
+                    # maximum is NaN or +inf where another component is not finite.
+                    if lowest == -math.inf or not np.maximum.reduce(x, axis=None) < math.inf:
+                        raise BlowupError(start + i + 1, delta)
+                    if lowest < 0.0:
+                        # Is a component below 0 whose drift part, still in drift, is too?
+                        # var, spent, holds the larger of the two.
+                        if np.fmin.reduce(np.maximum(x, drift, out=var), axis=None) < 0.0:
+                            decided = ((x < 0.0) & (drift < 0.0)).any(axis=1)
+                            raise _too_coarse(start + i + 1, delta, "np"[decided.argmax()])
+                        negative = x < 0.0
+                        clamps += np.count_nonzero(negative)
+                        x[negative] = 0.0
+                    rows[i] = x
+        yield from dense_blocks(size)

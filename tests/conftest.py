@@ -77,10 +77,10 @@ class ChunkReader:
         return self.increments[start:start + size]
 
 
-def driver_blocks(params, x0, cfg, runs, stride, workers):
+def driver_blocks(params, x0, cfg, runs, workers):
     """The ensemble driver's (rows, clamps) blocks, each checked to hold every
     run and at most _BLOCK_ROWS rows."""
-    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, stride, workers):
+    for rows, clamps in _ensemble_chunks(params, x0, cfg, runs, workers):
         assert rows.shape[1:] == (2, runs) and len(rows) <= _BLOCK_ROWS, rows.shape
         yield rows, clamps
 

@@ -255,6 +255,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("ensemble", *CYCLE_FLAGS, "--runs", "9223372036854775808", "-M", "10"): "runs",
         ("simulate-sde", *CYCLE_FLAGS, "-M", "1000000000000"):
             "cannot allocate 16000000000016 bytes for m_steps=1000000000000",
+        ("ensemble", *CYCLE_FLAGS, "-M", "1000000000000"):
+            "cannot allocate 8000000000008 bytes for m_steps=1000000000000",
+        ("verify", *CYCLE_FLAGS, "-M", "1000000000000"):
+            "cannot allocate 8000000000008 bytes for m_steps=1000000000000",
         ("simulate-ode", *CYCLE_FLAGS, "-T", "1e12", "--dt", "1e-3"):
             "cannot allocate 16000000000000016 bytes for t_end/dt=1000000000000000",
         ("phase-portrait", *CYCLE_FLAGS, "--res", "1000000000000"):
@@ -390,13 +394,22 @@ def test_simulate_ode_rejects_tail_fraction_outside_range(tmp_path, capsys):
 
 
 def test_flags_are_spelled_in_full(capsys):
-    """No unique prefix stands for a flag: --run is not --runs, --see not --seed."""
+    """No unique prefix stands for a flag: --run is not --runs, --see not --seed.
+    Like every other usage error, argparse's own are one "error:" line."""
     for argv in (["ensemble", *CYCLE_FLAGS, "--run", "3", "--save", "2"],
                  ["simulate-sde", *CYCLE_FLAGS, "--see", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1, err
+    for argv in (["ensemble", *CYCLE_FLAGS, "-M", "10", "--run", "3"], [], ["ensemble", "--runs", "x"],
+                 ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 @pytest.mark.parametrize(

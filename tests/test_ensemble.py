@@ -20,6 +20,7 @@ from rosmac import (
     simulate_path,
 )
 from rosmac.ensemble import _ensemble_stats, _mean_var, _pairwise_sum, _reduced
+from rosmac import sde
 from rosmac.sde import _BLOCK_ROWS, _CHUNK_STEPS
 
 from conftest import CYCLE_PARAMS, START
@@ -190,14 +191,35 @@ def test_two_run_ensemble_is_the_average_of_its_streams():
 def test_stride_thins_the_same_ensemble():
     cfg = SimConfig(t_end=2.0, m_steps=400, seed=13)
     full = run_ensemble(CYCLE_PARAMS, START, cfg, runs=8)
-    thin = run_ensemble(CYCLE_PARAMS, START, cfg, runs=8, stride=20)
-    # Grid times are rebuilt from the strided spacing and may differ by an
-    # ulp; the recorded states themselves must agree bit for bit.
-    assert np.abs(thin.times - full.times[::20]).max() < 1e-12
-    assert np.array_equal(thin.mean_n, full.mean_n[::20])
-    assert np.array_equal(thin.var_p, full.var_p[::20])
+    # 20 keeps rows of every driver block; 80 and 400 keep none of most blocks.
+    for stride in (20, 80, 400):
+        thin = run_ensemble(CYCLE_PARAMS, START, cfg, runs=8, stride=stride)
+        # Grid times are rebuilt from the strided spacing and may differ by an
+        # ulp; the recorded states themselves must agree bit for bit.
+        assert len(thin.times) == 400 // stride + 1
+        assert np.abs(thin.times - full.times[::stride]).max() < 1e-12
+        assert np.array_equal(thin.mean_n, full.mean_n[::stride])
+        assert np.array_equal(thin.var_p, full.var_p[::stride])
     with pytest.raises(ValueError):
         run_ensemble(CYCLE_PARAMS, START, cfg, runs=8, stride=7)
+
+
+@pytest.mark.parametrize("stride", [0, -4, 5, 1.5])
+def test_a_bad_stride_raises_before_any_noise_is_drawn(monkeypatch, stride):
+    """A stride that is not an integer, or not a positive divisor of m_steps =
+    12, is named by both ensembles before the driver opens a noise stream."""
+
+    def no_noise(seed, stream_index):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(sde, "NoiseStream", no_noise)
+    cfg = SimConfig(1.0, 12)
+    message = (f"^stride must be an integer, got {stride}$" if stride == 1.5
+               else f"^stride must divide m_steps, got stride={stride}, m_steps=12$")
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(CYCLE_PARAMS, START, cfg, 4, stride=stride)
+    with pytest.raises(ValueError, match=message):
+        ensemble_moments(CYCLE_PARAMS, START, cfg, 4, (2.0,), t_min=0.5, stride=stride)
 
 
 def test_worker_count_does_not_change_results():
@@ -267,11 +289,11 @@ def test_ensemble_memory_does_not_grow_with_steps():
 
 
 def test_ensemble_memory_is_one_chunk_buffer():
-    # The driver holds one 257 x 2 x runs float buffer: row i + 1 holds step
-    # i's noise, and live runs record their states compact behind it, so a
-    # compact record adds no third buffer: it is the only one, shared with the
+    # The driver holds one 256 x 2 x runs float buffer: row i holds step i's
+    # noise until step i has read it and writes the live runs' states over it,
+    # so the states add no second buffer: it is the only one, shared with the
     # noise.  The driver adds one (rows, 2, runs) block into which it scatters
-    # the compact rows by stream, and the reductions four or three blocks of
+    # the live runs' rows by stream, and the reductions four or three blocks of
     # rows.  A second chunk-sized buffer, for the noise, the states, a staging
     # area for the draws or whole-chunk norms and powers for the moments, would
     # exceed the bound.

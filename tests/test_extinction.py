@@ -26,14 +26,14 @@ def test_exact_references_on_the_axis():
 
 def _first_zero_prey_times(params, x0, cfg, runs, workers):
     """Per stream, the time of the first recorded row whose prey is +0, read from
-    the driver's blocks at stride 1; NaN for a run alive at t_end."""
+    the driver's blocks, which hold every step; NaN for a run alive at t_end."""
     times, offset = np.full(runs, math.nan), 0
-    for rows, _ in driver_blocks(params, x0, cfg, runs, 1, workers):
+    for rows, _ in driver_blocks(params, x0, cfg, runs, workers):
         prey = rows[:, 0]
         zero = (prey == 0.0) & ~np.signbit(prey)
         new = zero.any(axis=0) & np.isnan(times)
         times[new] = (offset + zero.argmax(axis=0)[new]) * cfg.delta
-        offset += len(rows)  # the first block also holds the x0 row
+        offset += len(rows)  # the first block is the x0 row alone
     return times
 
 

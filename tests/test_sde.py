@@ -20,11 +20,13 @@ from rosmac import (
     Trajectory,
     detect_asymptotics,
     ensemble_moments,
+    run_ensemble,
     simulate_path,
 )
 from rosmac import sde
+from rosmac.ensemble import _reduced
 from rosmac.model import _rates
-from rosmac.sde import _CHUNK_STEPS, _em_path, _ensemble_chunks
+from rosmac.sde import _BLOCK_ROWS, _CHUNK_STEPS, _em_path, _ensemble_chunks
 
 from conftest import (
     COMPONENTS,
@@ -67,13 +69,14 @@ def test_simconfig_validation_and_delta():
     lambda: NoiseStream(0, False),
     lambda: NoiseStream(0, 0).increments(2.5, 0.01),
     lambda: simulate_path(CYCLE_PARAMS, START, SimConfig(1.0, 10), stream_index=1.5),
-    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1.5, 1),
-    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4.0, 1, 1),
-    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1, 1.5),
+    lambda: run_ensemble(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, stride=1.5),
+    lambda: ensemble_moments(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, (2.0,), t_min=0.5, stride=1.5),
+    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4.0, 1),
+    lambda: _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 4, 1.5),
     lambda: ensemble_moments(CYCLE_PARAMS, START, SimConfig(1.0, 12), 1.5, (2.0,), t_min=0.5),
 ], ids=["seed", "bool seed", "steps", "float steps", "bool steps", "stream seed", "bool stream",
-        "increments", "path stream", "ensemble stride", "ensemble runs", "ensemble workers",
-        "moments runs"])
+        "increments", "path stream", "ensemble stride", "moments stride", "ensemble runs",
+        "ensemble workers", "moments runs"])
 def test_seeds_streams_and_step_counts_must_be_integers(make):
     """A float would draw the noise of its integer part and report itself, and
     a stride of 1.5 that divides m_steps = 12 records 5 of the 9 rows that its
@@ -85,7 +88,7 @@ def test_seeds_streams_and_step_counts_must_be_integers(make):
 def test_ensemble_chunks_checks_its_arguments_at_the_call():
     """Not when first iterated: the callers allocate for `runs` before they iterate."""
     with pytest.raises(ValueError, match="need at least 2 runs"):
-        _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 1, 1, 1)
+        _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 12), 1, 1)
 
 
 def test_numpy_integer_seeds_streams_and_step_counts_are_accepted():
@@ -324,28 +327,20 @@ def test_zero_noise_path_is_plain_euler(zero_noise):
     assert path.clamp_count == 0
 
 
-def _driver_states(cfg, runs, stride):
-    """Concatenate the driver's blocks into (runs, recorded, 2) plus the projection total."""
+def _driver_states(cfg, runs):
+    """Concatenate the driver's blocks into (runs, m_steps + 1, 2) plus the projection total."""
     blocks = [(rows.copy(), clamps)
-              for rows, clamps in driver_blocks(CYCLE_PARAMS, START, cfg, runs, stride, 1)]
+              for rows, clamps in driver_blocks(CYCLE_PARAMS, START, cfg, runs, 1)]
     return np.concatenate([rows for rows, _ in blocks]).transpose(2, 0, 1), blocks[-1][1]
 
 
 def test_block_simulation_matches_scalar_bitwise():
     cfg = SimConfig(t_end=2.0, m_steps=500, seed=7)
-    states, clamps = _driver_states(cfg, runs=6, stride=1)
+    states, clamps = _driver_states(cfg, runs=6)
     singles = [simulate_path(CYCLE_PARAMS, START, cfg, stream_index=stream) for stream in range(6)]
     for stream in range(3, 6):
         assert np.array_equal(states[stream], singles[stream].states)
     assert clamps == sum(single.clamp_count for single in singles)
-
-
-def test_block_simulation_stride_subsamples_the_same_path():
-    cfg = SimConfig(t_end=2.0, m_steps=500, seed=7)
-    full, _ = _driver_states(cfg, runs=2, stride=1)
-    coarse, _ = _driver_states(cfg, runs=2, stride=10)
-    assert coarse.shape == (2, 51, 2)
-    assert np.array_equal(coarse, full[:, ::10])
 
 
 # Steps of delta = 100 from START: the first step's drift part alone takes the prey
@@ -359,11 +354,19 @@ def test_simulate_path_rejects_a_step_that_its_drift_decides():
         simulate_path(*_DRIFT_DECIDED)
 
 
+def _after_x0(blocks):
+    """blocks, past the driver's first block: x0 alone, with no projections."""
+    rows, clamps = next(blocks)
+    assert len(rows) == 1 and clamps == 0
+    return blocks
+
+
 def test_ensemble_driver_rejects_a_step_that_its_drift_decides():
-    # The steps fit one chunk, which raises before it is yielded.
+    # The steps fit one chunk, which raises before any of it is yielded.
     for runs, workers in ((4, 1), (100, 2)):
+        blocks = _after_x0(_ensemble_chunks(*_DRIFT_DECIDED, runs, workers))
         with pytest.raises(ValueError, match=_DRIFT_DECIDED_MESSAGE):
-            next(_ensemble_chunks(*_DRIFT_DECIDED, runs, 1, workers))
+            next(blocks)
 
 
 class _NormalsWithNanPredator:
@@ -398,8 +401,9 @@ def test_a_blowup_in_a_step_that_its_drift_decides_is_a_blowup(monkeypatch):
         simulate_path(params, x0, cfg, stream_index=0)
     with pytest.raises(BlowupError, match="at step 1 "):
         simulate_path(params, x0, cfg, stream_index=1)
+    blocks = _after_x0(_ensemble_chunks(params, x0, cfg, 2, 1))
     with pytest.raises(BlowupError, match="at step 1 "):
-        next(_ensemble_chunks(params, x0, cfg, 2, 1, 1))
+        next(blocks)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -416,12 +420,12 @@ def test_projections_that_noise_forces_are_counted():
     """A component that only its noise term takes below 0 is projected and counted,
     by both drivers: the README ensemble's runs project 3,666 times at seed 11."""
     params, cfg = CYCLE_PARAMS, SimConfig(t_end=10.0, m_steps=4_000, seed=11)
-    for _, clamps in driver_blocks(params, START, cfg, 2_000, 1, 2):
+    for _, clamps in driver_blocks(params, START, cfg, 2_000, 2):
         pass
     assert clamps == 3_666
     counts = [simulate_path(params, START, cfg, stream_index=j).clamp_count for j in range(20)]
     assert sum(counts) > 0
-    assert sum(counts) == list(driver_blocks(params, START, cfg, 20, 1, 1))[-1][1]
+    assert sum(counts) == list(driver_blocks(params, START, cfg, 20, 1))[-1][1]
 
 
 def test_coarse_step_rule_is_not_vacuous_on_the_readme_path():
@@ -479,8 +483,8 @@ def test_coarse_step_rule_is_not_vacuous_on_the_readme_path():
         restep(coarse)
 
 
-def _drain_chunks(params, x0, cfg, runs, stride):
-    for _ in driver_blocks(params, x0, cfg, runs, stride, 1):
+def _drain_chunks(params, x0, cfg, runs):
+    for _ in driver_blocks(params, x0, cfg, runs, 1):
         pass
 
 
@@ -497,10 +501,9 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
         firsts.append(info.value.last_good_index + 1)
     first = min(firsts)
     assert first > _CHUNK_STEPS
-    for stride in (1, 10):
-        with pytest.raises(BlowupError, match=f"at step {first} ") as info:
-            _drain_chunks(params, State(1.0, 0.0), cfg, 3, stride)
-        assert info.value.last_good_index == first - 1
+    with pytest.raises(BlowupError, match=f"at step {first} ") as info:
+        _drain_chunks(params, State(1.0, 0.0), cfg, 3)
+    assert info.value.last_good_index == first - 1
     # A start too large for float64 fails at its first step, without warnings.
     huge = State(1e300, 1e300)
     cfg = SimConfig(t_end=1.0, m_steps=10)
@@ -509,21 +512,24 @@ def test_non_finite_states_raise_blowup_at_the_first_bad_step():
         with pytest.raises(BlowupError, match="at step 1 "):
             simulate_path(CYCLE_PARAMS, huge, cfg)
         with pytest.raises(BlowupError, match="at step 1 "):
-            _drain_chunks(CYCLE_PARAMS, huge, cfg, 4, 1)
+            _drain_chunks(CYCLE_PARAMS, huge, cfg, 4)
 
 
 def _check_against_dense(params, x0, cfg, runs, stride, workers):
-    """Assert that the rows of every block of every chunk equal the dense
-    reference's, stream by stream and sign bits included, and its projection
-    total the sum of the reference's counts up to that chunk; return the runs at
-    (+0, +0) after each chunk.  Where the reference rejects a step of some
-    stream, because its drift part leaves the quadrant, the chunk's first block
-    must raise that ValueError at the first such step; return None then."""
+    """Assert that the driver yields x0 alone, then each chunk's steps in blocks
+    of _BLOCK_ROWS, whose rows equal the dense reference's, stream by stream and
+    sign bits included, and whose projection total is the sum of the
+    reference's counts up to that chunk; and that _reduced keeps every
+    `stride`-th row.  Return the runs at (+0, +0) after each chunk.  Where the
+    reference rejects a step of some stream, because its drift part leaves the
+    quadrant, the chunk's first block must raise that ValueError at the first
+    such step; return None then."""
     assert cfg.m_steps > 2 * _CHUNK_STEPS, "fewer than three chunks"
     increments = [_whole_increments(cfg, stream) for stream in range(runs)]
-    blocks = driver_blocks(params, x0, cfg, runs, stride, workers)
+    blocks = driver_blocks(params, x0, cfg, runs, workers)
     absorbed, first = [], 0
-    for end in range(_CHUNK_STEPS, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
+    # End 0 is x0, with no projections.
+    for end in range(0, cfg.m_steps + _CHUNK_STEPS, _CHUNK_STEPS):
         expected, rejected = [], []
         for stream in range(runs):
             try:
@@ -537,18 +543,25 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
                 next(blocks)
             assert _rejection(info.value) == (min(c for c, s in rejected if s == step), step)
             return None
-        # The rows recorded up to the chunk's end, x0 included.
-        recorded = len(expected[0][0][::stride])
+        # The rows up to the chunk's end, x0 included.
+        recorded = len(expected[0][0])
         while first < recorded:
             rows, clamps = next(blocks)
+            assert len(rows) == min(recorded - first, _BLOCK_ROWS if first else 1), (first, end)
             for stream, (states, count) in enumerate(expected):
-                want = states[::stride][first:first + len(rows)]
+                want = states[first:first + len(rows)]
                 assert rows[:, :, stream].tobytes() == want.tobytes(), (stream, end)
             assert clamps == sum(count for _, count in expected), end
             first += len(rows)
         assert first == recorded, end
-        absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
+        if end:
+            absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
     assert next(blocks, None) is None
+    kept = []
+    _reduced(driver_blocks(params, x0, cfg, runs, workers), runs, cfg, stride, 0, 0,
+             lambda times, rows, out, work: kept.append(rows.copy()))
+    want = np.stack([states for states, _ in expected], axis=2)[::stride]
+    assert np.concatenate(kept).tobytes() == want.tobytes()
     return absorbed
 
 
@@ -572,7 +585,7 @@ def test_compacted_ensemble_matches_dense_reference_across_chunks(x0, stride):
         params, cfg = _COARSE
         _check_against_dense(params, x0, cfg, runs, stride, workers)
     if x0 == START:  # the coarse steps project both components of every run
-        clamps = list(driver_blocks(params, x0, cfg, runs, stride, 1))[-1][1]
+        clamps = list(driver_blocks(params, x0, cfg, runs, 1))[-1][1]
         assert clamps == 2 * runs
 
 
@@ -612,10 +625,10 @@ def test_driver_blocks_hold_every_run_in_its_place(monkeypatch, x0):
     """From (-0, 0.6) runs 0, 2 and 4 reach the origin at the last step of the
     first chunk and runs 1 and 3 at that of the second, so the live set shrinks
     to a subset and then to none; from the origin no run is live from the start.
-    Stride 7 over 770 steps records 37, 37, 36 and 1 rows per chunk, counts
-    that are not multiples of 32.  Every block holds every run in its place, in
-    the bytes of that stream's single path: dead runs' columns +0.0, and the
-    -0.0 of x0 kept."""
+    770 steps are x0 alone, then chunks of 256, 256, 256 and 2 steps, the last
+    not a multiple of 32.  Every block holds every run in its place, in the
+    bytes of that stream's single path: dead runs' columns +0.0, and the -0.0
+    of x0 kept."""
 
     class KillingStream(sde.NoiseStream):
         def __init__(self, seed, stream_index):
@@ -623,20 +636,21 @@ def test_driver_blocks_hold_every_run_in_its_place(monkeypatch, x0):
             self._rng = _NormalsThatKill(stream_index % 2)
 
     monkeypatch.setattr(sde, "NoiseStream", KillingStream)
-    runs, stride, cfg = 5, 7, SimConfig(1.0, 770)
-    blocks = [(rows.copy(), clamps) for rows, clamps in driver_blocks(CYCLE_PARAMS, x0, cfg, runs, stride, 1)]
-    assert [len(rows) for rows, _ in blocks] == [32, 5, 32, 5, 32, 4, 1]
+    runs, cfg = 5, SimConfig(1.0, 770)
+    blocks = [(rows.copy(), clamps) for rows, clamps in driver_blocks(CYCLE_PARAMS, x0, cfg, runs, 1)]
+    assert [len(rows) for rows, _ in blocks] == [1] + [32] * 24 + [2]
+    assert blocks[0][1] == 0
     states = np.concatenate([rows for rows, _ in blocks])
     for stream in range(runs):
         path = simulate_path(CYCLE_PARAMS, x0, cfg, stream_index=stream)
-        assert states[:, :, stream].tobytes() == path.states[::stride].tobytes(), stream
+        assert states[:, :, stream].tobytes() == path.states.tobytes(), stream
     live = ~((states == 0.0) & ~np.signbit(states)).all(axis=1)  # (rows, runs): not at +0.0
     if x0 == State(0.0, 0.0):
         assert not live.any() and blocks[-1][1] == 0
         return
-    assert np.signbit(states[0, 0]).all() and live[:37].all()
-    assert (live[37:74] == [False, True, False, True, False]).all()
-    assert not live[74:].any()
+    assert np.signbit(states[0, 0]).all() and live[:256].all()
+    assert (live[256:512] == [False, True, False, True, False]).all()
+    assert not live[512:].any()
     assert blocks[-1][1] == runs  # one predator projection per run
 
 
@@ -764,7 +778,7 @@ def _check_ensemble_chunks_like_single_paths(m, c, k, n0, p0, cfg, runs, workers
             first_bad.append((_rejection(exc)[1], "rejected"))
     rows = []
     try:
-        for block, _ in driver_blocks(params, x0, cfg, runs, 1, workers):
+        for block, _ in driver_blocks(params, x0, cfg, runs, workers):
             rows.append(block.copy())
     except BlowupError as exc:
         # The ensemble stops at the first step where any of its paths fails, and
@@ -805,8 +819,9 @@ def test_an_error_on_a_draw_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(sde, "NoiseStream", FailingStream)
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
+    blocks = _after_x0(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 10), 4, 2))
     with pytest.raises(RuntimeError, match="draw failed"):
-        next(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 10), 4, 1, 2))
+        next(blocks)
     assert failing.threads and threading.main_thread() not in failing.threads
     assert threading.active_count() == threads
 
@@ -816,7 +831,7 @@ def test_no_draw_thread_outlives_its_chunk(monkeypatch):
     is what it was before the driver started."""
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
-    chunks = _ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 3 * _CHUNK_STEPS), 4, 1, 2)
+    chunks = _after_x0(_ensemble_chunks(CYCLE_PARAMS, START, SimConfig(1.0, 3 * _CHUNK_STEPS), 4, 2))
     next(chunks)
     assert threading.active_count() == threads
     chunks.close()
