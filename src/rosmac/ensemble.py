@@ -9,13 +9,13 @@ Estimators follow the plain Monte Carlo forms
 with half-width bands mean +/- sqrt(var)/2.  Sums over runs are reduced with
 an explicit pairwise tree whose shape depends only on the run count, and path
 j always uses noise stream j, so results are bit-identical for any number of
-worker threads.  The driver yields x0, then every step, in blocks of 32 time
-rows of every run; both functions reduce every `stride`-th step's rows as they
-come into one preallocated result, so memory is O(runs x chunk) with no runs x
-recorded tensor: the driver's one runs x chunk buffer and its one (32, 2, runs)
-block, and four blocks of rows for the bands, whose tree passes take both
-components at once, or three for the moments.  At 2,000 runs x 4,000 steps the
-tracemalloc peak is 13.5 MB, and 13.0 MB for three moment orders.
+worker threads.  The driver yields x0, then every step, in short blocks of
+time rows of every run; both functions reduce every `stride`-th step's rows as
+they come into one preallocated result, so memory is O(runs x chunk) with no
+runs x recorded tensor: the driver's one runs x chunk buffer and its one block,
+and the temporaries that each block step allocates for its block.  At 2,000
+runs x 4,000 steps and two workers the tracemalloc peak is 13.1 MB, and
+12.7 MB for three moment orders.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams, State, _integer, _sized
-from .sde import _BLOCK_ROWS, SimConfig, _ensemble_chunks
+from .sde import SimConfig, _ensemble_chunks
 
 __all__ = ["EnsembleStats", "MomentSeries", "ensemble_moments", "run_ensemble"]
 
@@ -71,59 +71,52 @@ class MomentSeries:
         self.values.flags.writeable = False
 
 
-def _pairwise_sum(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _pairwise_sum(values: np.ndarray) -> np.ndarray:
     """Sum the (rows, count) values over count with a fixed halving tree whose
     shape depends only on count: each level adds neighbours 2i and 2i + 1 and
-    carries an odd last one.  The levels alternate between the two halves of
-    the scratch, which holds at least rows * count floats."""
-    rows, count = values.shape
-    split, scratch = rows * ((count + 1) // 2), scratch.reshape(-1)
-    halves, level, acc = (scratch[:split], scratch[split:]), 0, values
-    while count > 1:
+    carries an odd last one."""
+    acc = values
+    while (count := acc.shape[1]) > 1:
         pairs, odd = divmod(count, 2)
-        folded = halves[level % 2][: rows * (pairs + odd)].reshape(rows, pairs + odd)
+        folded = np.empty((len(acc), pairs + odd))
         np.add(acc[:, 0:2 * pairs:2], acc[:, 1:2 * pairs:2], out=folded[:, :pairs])
         if odd:
             folded[:, pairs] = acc[:, count - 1]
-        acc, count, level = folded, pairs + odd, level + 1
+        acc = folded
     return acc[:, 0]
 
 
-def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+def _mean_var(times: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """_reduced block step: the mean and variance over runs of n, then of p, of
-    the (rows, 2, runs) states into the (4, rows) out, through a work buffer
-    of 4 x rows x runs floats.  Both components go through one tree call per
-    pass, as the (2 rows, runs) rows of the block: the tree sums each row on
-    its own."""
+    the (rows, 2, runs) states into the (4, rows) out.  Both components go
+    through one tree call per pass, as the (2 rows, runs) rows of the block:
+    the tree sums each row on its own."""
     count, runs = rows.shape[0], rows.shape[2]
-    squares, scratch = work.reshape(2, count, 2, runs)
     # (rows, 2) views of out's (mean_n, mean_p) and (var_n, var_p) rows.
     means, variances = out[0::2].T, out[1::2].T
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(_pairwise_sum(rows.reshape(2 * count, runs), scratch).reshape(count, 2), runs, out=means)
-        np.square(np.subtract(rows, means[:, :, None], out=squares), out=squares)
-        np.divide(_pairwise_sum(squares.reshape(2 * count, runs), scratch).reshape(count, 2), runs,
-                  out=variances)
+        np.divide(_pairwise_sum(rows.reshape(2 * count, runs)).reshape(count, 2), runs, out=means)
+        squares = np.subtract(rows, means[:, :, None])
+        np.square(squares, out=squares)
+        np.divide(_pairwise_sum(squares.reshape(2 * count, runs)).reshape(count, 2), runs, out=variances)
 
 
-def _reduced(blocks, runs: int, cfg: SimConfig, stride: int, width: int, buffers: int, step):
-    """Reduce every `stride`-th step of the driver's (rows, clamps) blocks over their
-    `runs` runs: step(times, rows, out, work) gets those rows' times, (rows, 2, runs)
-    states, (width, rows) result columns and a contiguous work buffer of `buffers` x
-    rows x runs floats.  Returns the recorded times, the result and the projection total."""
-    runs = _integer("runs", runs)  # a Python int, so that the work size cannot wrap
+def _reduced(blocks, cfg: SimConfig, stride: int, width: int, step):
+    """Reduce every `stride`-th step of the driver's (rows, clamps) blocks:
+    step(times, rows, out) gets those rows' times, (rows, 2, runs) states and
+    (width, rows) result columns.  Returns the recorded times, the result and
+    the projection total."""
     if _integer("stride", stride) < 1 or cfg.m_steps % stride != 0:
         raise ValueError(f"stride must divide m_steps, got stride={stride}, m_steps={cfg.m_steps}")
     recorded = cfg.m_steps // stride + 1
     times = _sized("m_steps", cfg.m_steps, lambda shape, dtype: np.arange(*shape, dtype=dtype), (recorded,))
     times *= cfg.delta * stride
-    out = _sized("m_steps", cfg.m_steps, np.empty, (width, recorded))
-    work, first = _sized("runs", runs, np.empty, (buffers * _BLOCK_ROWS * runs,)), 0
+    out, first = _sized("m_steps", cfg.m_steps, np.empty, (width, recorded)), 0
     for rows, clamps in blocks:
         # The block holds steps first, first + 1, ...: keep the multiples of stride.
         kept, lo = rows[-first % stride::stride], -(-first // stride)
         hi = lo + len(kept)
-        step(times[lo:hi], kept, out[:, lo:hi], work[: buffers * len(kept) * runs])
+        step(times[lo:hi], kept, out[:, lo:hi])
         first += len(rows)
     return times, out, clamps
 
@@ -153,7 +146,7 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Simulate `runs` paths on streams 0..runs-1 and summarize them."""
     chunks = _ensemble_chunks(params, x0, cfg, runs, workers)
-    times, moments, clamps = _reduced(chunks, runs, cfg, stride, 4, 4, _mean_var)
+    times, moments, clamps = _reduced(chunks, cfg, stride, 4, _mean_var)
     return _ensemble_stats(times, moments, clamps)
 
 
@@ -181,21 +174,18 @@ def ensemble_moments(
     chunks = _ensemble_chunks(params, x0, cfg, runs, workers)
     proxies = _sized("runs", runs, np.full, (runs,), -np.inf)
 
-    def moments(times, rows, out, work):
-        norms, powers, scratch = work.reshape(3, len(rows), runs)
-        np.hypot(rows[:, 0], rows[:, 1], out=norms)
+    def moments(times, rows, out):
+        norms = np.hypot(rows[:, 0], rows[:, 1])
         # An overflowing moment is left inf; check_moment_bound rejects it.
         with np.errstate(over="ignore"):
             for p, values in zip(p_values, out):
-                np.copyto(powers, norms)
-                powers **= float(p)  # the bits of norms ** p
-                np.divide(_pairwise_sum(powers, scratch), runs, out=values)
+                np.divide(_pairwise_sum(norms ** float(p)), runs, out=values)
         # Recorded times ascend, so the rows at t >= t_min end the block.
         late = np.searchsorted(times, t_min)
-        rates = powers[late:]
         with np.errstate(divide="ignore"):
-            np.divide(np.log(norms[late:], out=rates), times[late:, None], out=rates)
+            rates = np.log(norms[late:])
+        rates /= times[late:, None]
         np.maximum(proxies, rates.max(axis=0, initial=-np.inf), out=proxies)
 
-    times, values, _ = _reduced(chunks, runs, cfg, stride, len(p_values), 3, moments)
+    times, values, _ = _reduced(chunks, cfg, stride, len(p_values), moments)
     return [MomentSeries(float(p), times, row) for p, row in zip(p_values, values)], proxies

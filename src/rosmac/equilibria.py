@@ -144,10 +144,13 @@ def _classified(params: ModelParams, x: State, kind: EquilibriumKind) -> Equilib
     """The equilibrium at x with its eigenvalues and stability label.
 
     Refuses points that do not actually null the drift (residual above
-    1e-10 or NaN), so stale or hand-mangled candidates fail loudly, and
-    eigenvalues that are not finite (parameters too large for float64).
+    1e-10 or NaN), so stale or hand-mangled candidates fail loudly, and a
+    finite point whose residual or eigenvalues are not finite (parameters
+    too large for float64).
     """
     residual = drift(params, x)
+    if all(map(math.isfinite, x)) and not all(map(math.isfinite, residual)):
+        raise ValueError(f"drift residual is not finite at {x!r}; parameters too large")
     if not (abs(residual.dn) <= _RESIDUAL_TOL and abs(residual.dp) <= _RESIDUAL_TOL):
         raise ValueError(f"not an equilibrium: drift residual {residual!r} at {x!r}")
     with np.errstate(over="ignore", invalid="ignore"):

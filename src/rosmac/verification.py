@@ -95,13 +95,16 @@ def lyapunov_constant(params: ModelParams, alpha: float) -> float:
     if not (alpha > 2.0):
         raise ValueError(f"lyapunov_constant requires alpha > 2, got {alpha!r}")
     m, c, k = params.m, params.c, params.k
-    return (
+    constant = (
         3.0 * alpha
         + 2.5 * alpha * m
         + 0.5 * alpha * c
         + alpha / k
         + alpha * (alpha - 1.0) * (1.0 + 2.0 / k + 2.0 * m + c)
     )
+    if not math.isfinite(constant):
+        raise ValueError(f"lyapunov constant is not finite at alpha={alpha:g}; alpha or parameters too large")
+    return constant
 
 
 _GRID_BLOCK_CELLS = 12_800  # points per slack evaluation: 32 rows at --res 400, about 100 KB

@@ -1,12 +1,16 @@
-"""Exact mean prey-extinction times on the predator-free axis p = 0; numpy only.
+"""Mean extinction times, exact or up to a grid error; numpy only.
 
-At p = +0 the predator stays +0, and the prey follows the one-dimensional
-diffusion dn = n(1 - n/k) dt + sqrt(n(1 + n/k)/omega) dW, which the birth-death
-process with birth rate N and death rate N^2/(omega k) approximates
-(N = omega n).  Both mean times to reach 0 are written in log space, so that no
-term overflows at large omega (Karlin & Taylor, A Second Course in Stochastic
+On the predator-free axis p = +0 the predator stays +0, and the prey
+follows the one-dimensional diffusion dn = n(1 - n/k) dt +
+sqrt(n(1 + n/k)/omega) dW, which the birth-death process with birth rate N and
+death rate N^2/(omega k) approximates (N = omega n).  Both exact mean times to
+reach 0 are written in log space, so that no term overflows at large omega (Karlin & Taylor, A Second Course in Stochastic
 Processes, 1981, ch. 15; Doering, Sargsyan & Sander, Multiscale Model. Simul. 3,
 2005).
+
+Off the axis, pde_mean_first_axis_time solves the backward Kolmogorov
+equation for the mean time to the first axis on a graded grid; comparing two
+grids estimates its error.
 """
 
 from __future__ import annotations
@@ -45,3 +49,71 @@ def ctmc_mean_extinction_time(n_start: int, k: float, omega: float) -> float:
     c = np.concatenate([[0.0], np.cumsum(np.log(i) - log_mu)[:-1]])
     log_d = np.logaddexp.accumulate((c - log_mu)[::-1])[::-1] - c
     return float(np.exp(log_d[:n_start]).sum())
+
+
+def _graded_nodes(first: float, edge: float, cells: int) -> np.ndarray:
+    """cells + 1 nodes from 0 to edge whose spacings grow by one ratio from `first`."""
+    lo, hi = 1.0, 2.0
+    for _ in range(100):  # bisect first * (r**cells - 1) / (r - 1) = edge for the ratio r
+        ratio = 0.5 * (lo + hi)
+        if first * np.expm1(cells * np.log(ratio)) / (ratio - 1.0) < edge:
+            lo = ratio
+        else:
+            hi = ratio
+    nodes = np.concatenate([[0.0], np.cumsum(first * ratio ** np.arange(cells))])
+    nodes[-1] = edge
+    return nodes
+
+
+def _axis_weights(nodes: np.ndarray, drift: np.ndarray, diffusion: np.ndarray):
+    """The weights (down, up) of the neighbours i - 1 and i + 1 at nodes 1..N of one
+    axis, drift and diffusion holding one row per node: upwind drift and 3-point
+    diffusion, so both are >= 0.  The outer node N reflects: its ghost N + 1
+    mirrors N - 1, so its up weight moves to down."""
+    h = np.diff(nodes)[:, None]
+    below, above = h, np.append(h[1:], h[-1:], axis=0)
+    spread = 2.0 * diffusion / (below + above)
+    down = spread / below + np.maximum(-drift, 0.0) / below
+    up = spread / above + np.maximum(drift, 0.0) / above
+    down[-1] += up[-1]
+    up[-1] = 0.0
+    return down, up
+
+
+def pde_mean_first_axis_time(m: float, c: float, k: float, n0: float, p0: float, omega: float,
+                             cells: int = 200, edge: float = 20.0) -> float:
+    """E tau from (n0, p0), tau the first time n or p is 0, from the backward
+    Kolmogorov equation (Gardiner, Handbook of Stochastic Methods, ch. 5)
+
+        mu1 T_n + mu2 T_p + v1/(2 omega) T_nn + v2/(2 omega) T_pp = -1,
+
+    T = 0 on both axes, with the drift and variances of the README's equations:
+    mu1 = n (1 - n/k) - m n p/(1 + n), mu2 = -c p + m n p/(1 + n),
+    v1 = n (1 + n/k) + m n p/(1 + n) and v2 = c p + m n p/(1 + n).  Each axis has
+    `cells` spacings graded geometrically from 0.2 / cells to the reflecting
+    outer edge.  Upwind drift and 3-point diffusion make -L an M-matrix
+    (Kushner & Dupuis, 2001), solved block-tridiagonally over prey rows, each
+    block a prey node's predator column.  T(n0, p0) is read bilinearly."""
+    nodes = _graded_nodes(0.2 / cells, edge, cells)  # both axes
+    n, p = nodes[1:, None], nodes[None, 1:]
+    interaction = m * n * p / (1.0 + n)
+    mu1, mu2 = n * (1.0 - n / k) - interaction, -c * p + interaction
+    v1, v2 = n * (1.0 + n / k) + interaction, c * p + interaction
+    # -L T = 1: weights[i, j] of (n, p) node (i + 1, j + 1); the transposes give the p axis rows.
+    n_down, n_up = _axis_weights(nodes, mu1, v1 / (2.0 * omega))
+    p_down, p_up = (w.T for w in _axis_weights(nodes, mu2.T, v2.T / (2.0 * omega)))
+    diagonal = n_down + n_up + p_down + p_up
+    # Block Thomas: T_i = d_i + G_i T_{i+1}, G_i = M_i^-1 diag(n_up_i), over prey rows i.
+    gains, offsets = np.empty((cells, cells, cells)), np.empty((cells, cells))
+    gain, offset = np.zeros((cells, cells)), np.zeros(cells)
+    for i in range(cells):
+        block = np.diag(diagonal[i]) - np.diag(p_down[i, 1:], -1) - np.diag(p_up[i, :-1], 1)
+        block -= n_down[i][:, None] * gain
+        solved = np.linalg.solve(block, np.column_stack([1.0 + n_down[i] * offset, np.diag(n_up[i])]))
+        offsets[i], gains[i] = solved[:, 0], solved[:, 1:]
+        offset, gain = offsets[i], gains[i]
+    # T on every node, axes included, and a zero row past the edge, where G is 0.
+    whole = np.zeros((cells + 2, cells + 1))
+    for i in reversed(range(cells)):
+        whole[i + 1, 1:] = offsets[i] + gains[i] @ whole[i + 2, 1:]
+    return float(np.interp(n0, nodes, [np.interp(p0, nodes, row) for row in whole[:-1]]))

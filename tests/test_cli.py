@@ -226,7 +226,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["verify", *CYCLE_FLAGS, "--p", "400", "--runs", "4", "-M", "100", "--res", "3"],
         ["phase-portrait", *CYCLE_FLAGS, "--grid", "0,1e200,0,1e200", "--res", "3", "-T", "1",
          "--out", str(tmp_path / "d")],
-        ["analyze", "-m", "3", "-c", "1", "-k", "1e308"],
         # A first step that overflows to -inf: a blow-up, not a projection to zero.
         ["simulate-ode", "-m", "1", "-c", "1", "-k", "1", "--x0", "1,242963560579",
          "--dt", "868726304268979", "-T", "4343631521344895", "--out", str(tmp_path / "d")],
@@ -267,6 +266,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             "cannot allocate 8000000000000 bytes for res=1000000000000",
         ("phase-portrait", *CYCLE_FLAGS, "--res", "1000000"):  # the axes fit, the mesh not
             "cannot allocate 32000000000000 bytes for res=1000000",
+        # An equilibrium whose residual overflows, and an alpha whose c_lyap does.
+        ("analyze", "-m", "3", "-c", "1", "-k", "1e308"):
+            "drift residual is not finite at State(n=1e+308, p=0.0); parameters too large",
+        ("analyze", "-m", "1e300", "-c", "1e-300", "-k", "1e300"): "drift residual is not finite",
+        ("verify", *CYCLE_FLAGS, "--alpha", "1e308", "--runs", "2", "-M", "100", "-T", "1", "--t-min", "0.5"):
+            "lyapunov constant is not finite at alpha=1e+308",
         # A step count past the float maximum, whose step t_end / m_steps is no float.
         ("simulate-sde", *CYCLE_FLAGS, "-M", "1" + "0" * 400): "m_steps must be less than the float maximum",
         ("ensemble", *CYCLE_FLAGS, "-M", "1" + "0" * 400): "m_steps must be less than the float maximum",
@@ -721,7 +726,7 @@ def test_signed_zero_start_writes_the_dense_drivers_bytes(tmp_path):
     moments = _csv_floats(outs["1"] / "ensemble.csv", ["mean_N", "var_N", "mean_P", "var_P"])
     states = np.stack(dense, axis=2)
     blocks = [(states[lo:lo + sde._BLOCK_ROWS], 0) for lo in range(0, len(states), sde._BLOCK_ROWS)]
-    _, expected, _ = _reduced(blocks, 4, cfg, 1, 4, 4, _mean_var)
+    _, expected, _ = _reduced(blocks, cfg, 1, 4, _mean_var)
     assert moments.T.tobytes() == expected.tobytes()
     assert "-0" in (outs["1"] / "ensemble.csv").read_text().split()[1]
 

@@ -84,10 +84,10 @@ def test_pairwise_sum_agrees_with_flat_sum():
     rng = np.random.default_rng(1)
     for count in (1, 2, 3, 7, 16, 100):
         block = rng.normal(size=(4, count))
-        summed = _pairwise_sum(block, np.empty(block.size))
+        summed = _pairwise_sum(block)
         assert np.abs(summed - block.sum(axis=1)).max() < 1e-12
     ints = np.arange(10, dtype=float).reshape(1, 10)
-    assert _pairwise_sum(ints, np.empty(10))[0] == 45.0
+    assert _pairwise_sum(ints)[0] == 45.0
 
 
 def _oracle_states(times, runs, rng):
@@ -109,7 +109,7 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
     # The library's block loop over the rows in the driver's blocks, on the grid t = 0, 1, ...
     grid = SimpleNamespace(m_steps=times - 1, delta=1.0)
     blocks = [(rows[lo:lo + _BLOCK_ROWS], 0) for lo in range(0, times, _BLOCK_ROWS)]
-    _, got, _ = _reduced(blocks, runs, grid, 1, 4, 4, _mean_var)
+    _, got, _ = _reduced(blocks, grid, 1, 4, _mean_var)
     expected = _reference_mean_var(rows)
     assert got.tobytes() == expected.tobytes()
     # The run near 1e154 squares past the float maximum at its time: the
@@ -119,10 +119,9 @@ def test_blocked_reduction_equals_the_whole_array_tree_bit_for_bit(runs, times):
         _ensemble_stats(np.arange(times, dtype=float), got, 0)
     # The moment sums of ensemble_moments, over the same tree.
     norms = np.hypot(rows[:, 0], rows[:, 1])
-    scratch = np.empty(norms.size)
     with np.errstate(over="ignore"):
         for p in (1.0, 2.5):
-            moments = _pairwise_sum(norms ** p, scratch) / runs
+            moments = _pairwise_sum(norms ** p) / runs
             assert moments.tobytes() == (_reference_pairwise_sum(norms.T ** p) / runs).tobytes()
 
 
@@ -293,10 +292,12 @@ def test_ensemble_memory_is_one_chunk_buffer():
     # noise until step i has read it and writes the live runs' states over it,
     # so the states add no second buffer: it is the only one, shared with the
     # noise.  The driver adds one (rows, 2, runs) block into which it scatters
-    # the live runs' rows by stream, and the reductions four or three blocks of
-    # rows.  A second chunk-sized buffer, for the noise, the states, a staging
-    # area for the draws or whole-chunk norms and powers for the moments, would
-    # exceed the bound.
+    # the live runs' rows by stream, and each block step allocates its own
+    # temporaries for one such block: the squares and tree levels of the
+    # bands, the norms, powers, tree levels and rates of the moments.  A second
+    # chunk-sized buffer, for the noise, the states, a staging area for the
+    # draws or whole-chunk norms and powers for the moments, would exceed the
+    # bound.
     runs, m_steps = 2_000, 512
     cfg = SimConfig(t_end=10.0 * m_steps / 4_000, m_steps=m_steps, seed=11)
     # numpy.random imports modules on its first Philox key (about 0.7 MB traced):

@@ -118,8 +118,12 @@ def test_classify_rejects_nan_residuals_and_non_finite_eigenvalues():
     huge_m = ModelParams(m=1e300, c=1.0, k=3.0)
     with pytest.raises(ValueError, match="eigenvalues"):
         _classified(huge_m, State(3.0, 0.0), EquilibriumKind.PREY_ONLY)
-    with pytest.raises(ValueError):
-        find_equilibria(ModelParams(m=3.0, c=1.0, k=1e308))
+    # (k, 0) nulls the drift exactly, but m * n overflows before its product
+    # with p = 0: the residual reads NaN at a finite point.
+    for params in (ModelParams(m=3.0, c=1.0, k=1e308), ModelParams(m=1e300, c=1e-300, k=1e300)):
+        with pytest.raises(ValueError, match=r"^drift residual is not finite at State\(n=1e\+30\d, p=0.0\); "
+                                             "parameters too large$"):
+            find_equilibria(params)
 
 
 def test_jacobian_matches_finite_differences():

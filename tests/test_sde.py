@@ -558,8 +558,8 @@ def _check_against_dense(params, x0, cfg, runs, stride, workers):
             absorbed.append(int(((rows[-1] == 0.0) & ~np.signbit(rows[-1])).all(axis=0).sum()))
     assert next(blocks, None) is None
     kept = []
-    _reduced(driver_blocks(params, x0, cfg, runs, workers), runs, cfg, stride, 0, 0,
-             lambda times, rows, out, work: kept.append(rows.copy()))
+    _reduced(driver_blocks(params, x0, cfg, runs, workers), cfg, stride, 0,
+             lambda times, rows, out: kept.append(rows.copy()))
     want = np.stack([states for states, _ in expected], axis=2)[::stride]
     assert np.concatenate(kept).tobytes() == want.tobytes()
     return absorbed

@@ -46,6 +46,18 @@ def test_constant_domain_errors():
         lyapunov_constant(CYCLE_PARAMS, 2.0)
 
 
+def test_lyapunov_constant_that_overflows_names_alpha():
+    # alpha (alpha - 1) overflows: the constant, not the grid, is at fault.
+    with pytest.raises(ValueError, match=r"lyapunov constant is not finite at alpha=1e\+308"):
+        lyapunov_constant(CYCLE_PARAMS, 1e308)
+    with pytest.raises(ValueError, match="lyapunov constant is not finite at alpha=1e"):
+        check_generator_inequality(CYCLE_PARAMS, 1e308)
+    # At alpha = 150 the constant is finite and u ** alpha overflows at the grid's far corner.
+    assert math.isfinite(lyapunov_constant(CYCLE_PARAMS, 150.0))
+    with pytest.raises(ValueError, match="grid too large"):
+        check_generator_inequality(CYCLE_PARAMS, 150.0)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 0)
